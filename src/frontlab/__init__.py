@@ -50,7 +50,7 @@ from .spectral import (
     block_abscissas,
     eigvals_symbol,
     eval_symbol,
-    expm_triangular_2x2,
+    exact_propagator,
     optimal_weight,
     semigroup_envelope,
     sweep_symbol,
@@ -66,7 +66,7 @@ __all__ = [
     "jacobian_at_minus", "lipschitz_probe", "make_combustion_system",
     "make_exo_endo_system", "make_gasless_system",
     "SpectrumSweep", "SymbolMatrix", "abscissa_unweighted", "abscissa_weighted",
-    "block_abscissas", "eigvals_symbol", "eval_symbol", "expm_triangular_2x2",
+    "block_abscissas", "eigvals_symbol", "eval_symbol", "exact_propagator",
     "optimal_weight", "semigroup_envelope", "sweep_symbol", "tensor_sum_check",
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",
     "FieldState", "Grid", "Perturbation", "apply_linear_exact",

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -28,12 +26,10 @@ from . import front as _front
 from . import norms as _norms
 from . import sim as _sim
 from . import spectral as _spectral
-from .model import BlockSystem, ModelParams, make_exo_endo_system, make_gasless_system
+from .model import ModelParams, make_exo_endo_system, make_gasless_system
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "cmd_spectrum", "cmd_front",
            "cmd_simulate", "cmd_verify", "cmd_sweep", "main"]
-
-THREADS_ENV = "FRONTLAB_THREADS"
 
 
 class ConfigError(Exception):
@@ -121,54 +117,43 @@ def load_scenario(path) -> Scenario:
 
 
 def _build_model(scenario: Scenario):
+    """(model, alpha) of the scenario; alpha is validated against the model's c."""
     kind = scenario.get("model", "kind", str, "combustion")
-    if kind == "combustion":
-        eps = scenario.get("model", "epsilon", float, 0.5)
-        kappa = scenario.get("model", "kappa", float, 1.0)
-        c = scenario.get("model", "c", float, 1.0)
-        alpha, alpha_label = _resolve_alpha(scenario, c)
-        # the optimal weight sits at the closure of the admissible band, so
-        # the carrier ModelParams holds a nudged value; all spectral calls
-        # receive the exact alpha explicitly
-        stored = np.nextafter(alpha, 0.0) if alpha_label == "optimal" else alpha
-        try:
-            params = ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=stored)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return params, alpha
-    if kind == "exo_endo":
-        args = {k: scenario.get("model", k, float) for k in
-                ("d2", "d3", "sigma", "tau", "a2", "a3", "b2", "b3")}
-        c = scenario.get("model", "c", float, 1.0)
-        alpha, _ = _resolve_alpha(scenario, c)
-        try:
-            sys_ = make_exo_endo_system(args["d2"], args["d3"], args["sigma"],
-                                        args["tau"], (args["a2"], args["a3"]),
-                                        (args["b2"], args["b3"]), c=c, alpha=alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return sys_, alpha
-    if kind == "gasless":
-        beta = scenario.get("model", "beta", float)
-        c = scenario.get("model", "c", float, 1.0)
-        alpha, _ = _resolve_alpha(scenario, c)
-        try:
-            sys_ = make_gasless_system(beta, c=c, alpha=alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return sys_, alpha
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def _resolve_alpha(scenario: Scenario, c: float) -> tuple[float, str]:
-    text = scenario.get("weights", "alpha", str, "optimal")
-    if isinstance(text, str) and text.strip().lower() == "optimal":
-        astar, _ = _spectral.optimal_weight(c)
-        return astar, "optimal"
     try:
-        return float(text), "explicit"
+        if kind == "combustion":
+            model = ModelParams(epsilon=scenario.get("model", "epsilon", float, 0.5),
+                                kappa=scenario.get("model", "kappa", float, 1.0),
+                                c=scenario.get("model", "c", float, 1.0))
+        elif kind == "exo_endo":
+            args = {k: scenario.get("model", k, float) for k in
+                    ("d2", "d3", "sigma", "tau", "a2", "a3", "b2", "b3")}
+            model = make_exo_endo_system(args["d2"], args["d3"], args["sigma"],
+                                         args["tau"], (args["a2"], args["a3"]),
+                                         (args["b2"], args["b3"]),
+                                         c=scenario.get("model", "c", float, 1.0))
+        elif kind == "gasless":
+            model = make_gasless_system(scenario.get("model", "beta", float),
+                                        c=scenario.get("model", "c", float, 1.0))
+        else:
+            raise ConfigError(f"unknown model kind {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return model, _resolve_alpha(scenario, model.c)
+
+
+def _resolve_alpha(scenario: Scenario, c: float) -> float:
+    """[weights] alpha: "optimal" is exactly c/2, an explicit value lies in (0, c/2)."""
+    text = scenario.get("weights", "alpha", str, "optimal")
+    if text.strip().lower() == "optimal":
+        return _spectral.optimal_weight(c)[0]
+    try:
+        alpha = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for [weights] alpha: {text!r}") from exc
+    if not 0.0 < alpha < c / 2.0:
+        raise ConfigError(f"[weights] alpha must lie in the admissible band (0, c/2) = "
+                          f"(0, {c / 2}), got {alpha}")
+    return alpha
 
 
 def _build_grid(scenario: Scenario) -> _sim.Grid:
@@ -207,7 +192,7 @@ def _write_summary(outdir: Path, name: str, scenario: Scenario, metrics: dict) -
     (outdir / name).write_text("\n".join(lines) + "\n")
 
 
-def cmd_spectrum(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, dict]:
+def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Abscissas, sweeps, optimal weight, and the semigroup envelope constant."""
     model, alpha = _build_model(scenario)
     d = scenario.get("grid", "d", int, 1)
@@ -215,20 +200,11 @@ def cmd_spectrum(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int,
     R_text = scenario.get("spectrum", "r", str, "auto")
     R = None if str(R_text).strip().lower() == "auto" else float(R_text)
 
-    if isinstance(model, ModelParams):
-        sym_u = _spectral.SymbolMatrix.from_params(model, d=d, alpha=0.0)
-        sym_w = _spectral.SymbolMatrix.from_params(model, d=d, alpha=alpha)
-        closed_u = _spectral.abscissa_unweighted(model)
-        closed_w = _spectral.abscissa_weighted(model, alpha=alpha)
-        astar, vstar = _spectral.optimal_weight(model.c)
-        a1, a2 = _spectral.block_abscissas(model)
-    else:
-        sym_u = _spectral.SymbolMatrix.from_system(model, d=d, alpha=0.0)
-        sym_w = _spectral.SymbolMatrix.from_system(model, d=d, alpha=alpha)
-        closed_u = _spectral.closed_form_abscissa(sym_u)
-        closed_w = _spectral.closed_form_abscissa(sym_w)
-        astar, vstar = _spectral.optimal_weight(model.c)
-        a1 = a2 = None
+    sym_u = _spectral.SymbolMatrix.of(model, d=d)
+    sym_w = _spectral.SymbolMatrix.of(model, d=d, alpha=alpha)
+    closed_u = _spectral.closed_form_abscissa(sym_u)
+    closed_w = _spectral.closed_form_abscissa(sym_w)
+    astar, vstar = _spectral.optimal_weight(model.c)
 
     sw_u = _spectral.sweep_symbol(sym_u, R=R, m=m)
     sw_w = _spectral.sweep_symbol(sym_w, R=R, m=m)
@@ -246,36 +222,35 @@ def cmd_spectrum(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int,
         "alpha_star": astar,
         "abscissa_star": vstar,
     }
-    if a2 is not None:
-        metrics["block_abscissa_1"] = a1
-        metrics["block_abscissa_2"] = a2
-    if isinstance(model, BlockSystem):
-        metrics["zero_diffusion_block"] = model.zero_diffusion
+    if sym_u.is_triangular:
+        metrics["block_abscissa_1"], metrics["block_abscissa_2"] = \
+            _spectral.block_abscissas(model)
+    metrics["zero_diffusion_block"] = bool(np.any(model.diffusion == 0.0))
 
     code = 0
-    if isinstance(model, ModelParams):
+    if sym_w.n == 2 and sym_w.is_triangular:
         t_max = scenario.get("spectrum", "envelope_t_max", float, 40.0)
         t_grid = np.linspace(0.0, t_max, 801)
         xi_grid = np.linspace(-sw_w.extent, sw_w.extent, 401)
         try:
-            K_est, nu = _spectral.semigroup_envelope(model, t_grid, xi_grid,
-                                                     alpha=alpha)
+            K_est, nu = _spectral.semigroup_envelope(
+                _spectral.SymbolMatrix.of(model, alpha=alpha), t_grid, xi_grid)
             metrics["nu"] = nu
             metrics["envelope_K"] = K_est
         except (ValueError, RuntimeError) as exc:
             metrics["envelope_error"] = str(exc)
             code = 1
-        if d >= 2:
-            rep = _spectral.tensor_sum_check(model, R=sw_w.extent, m=min(m, 101), d=d)
-            metrics["tensor_sum_difference"] = rep["difference"]
-            if rep["difference"] > 1e-10:
-                code = 1
+    if d >= 2:
+        rep = _spectral.tensor_sum_check(model, alpha, R=sw_w.extent, m=min(m, 101), d=d)
+        metrics["tensor_sum_difference"] = rep["difference"]
+        if rep["difference"] > 1e-10:
+            code = 1
 
     _write_summary(outdir, "summary.txt", scenario, metrics)
     return code, metrics
 
 
-def cmd_front(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, dict]:
+def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Shoot for the connecting orbit (eps = 0) or run a conservation orbit."""
     mode = scenario.get("front", "mode", str, "shoot")
     eps = scenario.get("model", "epsilon", float, 0.0)
@@ -289,8 +264,7 @@ def cmd_front(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, di
         c_max = scenario.get("front", "c_max", float, 2.0)
         scan_points = scenario.get("front", "scan_points", int, 17)
         try:
-            params = ModelParams(epsilon=0.0, kappa=kappa, c=max(c_max, 1.0),
-                                 alpha=0.25 * max(c_max, 1.0))
+            params = ModelParams(epsilon=0.0, kappa=kappa, c=max(c_max, 1.0))
             c_star, profile = _front.shoot_speed(params, (c_min, c_max), tol=tol,
                                                  scan_points=scan_points)
         except _front.ShootingError as exc:
@@ -316,7 +290,7 @@ def cmd_front(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, di
         s0 = scenario.get("front", "s0", "floats", (0.0, 1.0, 0.0, 0.0)[:dim])
         z0, z1 = scenario.get("front", "span", "floats", (0.0, 10.0))
         try:
-            params = ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=0.25 * c)
+            params = ModelParams(epsilon=eps, kappa=kappa, c=c)
             res = _front.integrate_orbit(params, np.asarray(s0), (z0, z1), tol=tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -353,39 +327,30 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState,
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _model_desc(model) -> dict:
-    if isinstance(model, ModelParams):
-        return {"kind": "combustion", "epsilon": model.epsilon,
-                "kappa": model.kappa, "c": model.c, "alpha": model.alpha}
-    return {"kind": model.name, "c": model.c, "alpha": model.alpha,
-            "zero_diffusion": model.zero_diffusion}
-
-
-def _run_simulation(scenario: Scenario, outdir: Path):
-    model, alpha = _build_model(scenario)
+def _run_simulation(scenario: Scenario, outdir: Path, model, alpha: float):
     grid = _build_grid(scenario)
-    ncomp = 2 if isinstance(model, ModelParams) else model.n
-    pert = _build_perturbation(scenario, grid, ncomp)
+    pert = _build_perturbation(scenario, grid, model.n)
     T = scenario.get("time", "t", float, 40.0)
     dt = scenario.get("time", "dt", float, 0.02)
     record_every = scenario.get("time", "record_every", int, 25)
     nonlinear = scenario.get("time", "nonlinear", bool, True)
     try:
-        result = _sim.run(model, grid, pert, T=T, dt=dt, record_every=record_every,
+        result = _sim.run(model, grid, pert, alpha, T=T, dt=dt, record_every=record_every,
                           nonlinear=nonlinear)
     except ValueError as exc:
         raise ConfigError(f"simulation rejected the scenario: {exc}") from exc
     _norms.write_norms_csv(outdir / "norms.csv", result.series)
-    desc = _model_desc(model)
+    desc = dict(model.describe(), alpha=alpha)
     _write_snapshot(outdir, "initial", result.snapshots[0], grid, desc)
     _write_snapshot(outdir, "final", result.snapshots[-1], grid, desc)
-    return model, alpha, result
+    return result
 
 
-def cmd_simulate(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, dict]:
+def cmd_simulate(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Integrate the perturbation equation; write the norm series and snapshots."""
+    model, alpha = _build_model(scenario)
     try:
-        model, alpha, result = _run_simulation(scenario, outdir)
+        result = _run_simulation(scenario, outdir, model, alpha)
     except _sim.SimulationBlowupError as exc:
         metrics = {"error": str(exc)}
         _write_summary(outdir, "summary.txt", scenario, metrics)
@@ -405,16 +370,29 @@ def cmd_simulate(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int,
     return 0, metrics
 
 
-def cmd_verify(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, dict]:
+def _expected_rates(model, alpha: float) -> tuple[float, float]:
+    """Sharp linear rates of verdict items 3 and 5, from the symbol's closed forms.
+
+    Item 3: minus the weighted abscissa (c alpha - alpha^2 for combustion);
+    item 5: minus the largest second-block family vertex (kappa e^-kappa).
+    """
+    sym = _spectral.SymbolMatrix.of(model, alpha=alpha)
+    if not sym.is_triangular:
+        raise ConfigError("verify needs a triangular linearization: its symbol has "
+                          "no closed-form abscissa")
+    return -_spectral.closed_form_abscissa(sym), -_spectral.block_abscissas(model)[1]
+
+
+def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Simulate, then render the stability-theorem verdict; exit 1 on failure."""
+    model, alpha = _build_model(scenario)
+    nu_expected, rho_expected = _expected_rates(model, alpha)
     try:
-        model, alpha, result = _run_simulation(scenario, outdir)
+        result = _run_simulation(scenario, outdir, model, alpha)
     except _sim.SimulationBlowupError as exc:
         metrics = {"error": str(exc), "overall_pass": False}
         _write_summary(outdir, "summary.txt", scenario, metrics)
         return 1, metrics
-    if not isinstance(model, ModelParams):
-        raise ConfigError("verify requires the combustion model")
     eta = float(result.series.column("normE_v", 0)[0])  # measured |v0|_E
     delta = scenario.get("verify", "delta", float, 10.0 * eta)
     rate_floor = scenario.get("verify", "rate_floor", float, 0.8)
@@ -425,9 +403,8 @@ def cmd_verify(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, d
         if len(window) != 2:
             raise ConfigError("[verify] window takes two times")
     report = _norms.verify_stability_theorem(
-        result.series, model, eta=eta, delta=delta,
-        nu_expected=model.c * alpha - alpha**2,
-        rate_floor=rate_floor, c1_cap=c1_cap, window=window)
+        result.series, eta=eta, delta=delta, nu_expected=nu_expected,
+        rho_expected=rho_expected, rate_floor=rate_floor, c1_cap=c1_cap, window=window)
     (outdir / "verdict.txt").write_text(report.to_text())
     metrics = {"overall_pass": report.overall,
                "boundary_warnings": len(result.warnings)}
@@ -446,19 +423,7 @@ COMMANDS = {
 }
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            limit = 1
-    else:
-        limit = min(4, os.cpu_count() or 1)
-    return max(1, min(limit, n_jobs))
-
-
-def cmd_sweep(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, dict]:
+def cmd_sweep(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Run a sub-command once per swept value; aggregate one row per value.
 
     Per-value failures are recorded in their row and never abort the sweep;
@@ -474,24 +439,18 @@ def cmd_sweep(scenario: Scenario, outdir: Path, seed: int = 42) -> tuple[int, di
     values_text = scenario.get("sweep", "values", str, "")
     values = [tok.strip() for tok in values_text.split(",") if tok.strip()]
 
-    def run_one(idx_value):
-        idx, value = idx_value
+    rows = []
+    for idx, value in enumerate(values):
         subdir = outdir / f"run_{idx:03d}"
         subdir.mkdir(parents=True, exist_ok=True)
         # a fresh parser copy keeps the override isolated per value
         sub = Scenario(raw=_copy_parser(scenario.raw))
         sub.set_override(section, key, value)
         try:
-            code, metrics = COMMANDS[command](sub, subdir, seed)
-            return idx, value, ("ok" if code == 0 else "failed"), code, metrics
+            code, metrics = COMMANDS[command](sub, subdir)
+            rows.append((idx, value, "ok" if code == 0 else "failed", code, metrics))
         except (ConfigError, ValueError) as exc:
-            return idx, value, "failed", 2, {"error": str(exc)}
-
-    rows = []
-    if values:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-            rows = list(pool.map(run_one, enumerate(values)))
-    rows.sort(key=lambda r: r[0])
+            rows.append((idx, value, "failed", 2, {"error": str(exc)}))
 
     metric_keys = sorted({k for row in rows for k in row[4]})
     with open(outdir / "sweep.csv", "w", newline="") as fh:
@@ -529,7 +488,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("command", choices=[*COMMANDS, "sweep"])
     parser.add_argument("--config", required=True, help="scenario file")
     parser.add_argument("--out", default="./out", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=42)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -540,7 +498,7 @@ def main(argv: Optional[list] = None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         handler = cmd_sweep if args.command == "sweep" else COMMANDS[args.command]
-        code, _metrics = handler(scenario, outdir, args.seed)
+        code, _metrics = handler(scenario, outdir)
         return code
     except ConfigError as exc:
         print(f"frontlab: config error: {exc}", file=sys.stderr)

@@ -51,18 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless constants of the combustion model plus the weight exponent.
+    """Dimensionless constants of the combustion model.
 
     epsilon : reactant/temperature diffusion ratio, 0 <= epsilon < 1
     kappa   : reaction stoichiometry, kappa > 0
     c       : wave speed, c > 0
-    alpha   : exponential weight exponent, inside the admissible band (0, c/2)
+
+    Shares the model interface of :class:`BlockSystem` (c, diffusion,
+    linearization, n, n1, nonlinearity, stage_rate, describe) for the
+    perturbation equation about u_minus.
     """
 
     epsilon: float
     kappa: float
     c: float
-    alpha: float
+
+    n = 2
+    n1 = 1
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -71,11 +76,6 @@ class ModelParams:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if not 0.0 < self.alpha < self.c / 2.0:
-            raise ValueError(
-                f"alpha must lie in the admissible band (0, c/2) = (0, {self.c / 2}), "
-                f"got {self.alpha}"
-            )
 
     @property
     def u_minus(self) -> np.ndarray:
@@ -84,6 +84,28 @@ class ModelParams:
     @property
     def u_plus(self) -> np.ndarray:
         return np.array([0.0, 1.0])
+
+    @property
+    def diffusion(self) -> np.ndarray:
+        return np.array([1.0, self.epsilon])
+
+    @property
+    def linearization(self) -> np.ndarray:
+        return jacobian_at_minus(self)
+
+    def nonlinearity(self, v) -> np.ndarray:
+        """Closed-form H(v) of the perturbation equation, pointwise over (2, ...)."""
+        return eval_H(self, v)
+
+    def stage_rate(self, v) -> float:
+        """Bound on |DH|_inf over the field v of shape (2, ...)."""
+        gp = eval_g_prime(1.0 / self.kappa + v[0])
+        m = eval_g(1.0 / self.kappa + v[0]) - np.exp(-self.kappa)
+        return max(1.0, self.kappa) * float(np.max(np.abs(v[1] * gp) + np.abs(m)))
+
+    def describe(self) -> dict:
+        return {"kind": "combustion", "epsilon": self.epsilon, "kappa": self.kappa,
+                "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -129,7 +151,6 @@ class BlockSystem:
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     c: float = 1.0
-    alpha: float = 0.0
     name: str = "block-system"
 
     def __post_init__(self):
@@ -144,8 +165,6 @@ class BlockSystem:
             raise ValueError("A1 must be n1 x n1")
         if not self.c > 0.0:
             raise ValueError("wave speed c must be positive")
-        if self.alpha < 0.0:
-            raise ValueError("weight exponent alpha must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -165,6 +184,20 @@ class BlockSystem:
     def linearization(self) -> np.ndarray:
         """Jacobian of f at the steady state v = 0."""
         return self.jac(np.zeros(self.n))
+
+    def nonlinearity(self, v) -> np.ndarray:
+        """N(v) v = f(v) - Df(0) v, pointwise over v of shape (n, ...)."""
+        return eval_N_times_v_exact(self, v)
+
+    def stage_rate(self, v) -> float:
+        """Row-sum norm of Df(v) - Df(0) at the field's largest state."""
+        flat = np.reshape(v, (self.n, -1))
+        peak = flat[:, int(np.argmax(np.sum(flat**2, axis=0)))]
+        J = self.jac(peak) - self.linearization
+        return float(np.max(np.sum(np.abs(J), axis=1)))
+
+    def describe(self) -> dict:
+        return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
 
 
 def eval_g(u1):
@@ -295,7 +328,6 @@ def make_combustion_system(params: ModelParams) -> BlockSystem:
         f=f,
         jac=jac,
         c=params.c,
-        alpha=params.alpha,
         name="combustion",
     )
     check_block_structure(sys)
@@ -329,7 +361,6 @@ def make_exo_endo_system(
     a: Sequence[float],
     b: Sequence[float],
     c: float = 1.0,
-    alpha: float = 0.0,
 ) -> BlockSystem:
     """Three-species system with one exothermic and one endothermic reactant.
 
@@ -379,14 +410,13 @@ def make_exo_endo_system(
         f=f,
         jac=jac,
         c=c,
-        alpha=alpha,
         name="exo-endo",
     )
     check_block_structure(sys)
     return sys
 
 
-def make_gasless_system(beta: float, c: float = 1.0, alpha: float = 0.0) -> BlockSystem:
+def make_gasless_system(beta: float, c: float = 1.0) -> BlockSystem:
     """Gasless combustion u_t = lap(u) + v g(u), v_t = -beta v g(u).
 
     The fuel equation carries no diffusion, so the second diffusion block is
@@ -419,7 +449,6 @@ def make_gasless_system(beta: float, c: float = 1.0, alpha: float = 0.0) -> Bloc
         f=f,
         jac=jac,
         c=c,
-        alpha=alpha,
         name="gasless",
     )
     check_block_structure(sys)

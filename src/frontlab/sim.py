@@ -5,9 +5,10 @@ first, and the linear part of
 
     v_t = D lap(v) + c dz(v) + B v + H(v)
 
-is advanced exactly per discrete Fourier mode with the closed-form
-triangular propagator (dense matrix exponentials for general block
-systems).  The nonlinearity is applied pointwise in physical space with an
+is advanced exactly per discrete Fourier mode with
+:func:`frontlab.spectral.exact_propagator`, built once per run.  The model
+is a ModelParams or a BlockSystem; both supply the same interface.  The
+nonlinearity is applied pointwise in physical space with an
 explicit midpoint stage, composed in Strang order
 
     half linear  ->  full nonlinear  ->  half linear,
@@ -28,8 +29,10 @@ from typing import Optional, Union
 import numpy as np
 
 from . import norms as _norms
-from .model import BlockSystem, ModelParams, eval_g, eval_g_prime
-from .spectral import _phi1
+from .model import BlockSystem, ModelParams
+from .spectral import Propagator, SymbolMatrix, exact_propagator
+
+Model = Union[ModelParams, BlockSystem]
 
 __all__ = [
     "Grid",
@@ -38,6 +41,7 @@ __all__ = [
     "RunResult",
     "SimulationBlowupError",
     "build_perturbation",
+    "linear_propagator",
     "apply_linear_exact",
     "step_imex",
     "dt_max",
@@ -160,24 +164,17 @@ class Perturbation:
             raise ValueError("widths must be positive")
 
 
-def _model_info(model: Union[ModelParams, BlockSystem]) -> tuple[int, int, float]:
-    """(ncomp, n1, alpha) of the evolving system."""
-    if isinstance(model, ModelParams):
-        return 2, 1, model.alpha
-    return model.n, model.n1, model.alpha
-
-
-def build_perturbation(grid: Grid, pert: Perturbation,
-                       model: Union[ModelParams, BlockSystem]) -> tuple[FieldState, dict]:
+def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
+                       alpha: float) -> tuple[FieldState, dict]:
     """Sample the perturbation on the grid and measure its starting norms.
 
     Returns (state at t = 0, norms dict with |.|_0, |.|_alpha, |.|_E at
-    k = 0).  When pert.eta is set, the amplitude is rescaled so the
-    intersection norm equals eta exactly.  A profile whose support does not
+    k = 0), with alpha the weight exponent.  When pert.eta is set, the
+    amplitude is rescaled so the intersection norm equals eta exactly.  A profile whose support does not
     fit inside the box is rejected (3 widths for the Gaussian, 1 width for
     the compact bump, per axis).
     """
-    ncomp, n1, alpha = _model_info(model)
+    ncomp, n1 = model.n, model.n1
     if len(pert.mask) != ncomp:
         raise ValueError(f"mask length {len(pert.mask)} does not match {ncomp} components")
     if len(pert.center) != grid.d or len(pert.widths) != grid.d:
@@ -224,15 +221,6 @@ def build_perturbation(grid: Grid, pert: Perturbation,
     return state, report
 
 
-# propagator cache: (model key, grid, dt) -> per-mode exponential arrays
-_PROPAGATORS: dict = {}
-_PROPAGATOR_CACHE_LIMIT = 16
-
-
-def _model_key(model: Union[ModelParams, BlockSystem]):
-    return model if isinstance(model, ModelParams) else id(model)
-
-
 def _frequency_grids(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(|xi|^2, xi_1) broadcast to the grid shape."""
     xi_axes = [grid.xi(ax) for ax in range(grid.d)]
@@ -247,115 +235,64 @@ def _frequency_grids(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return xi2, xi1
 
 
-def _build_propagator(model: Union[ModelParams, BlockSystem], grid: Grid, dt: float):
-    # The z-axis Nyquist plane is its own mirror mode, so the advection
-    # phase would break the conjugate symmetry real fields need; it is
-    # projected to zero (its content is below rounding for resolved fields).
-    nyq = grid.N[0] // 2
+def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
+    """exp(dt S(xi)) of the unweighted symbol on every mode of the grid.
+
+    The z-axis Nyquist plane is its own mirror mode, so the advection phase
+    would break the conjugate symmetry real fields need; it is projected to
+    zero (its content is below rounding for resolved fields).
+    """
     xi2, xi1 = _frequency_grids(grid)
-    if isinstance(model, ModelParams):
-        ek = math.exp(-model.kappa)
-        a = -xi2 + 1j * model.c * xi1
-        d = -model.epsilon * xi2 + 1j * model.c * xi1 - model.kappa * ek
-        e11 = np.exp(a * dt)
-        e22 = np.exp(d * dt)
-        e12 = ek * dt * e22 * _phi1((a - d) * dt)
-        for e in (e11, e12, e22):
-            e[nyq] = 0.0
-        return ("triangular", e11, e12, e22)
-    import scipy.linalg
-
-    n = model.n
-    D = model.diffusion
-    B = model.linearization
-    flat2 = xi2.reshape(-1)
-    flat1 = xi1.reshape(-1)
-    P = np.empty((flat2.size, n, n), dtype=complex)
-    eye = np.eye(n)
-    for idx in range(flat2.size):
-        S = np.diag(-flat2[idx] * D).astype(complex) + 1j * model.c * flat1[idx] * eye + B
-        P[idx] = scipy.linalg.expm(S * dt)
-    P = P.reshape(grid.shape + (n, n))
-    P[nyq] = 0.0
-    return ("dense", P)
+    prop = exact_propagator(SymbolMatrix.of(model, d=grid.d), xi2, xi1, dt)
+    for row in prop.rows:
+        for _, e in row:
+            e[grid.N[0] // 2] = 0.0
+    return prop
 
 
-def _propagator(model, grid: Grid, dt: float):
-    key = (_model_key(model), grid, float(dt))
-    if key not in _PROPAGATORS:
-        if len(_PROPAGATORS) >= _PROPAGATOR_CACHE_LIMIT:
-            _PROPAGATORS.pop(next(iter(_PROPAGATORS)))
-        _PROPAGATORS[key] = _build_propagator(model, grid, dt)
-    return _PROPAGATORS[key]
-
-
-def apply_linear_exact(model: Union[ModelParams, BlockSystem], grid: Grid,
-                       state: FieldState, dt: float) -> FieldState:
+def apply_linear_exact(model: Model, grid: Grid, state: FieldState, dt: float,
+                       prop: Optional[Propagator] = None) -> FieldState:
     """Advance the linear flow exactly by dt, mode by mode.
 
-    Combustion: closed-form triangular propagator per mode.  General block
-    systems: dense per-mode matrix exponentials, cached per (grid, dt).
+    prop is linear_propagator(model, grid, dt), built here when not given.
     Every retained mode evolves by exactly exp(dt S(xi)); the single z-axis
     Nyquist plane is projected out to keep the map real and a semigroup.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    prop = _propagator(model, grid, dt)
+    if prop is None:
+        prop = linear_propagator(model, grid, dt)
+    elif prop.dt != dt:
+        raise ValueError(f"propagator built for dt = {prop.dt}, applied with dt = {dt}")
     axes = tuple(range(1, grid.d + 1))
     vh = np.fft.fftn(state.data, axes=axes)
-    if prop[0] == "triangular":
-        _, e11, e12, e22 = prop
-        out = np.empty_like(vh)
-        out[0] = e11 * vh[0] + e12 * vh[1]
-        out[1] = e22 * vh[1]
-    else:
-        P = prop[1]  # (*shape, n, n)
-        out = np.einsum("...ij,j...->i...", P, vh)
+    out = np.empty_like(vh)
+    for i, ((j, e), *rest) in enumerate(prop.rows):
+        np.multiply(e, vh[j], out=out[i])
+        for j, e in rest:
+            out[i] += e * vh[j]
     data = np.fft.ifftn(out, axes=axes).real
     return FieldState(t=state.t + dt, data=data, n1=state.n1)
 
 
-def _nonlinear_term(model: Union[ModelParams, BlockSystem], data: np.ndarray) -> np.ndarray:
-    """Pointwise nonlinearity: closed-form H for the combustion model,
-    N(v) v = f(v) - Df(0) v for block systems."""
-    if isinstance(model, ModelParams):
-        m = eval_g(1.0 / model.kappa + data[0]) - math.exp(-model.kappa)
-        r = m * data[1]
-        return np.stack([r, -model.kappa * r])
-    n = model.n
-    flat = data.reshape(n, -1)
-    B = model.linearization
-    out = np.asarray(model.f(flat)) - B @ flat
-    return out.reshape(data.shape)
-
-
-def dt_max(model: Union[ModelParams, BlockSystem], state: FieldState) -> float:
+def dt_max(model: Model, state: FieldState) -> float:
     """Stability heuristic for the explicit nonlinear stage: 0.5 / |DH|_inf.
 
     The bound is estimated on the current field values; linear stiffness is
     irrelevant because the linear stage is exact.
     """
-    if isinstance(model, ModelParams):
-        kappa = model.kappa
-        v1, v2 = state.data[0], state.data[1]
-        gp = eval_g_prime(1.0 / kappa + v1)
-        m = eval_g(1.0 / kappa + v1) - math.exp(-kappa)
-        est = max(1.0, kappa) * float(np.max(np.abs(v2 * gp) + np.abs(m)))
-    else:
-        flat = state.data.reshape(model.n, -1)
-        peak = flat[:, int(np.argmax(np.sum(flat**2, axis=0)))]
-        J = model.jac(peak) - model.linearization
-        est = float(np.max(np.sum(np.abs(J), axis=1)))
+    est = model.stage_rate(state.data)
     if est == 0.0:
         return math.inf
     return 0.5 / est
 
 
-def step_imex(model: Union[ModelParams, BlockSystem], grid: Grid,
-              state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
+def step_imex(model: Model, grid: Grid, state: FieldState, dt: float,
+              nonlinear: bool = True, half: Optional[Propagator] = None) -> FieldState:
     """One Strang step: exact half linear, explicit midpoint nonlinear, half linear.
 
-    Second order in dt on smooth data; the zero state is preserved exactly.
+    half is the propagator for dt / 2, built here when not given.  Second
+    order in dt on smooth data; the zero state is preserved exactly.
     Non-finite values abort with the offending time.
     """
     if nonlinear and dt > dt_max(model, state):
@@ -363,11 +300,13 @@ def step_imex(model: Union[ModelParams, BlockSystem], grid: Grid,
             f"dt = {dt} exceeds the explicit-stage stability bound "
             f"{dt_max(model, state):.3e}"
         )
-    out = apply_linear_exact(model, grid, state, 0.5 * dt)
+    if half is None:
+        half = linear_propagator(model, grid, 0.5 * dt)
+    out = apply_linear_exact(model, grid, state, 0.5 * dt, half)
     if nonlinear:
-        mid = out.data + 0.5 * dt * _nonlinear_term(model, out.data)
-        out.data = out.data + dt * _nonlinear_term(model, mid)
-    out = apply_linear_exact(model, grid, out, 0.5 * dt)
+        mid = out.data + 0.5 * dt * model.nonlinearity(out.data)
+        out.data = out.data + dt * model.nonlinearity(mid)
+    out = apply_linear_exact(model, grid, out, 0.5 * dt, half)
     out.t = state.t + dt
     if not np.all(np.isfinite(out.data)):
         raise SimulationBlowupError(out.t)
@@ -415,11 +354,12 @@ class RunResult:
     nsteps: int
 
 
-def run(model: Union[ModelParams, BlockSystem], grid: Grid,
-        perturbation: Union[Perturbation, FieldState], T: float, dt: float,
-        record_every: int = 1, nonlinear: bool = True,
-        snapshot_every: Optional[int] = None) -> RunResult:
+def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
+        alpha: float, T: float, dt: float, record_every: int = 1,
+        nonlinear: bool = True, snapshot_every: Optional[int] = None) -> RunResult:
     """Integrate to time T, recording the norm table every record_every steps.
+
+    alpha is the exponent of the weight exp(alpha z) the norms are measured in.
 
     dt is adjusted (downward) to land on T exactly; output is deterministic
     for fixed inputs.  Snapshots hold the initial and final states plus
@@ -431,13 +371,13 @@ def run(model: Union[ModelParams, BlockSystem], grid: Grid,
         raise ValueError("T and dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    _, _, alpha = _model_info(model)
     if isinstance(perturbation, FieldState):
         state = perturbation.copy()
     else:
-        state, _ = build_perturbation(grid, perturbation, model)
+        state, _ = build_perturbation(grid, perturbation, model, alpha)
     nsteps = max(1, math.ceil(T / dt - 1e-12))
     dt_eff = T / nsteps
+    half = linear_propagator(model, grid, 0.5 * dt_eff)
     times = [state.t]
     records = [_norm_record(grid, state, alpha)]
     snapshots = [state.copy()]
@@ -453,7 +393,7 @@ def run(model: Union[ModelParams, BlockSystem], grid: Grid,
 
     check_boundary(state)
     for step in range(1, nsteps + 1):
-        state = step_imex(model, grid, state, dt_eff, nonlinear=nonlinear)
+        state = step_imex(model, grid, state, dt_eff, nonlinear=nonlinear, half=half)
         if step % record_every == 0 or step == nsteps:
             times.append(state.t)
             records.append(_norm_record(grid, state, alpha))
@@ -466,8 +406,8 @@ def run(model: Union[ModelParams, BlockSystem], grid: Grid,
                      dt=dt_eff, nsteps=nsteps)
 
 
-def instability_scan(model: Union[ModelParams, BlockSystem], grid: Grid,
-                     pert: Perturbation, T: float, dt: float, delta: float,
+def instability_scan(model: Model, grid: Grid, pert: Perturbation, alpha: float,
+                     T: float, dt: float, delta: float,
                      eta0: float = 1e-3, max_doublings: int = 20,
                      record_every: int = 10) -> tuple[Optional[float], list]:
     """Double eta until sup_t |v|_E exceeds delta; empirical smallness threshold.
@@ -479,7 +419,7 @@ def instability_scan(model: Union[ModelParams, BlockSystem], grid: Grid,
     for _ in range(max_doublings):
         p = replace(pert, eta=eta, amplitude=None)
         try:
-            res = run(model, grid, p, T, dt, record_every=record_every)
+            res = run(model, grid, p, alpha, T, dt, record_every=record_every)
             sup_E = float(np.max(res.series.column("normE_v", 0)))
         except (SimulationBlowupError, ValueError):
             history.append((eta, math.inf))

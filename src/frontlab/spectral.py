@@ -20,6 +20,11 @@ curves are two explicit parabolas in |xi|:
 
 so abscissas are closed-form and the grid sweep is confirmation, not the
 source of truth.
+
+`exact_propagator` advances every Fourier mode by exp(dt S(xi)): in closed
+form (the phi1 form of Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005)
+when B is upper triangular without chained off-diagonal entries, which holds
+for every shipped model, and by one batched matrix exponential otherwise.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from .model import BlockSystem, ModelParams, jacobian_at_minus
+from .model import ModelParams
 
 __all__ = [
     "SymbolMatrix",
     "SpectrumSweep",
+    "Propagator",
     "eval_symbol",
     "eigvals_symbol",
     "family_real_parts",
@@ -45,14 +51,10 @@ __all__ = [
     "auto_extent",
     "sweep_symbol",
     "tensor_sum_check",
-    "expm_triangular_2x2",
-    "phi_difference_quotient",
+    "exact_propagator",
     "semigroup_envelope",
     "write_spectrum_csv",
 ]
-
-CONFLUENT_THRESHOLD = 1e-12
-
 
 @dataclass(frozen=True)
 class SymbolMatrix:
@@ -78,19 +80,13 @@ class SymbolMatrix:
             raise ValueError("alpha must be nonnegative")
 
     @classmethod
-    def from_params(cls, params: ModelParams, d: int = 1,
-                    alpha: Optional[float] = None) -> "SymbolMatrix":
-        """Combustion-model symbol about u_minus; alpha = None means unweighted."""
-        a = params.alpha if alpha is None else float(alpha)
-        return cls(d=d, D=(1.0, params.epsilon), c=params.c,
-                   B=_freeze(jacobian_at_minus(params)), alpha=a)
+    def of(cls, model, d: int = 1, alpha: float = 0.0) -> "SymbolMatrix":
+        """Symbol of a model's linearization (ModelParams or BlockSystem).
 
-    @classmethod
-    def from_system(cls, sys: BlockSystem, d: int = 1,
-                    alpha: Optional[float] = None) -> "SymbolMatrix":
-        a = sys.alpha if alpha is None else float(alpha)
-        return cls(d=d, D=tuple(float(x) for x in sys.diffusion), c=sys.c,
-                   B=_freeze(sys.linearization), alpha=a)
+        alpha = 0 gives the unweighted symbol.
+        """
+        return cls(d=d, D=tuple(float(x) for x in model.diffusion), c=model.c,
+                   B=_freeze(model.linearization), alpha=float(alpha))
 
     @property
     def n(self) -> int:
@@ -188,14 +184,14 @@ def abscissa_unweighted(params: ModelParams) -> float:
     return float(max(0.0, -params.kappa * np.exp(-params.kappa)))
 
 
-def abscissa_weighted(params: ModelParams, alpha: Optional[float] = None) -> float:
+def abscissa_weighted(params: ModelParams, alpha: float) -> float:
     """Abscissa in the weighted space: max of the two family vertices.
 
     Evaluates max(alpha^2 - c alpha, eps alpha^2 - c alpha - kappa e^-kappa)
     for any alpha >= 0 (not only the admissible band), which equals
     alpha^2 - c alpha whenever eps < 1 and kappa > 0.
     """
-    a = params.alpha if alpha is None else float(alpha)
+    a = float(alpha)
     if a < 0.0:
         raise ValueError("alpha must be nonnegative")
     first = a**2 - params.c * a
@@ -213,13 +209,15 @@ def optimal_weight(c: float) -> tuple[float, float]:
     return c / 2.0, -(c**2) / 4.0
 
 
-def block_abscissas(params: ModelParams) -> tuple[float, float]:
+def block_abscissas(model) -> tuple[float, float]:
     """Unweighted abscissas of the two diagonal block operators.
 
-    The first block (heat plus drift) gives 0; the second gives
-    -kappa e^-kappa < 0, the sharp unweighted decay rate of the v2 block.
+    The largest family vertex B_jj within each block of a triangular symbol.
+    For the combustion model the first block (heat plus drift) gives 0 and
+    the second -kappa e^-kappa < 0, the sharp unweighted decay rate of v2.
     """
-    return 0.0, float(-params.kappa * np.exp(-params.kappa))
+    fams = family_real_parts(SymbolMatrix.of(model))
+    return float(np.max(fams[:model.n1])), float(np.max(fams[model.n1:]))
 
 
 @dataclass
@@ -309,7 +307,7 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
     )
 
 
-def tensor_sum_check(params: ModelParams, R: float = 20.0, m: int = 41,
+def tensor_sum_check(model, alpha: float, R: float = 20.0, m: int = 41,
                      d: int = 2) -> dict:
     """Compare the d-dimensional weighted sweep abscissa with the 1-dimensional one.
 
@@ -322,8 +320,8 @@ def tensor_sum_check(params: ModelParams, R: float = 20.0, m: int = 41,
         raise ValueError("tensor-sum comparison needs d >= 2")
     if not R > 0.0 or m < 3:
         raise ValueError("need R > 0 and m >= 3")
-    sym1 = SymbolMatrix.from_params(params, d=1)
-    symd = SymbolMatrix.from_params(params, d=d)
+    sym1 = SymbolMatrix.of(model, d=1, alpha=alpha)
+    symd = SymbolMatrix.of(model, d=d, alpha=alpha)
     sw1 = sweep_symbol(sym1, R=R, m=m)
     swd = sweep_symbol(symd, R=R, m=m)
     return {
@@ -335,18 +333,6 @@ def tensor_sum_check(params: ModelParams, R: float = 20.0, m: int = 41,
         "extent": R,
         "m": m,
     }
-
-
-def phi_difference_quotient(a, d, t):
-    """Stable (e^(a t) - e^(d t)) / (a - d) for complex scalars or arrays.
-
-    Written as t e^(d t) phi1((a - d) t) with phi1(z) = (e^z - 1)/z evaluated
-    through expm1, which is cancellation-free for all separations.
-    """
-    a = np.asarray(a, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    return t * np.exp(d * t) * _phi1((a - d) * t)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -364,25 +350,61 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_triangular_2x2(a: complex, b: complex, d: complex, t: float) -> np.ndarray:
-    """Exact exponential of t * ((a, b), (0, d)).
+@dataclass(frozen=True)
+class Propagator:
+    """Per-mode exponential exp(dt S(xi)) over a set of frequency samples.
 
-    Off-diagonal entry b (e^(a t) - e^(d t)) / (a - d), replaced by its
-    confluent limit b t e^(a t) (1 - (a - d) t / 2) when |a - d| < 1e-12;
-    the retained first-order term keeps 1e-10 accuracy across the switch.
+    rows[i] holds (j, E_ij) for the entries that are not identically zero,
+    each E_ij an array over the samples.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    a = complex(a)
-    d = complex(d)
-    b = complex(b)
-    eat = np.exp(a * t)
-    edt = np.exp(d * t)
-    if abs(a - d) < CONFLUENT_THRESHOLD:
-        off = b * t * eat * (1.0 - (a - d) * t / 2.0)
-    else:
-        off = b * complex(phi_difference_quotient(a, d, t))
-    return np.array([[eat, off], [0.0, edt]], dtype=complex)
+
+    dt: float
+    rows: tuple
+
+
+def _closed_form_exponential(sym: SymbolMatrix) -> bool:
+    """Upper-triangular B whose strictly upper part N has |N| |N| = 0."""
+    N = np.abs(np.triu(sym.B_array, 1))
+    return sym.is_triangular and not np.any(N @ N)
+
+
+def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
+    """exp(dt S(xi)) at the samples (|xi|^2, xi_1), entry by entry.
+
+    Without chained off-diagonal entries in an upper-triangular B the
+    exponential is closed form,
+
+        E_jj = exp(dt S_jj),   E_ij = B_ij dt E_jj phi1(dt (S_ii - S_jj)),
+
+    exact also where S_ii = S_jj; dt may be an array broadcasting against
+    the samples.  Any other B takes one batched scipy.linalg.expm call over
+    the stacked modes (scalar dt).
+    """
+    if np.any(np.asarray(dt) < 0.0):
+        raise ValueError("dt must be nonnegative")
+    diag = _diagonal_curves(sym, xi2, xi1)
+    B = sym.B_array
+    n = sym.n
+    if _closed_form_exponential(sym):
+        S = [diag[..., j] for j in range(n)]
+        E = [np.exp(s * dt) for s in S]
+        rows = tuple(
+            ((i, E[i]),) + tuple((j, B[i, j] * dt * E[j] * _phi1((S[i] - S[j]) * dt))
+                                 for j in range(i + 1, n) if B[i, j] != 0.0)
+            for i in range(n))
+        return Propagator(dt=dt, rows=rows)
+    # imported here only: scipy.linalg adds ~29 MiB to a process that needs
+    # none of it on the closed-form path
+    import scipy.linalg
+
+    S = np.zeros(diag.shape + (n,), dtype=complex)
+    S[...] = B - np.diag(np.diag(B))
+    S[..., np.arange(n), np.arange(n)] = diag
+    E = scipy.linalg.expm(S * dt)
+    rows = tuple(tuple((j, np.ascontiguousarray(E[..., i, j])) for j in range(n)
+                       if np.any(E[..., i, j] != 0.0))
+                 for i in range(n))
+    return Propagator(dt=dt, rows=rows)
 
 
 def _specnorm_upper_2x2(e11, e12, e22):
@@ -393,38 +415,33 @@ def _specnorm_upper_2x2(e11, e12, e22):
     return np.sqrt(0.5 * (f2 + disc))
 
 
-def semigroup_envelope(params: ModelParams, t_grid, xi_grid,
-                       cap: float = 1e6,
-                       alpha: Optional[float] = None) -> tuple[float, float]:
+def semigroup_envelope(sym: SymbolMatrix, t_grid, xi_grid,
+                       cap: float = 1e6) -> tuple[float, float]:
     """Measured constant K in |e^(t L_alpha)| <= K e^(-nu t) with the sharp nu.
 
-    nu is the negated weighted abscissa (positive inside the admissible
-    band and at its closure); K_est is the max over the (t, xi) samples of
+    sym is the weighted 1D symbol of a two-component triangular system.  nu
+    is its negated closed-form abscissa (positive inside the admissible band
+    and at its closure); K_est is the max over the (t, xi) samples of
     e^(nu t) |exp(t S(xi))| in spectral norm, computed with the exact
-    triangular propagator.  A value beyond `cap` indicates nu was taken
-    outside the valid band and is reported as an error.
+    propagator.  A value beyond `cap` indicates nu was taken outside the
+    valid band and is reported as an error.
     """
-    al = params.alpha if alpha is None else float(alpha)
-    nu = -abscissa_weighted(params, alpha=al)
+    if sym.n != 2 or not sym.is_triangular:
+        raise ValueError("the envelope needs a triangular two-component symbol")
+    nu = -closed_form_abscissa(sym)
     if not nu > 0.0:
         raise ValueError("weighted abscissa is not negative; alpha outside the valid band")
     t = np.asarray(t_grid, dtype=float).reshape(-1, 1)
     if np.any(t < 0.0):
         raise ValueError("t_grid must be nonnegative")
     xi = np.asarray(xi_grid, dtype=float).reshape(1, -1)
-    sym = SymbolMatrix.from_params(params, d=1, alpha=al)
-    D = sym.D_array
-    Bd = np.diag(sym.B_array)
-    a = (-xi**2 * D[0] + (1j * params.c * xi - al * params.c)
-         + (al**2 - 2j * xi * al) * D[0] + Bd[0])
-    d = (-xi**2 * D[1] + (1j * params.c * xi - al * params.c)
-         + (al**2 - 2j * xi * al) * D[1] + Bd[1])
-    b = sym.B_array[0][1]
-    e11 = np.exp(a * t)
-    e22 = np.exp(d * t)
-    e12 = b * t * e22 * _phi1((a - d) * t)
-    env = np.exp(nu * t) * _specnorm_upper_2x2(e11, e12, e22)
-    K = float(np.max(env))
+    K = 0.0
+    # blocks of 64 times keep the temporaries small on long t grids
+    for tb in np.array_split(t, -(-len(t) // 64)):
+        first, second = exact_propagator(sym, xi**2, xi, tb).rows
+        e12 = dict(first).get(1, 0.0)
+        env = np.exp(nu * tb) * _specnorm_upper_2x2(first[0][1], e12, second[0][1])
+        K = max(K, float(np.max(env)))
     if K > cap:
         raise RuntimeError(
             f"semigroup envelope exceeded the cap {cap:g} (K_est = {K:.3e}); "

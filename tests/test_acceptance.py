@@ -31,14 +31,15 @@ from frontlab.spectral import (
 )
 
 
-def random_params(rng) -> ModelParams:
+def random_params(rng) -> tuple[ModelParams, float]:
+    """A random combustion model and a weight inside its band (0, c/2)."""
     c = rng.uniform(0.2, 4.0)
-    return ModelParams(
+    p = ModelParams(
         epsilon=rng.uniform(0.0, 0.99),
         kappa=rng.uniform(0.1, 5.0),
         c=c,
-        alpha=rng.uniform(0.02, 0.48) * c,
     )
+    return p, rng.uniform(0.02, 0.48) * c
 
 
 def test_criterion_1_spectral_closed_forms():
@@ -46,17 +47,17 @@ def test_criterion_1_spectral_closed_forms():
     rng = np.random.default_rng(101)
     worst_sweep = 0.0
     for _ in range(100):
-        p = random_params(rng)
+        p, alpha = random_params(rng)
         assert abscissa_unweighted(p) == 0.0
-        assert abscissa_weighted(p) == p.alpha**2 - p.c * p.alpha
-        sym_u = SymbolMatrix.from_params(p, d=1, alpha=0.0)
-        sym_w = SymbolMatrix.from_params(p, d=1)
+        assert abscissa_weighted(p, alpha) == alpha**2 - p.c * alpha
+        sym_u = SymbolMatrix.of(p, d=1)
+        sym_w = SymbolMatrix.of(p, d=1, alpha=alpha)
         sw_u = sweep_symbol(sym_u, m=401)
         sw_w = sweep_symbol(sym_w, m=401)
         worst_sweep = max(
             worst_sweep,
             abs(sw_u.realized_abscissa - 0.0),
-            abs(sw_w.realized_abscissa - (p.alpha**2 - p.c * p.alpha)),
+            abs(sw_w.realized_abscissa - (alpha**2 - p.c * alpha)),
         )
     elapsed = time.time() - t0
     assert worst_sweep <= 1e-6
@@ -71,7 +72,7 @@ def test_criterion_2_optimal_weight():
     worst_alpha = worst_val = 0.0
     for _ in range(20):
         c = rng.uniform(0.2, 4.0)
-        p = ModelParams(epsilon=0.5, kappa=1.0, c=c, alpha=0.25 * c)
+        p = ModelParams(epsilon=0.5, kappa=1.0, c=c)
         astar, vstar = optimal_weight(c)
         assert astar == c / 2.0 and vstar == -(c**2) / 4.0
         grid = np.linspace(c / 1000.0, c * (1 - 1e-9), 1000)
@@ -93,8 +94,8 @@ def test_criterion_3_tensor_sum():
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(10):
-        p = random_params(rng)
-        rep = tensor_sum_check(p, R=20.0, m=101, d=2)
+        p, alpha = random_params(rng)
+        rep = tensor_sum_check(p, alpha, R=20.0, m=101, d=2)
         worst = max(worst, rep["difference"])
     elapsed = time.time() - t0
     assert worst <= 1e-10
@@ -107,12 +108,12 @@ def test_criterion_4_block_rates():
     t0 = time.time()
     results = []
     for kappa in (0.5, 1.0, 2.0):
-        p = ModelParams(epsilon=0.0, kappa=kappa, c=1.0, alpha=0.4)
+        p = ModelParams(epsilon=0.0, kappa=kappa, c=1.0)
         g = Grid(L=40.0, N=512)
         pert = Perturbation(eta=1e-3, center=(25.0,), widths=(2.0,), mask=(1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = run(p, g, pert, T=30.0, dt=0.05, record_every=10, nonlinear=False)
+            res = run(p, g, pert, 0.4, T=30.0, dt=0.05, record_every=10, nonlinear=False)
         fit = fit_decay(res.series.times, res.series.column("norm0_v2", 0))
         target = kappa * np.exp(-kappa)
         assert abs(fit.nu - target) <= 0.02 * target
@@ -130,16 +131,21 @@ def test_criterion_4_block_rates():
     print(f"ACCEPTANCE 4 PASS: {msg}, {elapsed:.2f}s")
 
 
+# sharp rates at eps = 0.5, kappa = 1, c = 1, alpha = 0.4:
+# c alpha - alpha^2 and kappa e^-kappa
+RATES = dict(nu_expected=1.0 * 0.4 - 0.4**2, rho_expected=np.exp(-1.0))
+
+
 def test_criterion_5_theorem_experiment_1d():
     t0 = time.time()
-    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
     g = Grid(L=50.0, N=1024)
     pert = Perturbation(eta=1e-3, center=(40.0,), widths=(2.0,), mask=(0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res = run(p, g, pert, T=40.0, dt=0.02, record_every=25)
-    rep = verify_stability_theorem(res.series, p, eta=1e-3, delta=1e-2,
-                             rate_floor=0.8, c1_cap=10.0, window=(3.0, 38.0))
+        res = run(p, g, pert, 0.4, T=40.0, dt=0.02, record_every=25)
+    rep = verify_stability_theorem(res.series, eta=1e-3, delta=1e-2, **RATES,
+                                   rate_floor=0.8, c1_cap=10.0, window=(3.0, 38.0))
     assert rep.items["item2"]["passed"], rep.items["item2"]
     assert rep.items["item3"]["rate"] >= 0.192, rep.items["item3"]
     assert rep.items["item4"]["passed"], rep.items["item4"]
@@ -155,14 +161,14 @@ def test_criterion_5_theorem_experiment_1d():
 
 def test_criterion_5_theorem_experiment_2d():
     t0 = time.time()
-    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
     g = Grid(L=(50.0, 25.0), N=(256, 128))
     pert = Perturbation(eta=1e-3, center=(40.0, 0.0), widths=(2.0, 3.0), mask=(0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res = run(p, g, pert, T=20.0, dt=0.02, record_every=25)
-    rep = verify_stability_theorem(res.series, p, eta=1e-3, delta=1e-2,
-                             rate_floor=0.7, c1_cap=10.0, window=(2.0, 19.0))
+        res = run(p, g, pert, 0.4, T=20.0, dt=0.02, record_every=25)
+    rep = verify_stability_theorem(res.series, eta=1e-3, delta=1e-2, **RATES,
+                                   rate_floor=0.7, c1_cap=10.0, window=(2.0, 19.0))
     assert rep.overall, rep.items
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -172,12 +178,12 @@ def test_criterion_5_theorem_experiment_2d():
 
 def test_criterion_6_front_structure():
     t0 = time.time()
-    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
     c_star, profile = shoot_speed(p, (0.1, 2.0), tol=1e-12)
     assert profile.residual_left <= 1e-6
     assert profile.k_drift <= 1e-8
 
-    p2 = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+    p2 = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
     rng = np.random.default_rng(106)
     for _ in range(5):
         s0 = np.array([0.0, 1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=4)
@@ -193,7 +199,7 @@ def test_criterion_6_front_structure():
 
 def test_criterion_7_nonlinearity_laws():
     t0 = time.time()
-    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
     sys = make_combustion_system(p)
     rng = np.random.default_rng(107)
     worst = 0.0
@@ -226,12 +232,12 @@ def test_criterion_7_nonlinearity_laws():
 
 def test_criterion_8_integrator_quality():
     t0 = time.time()
-    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
     g = Grid(L=15.0, N=128)
 
     # Strang splitting order via Richardson on a smooth nonlinear run
     state, _ = build_perturbation(
-        g, Perturbation(amplitude=0.3, widths=(2.0,), mask=(1, 1)), p)
+        g, Perturbation(amplitude=0.3, widths=(2.0,), mask=(1, 1)), p, 0.4)
     ends = []
     for nsteps in (10, 20, 40):
         s = state.copy()

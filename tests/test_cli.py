@@ -439,19 +439,6 @@ class TestExitCodes:
         assert main(["explode", "--config", cfg]) == 2
 
 
-class TestWorkerPool:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        from frontlab.cli import _worker_count
-
-        monkeypatch.setenv("FRONTLAB_THREADS", "2")
-        assert _worker_count(8) == 2
-        assert _worker_count(1) == 1
-        monkeypatch.setenv("FRONTLAB_THREADS", "not-a-number")
-        assert _worker_count(8) == 1
-        monkeypatch.delenv("FRONTLAB_THREADS")
-        assert 1 <= _worker_count(8) <= 4
-
-
 class TestShippedScenarios:
     @pytest.mark.parametrize("name,command", [
         ("spectrum_combustion.ini", "spectrum"),
@@ -468,7 +455,6 @@ class TestShippedScenarios:
 
         from frontlab.cli import (_build_grid, _build_model,
                                   _build_perturbation, load_scenario)
-        from frontlab.model import ModelParams
 
         path = Path(__file__).resolve().parents[1] / "scenarios" / name
         scenario = load_scenario(path)
@@ -476,8 +462,7 @@ class TestShippedScenarios:
         assert alpha > 0
         if command in ("verify", "sweep"):
             grid = _build_grid(scenario)
-            ncomp = 2 if isinstance(model, ModelParams) else model.n
-            _build_perturbation(scenario, grid, ncomp)
+            _build_perturbation(scenario, grid, model.n)
 
 
 class TestBlockSystemModels:
@@ -549,3 +534,181 @@ class TestBlockSystemModels:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "snapshot_final_c2.csv").exists()
+
+
+def joined(*parts):
+    """Scenario text from separately indented blocks."""
+    return "\n".join(textwrap.dedent(p) for p in parts)
+
+
+GASLESS = """
+    [model]
+    kind = gasless
+    beta = 1.0
+    c = 1.0
+"""
+
+EXO_ENDO = """
+    [model]
+    kind = exo_endo
+    d2 = 0.5
+    d3 = 0.25
+    sigma = 1.0
+    tau = 1.0
+    a2 = 1.0
+    a3 = 1.0
+    b2 = 1.0
+    b3 = 1.0
+    c = 2.0
+"""
+
+COMBUSTION = """
+    [model]
+    kind = combustion
+    epsilon = 0.5
+    kappa = 1.0
+    c = 1.0
+"""
+
+
+class TestAlphaRule:
+    """[weights] alpha is checked where the scenario is read, for every kind."""
+
+    @pytest.mark.parametrize("model,c", [(COMBUSTION, 1.0), (GASLESS, 1.0), (EXO_ENDO, 2.0)],
+                             ids=["combustion", "gasless", "exo_endo"])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.7, -0.1])
+    def test_outside_band_exits_2(self, tmp_path, capsys, model, c, factor):
+        cfg = write_config(tmp_path, joined(model, f"[weights]\nalpha = {factor * c!r}\n"))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "admissible band" in capsys.readouterr().err
+
+    def test_optimal_alpha_in_snapshot_meta(self, tmp_path):
+        import json
+
+        cfg = write_config(tmp_path, BASE_SIM.replace("alpha = 0.4", "alpha = optimal")
+                           .replace("t = 2.0", "t = 0.2"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "snapshot_final_meta.json").read_text())
+        assert meta["model"]["alpha"] == 0.5
+
+
+class TestVerifyEveryKind:
+    def test_gasless_verify_passes_with_symbol_rates(self, tmp_path):
+        cfg = write_config(tmp_path, joined(GASLESS, """
+            [weights]
+            alpha = 0.3
+
+            [grid]
+            d = 1
+            l = 40
+            n = 256
+
+            [time]
+            t = 12.0
+            dt = 0.05
+            record_every = 10
+            nonlinear = false
+
+            [perturbation]
+            eta = 1e-3
+            center = 18.0
+            width = 2.0
+            mask = 0, 1
+
+            [verify]
+            rate_floor = 0.9
+            window = 2.0, 12.0
+        """))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        verdict = dict(line.split(": ", 1)
+                       for line in (out / "verdict.txt").read_text().splitlines())
+        # weighted families alpha^2 D_j - alpha c + B_jj with D = (1, 0)
+        assert float(verdict["item3_expected"]) == 0.3 - 0.3**2
+        assert float(verdict["item5_expected"]) == np.exp(-1.0)
+        assert verdict["overall_pass"] == "true"
+
+    def test_combustion_rates_are_the_closed_forms(self):
+        from frontlab.cli import _expected_rates
+        from frontlab.model import ModelParams
+
+        for kappa in np.linspace(0.5, 2.0, 13):
+            for c, alpha in ((1.0, 0.4), (2.5, 0.7), (0.8, 0.1)):
+                nu, rho = _expected_rates(ModelParams(epsilon=0.5, kappa=kappa, c=c), alpha)
+                assert nu == c * alpha - alpha**2
+                assert rho == kappa * np.exp(-kappa)
+
+    def test_symbol_without_closed_form_is_config_error(self, tmp_path, monkeypatch):
+        from frontlab import cli
+        from frontlab.model import BlockSystem
+
+        B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
+        toy = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+                          f=lambda v: np.tensordot(B, v, axes=(1, 0)),
+                          jac=lambda v: B.copy(), name="rotation-toy")
+        monkeypatch.setattr(cli, "_build_model", lambda scenario: (toy, 0.3))
+        ran = []
+        monkeypatch.setattr(cli._sim, "run", lambda *a, **k: ran.append(1))
+        cfg = write_config(tmp_path, BASE_SIM)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ran == []
+
+
+class TestCommandLine:
+    def test_seed_option_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path, COMBUSTION)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "1"]) == 2
+
+    def test_closed_form_models_never_import_scipy_linalg(self, tmp_path):
+        # scipy.linalg costs ~29 MiB of resident memory; only a symbol without
+        # a closed-form exponential needs it
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        gas = write_config(tmp_path, joined(GASLESS, """
+            [weights]
+            alpha = 0.3
+
+            [grid]
+            l = 20
+            n = 64
+
+            [time]
+            t = 0.5
+            dt = 0.05
+            record_every = 5
+        """), name="gasless.ini")
+        exo = write_config(tmp_path, joined(EXO_ENDO.replace("c = 2.0", "c = 1.0"), """
+            [weights]
+            alpha = 0.3
+
+            [grid]
+            l = 20
+            n = 64
+
+            [time]
+            t = 0.5
+            dt = 0.05
+            record_every = 5
+
+            [perturbation]
+            center = 5.0
+            mask = 1, 1, 1
+        """), name="exo.ini")
+        sim_cfg = write_config(tmp_path, BASE_SIM.replace("record_every = 5", "record_every = 2"),
+                               name="comb.ini")
+        script = (
+            "import sys\n"
+            "from frontlab.cli import main\n"
+            f"for cmd, cfg in (('spectrum', {gas!r}), ('simulate', {gas!r}),\n"
+            f"                 ('spectrum', {exo!r}), ('simulate', {exo!r}),\n"
+            f"                 ('verify', {sim_cfg!r})):\n"
+            f"    print(main([cmd, '--config', cfg, '--out', {str(tmp_path / 'o')!r}]))\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": src, "PATH": ""}, check=True)
+        assert out.stdout.split() == ["0"] * 5 + ["False"]

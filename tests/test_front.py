@@ -14,13 +14,13 @@ from frontlab.front import (
 from frontlab.model import ModelParams
 
 
-def params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4):
-    return ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=alpha)
+def params(eps=0.5, kappa=1.0, c=1.0):
+    return ModelParams(epsilon=eps, kappa=kappa, c=c)
 
 
 class TestVectorField:
     def test_equilibria(self):
-        p = params(kappa=2.0, alpha=0.3)
+        p = params(kappa=2.0)
         burned = np.array([0.5, 0.0, 0.0, 0.0])
         unburned = np.array([0.0, 1.0, 0.0, 0.0])
         assert np.max(np.abs(vector_field(p, burned))) <= 1e-14
@@ -33,7 +33,7 @@ class TestVectorField:
         assert np.allclose(out, [0.0, 0.0, -e1, 2.0 * e1], atol=1e-12)
 
     def test_reduced_field(self):
-        p = ModelParams(epsilon=0.0, kappa=2.0, c=0.5, alpha=0.2)
+        p = ModelParams(epsilon=0.0, kappa=2.0, c=0.5)
         out = vector_field(p, np.array([1.0, 1.0, 0.3]))
         e1 = np.exp(-1.0)
         assert out[0] == pytest.approx(0.3)
@@ -41,14 +41,14 @@ class TestVectorField:
         assert out[2] == pytest.approx(-(0.5 * 0.3 + e1))
 
     def test_rejects_eps_zero_in_4d(self):
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
+        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
         with pytest.raises(ValueError):
             vector_field(p, np.zeros(4))
 
 
 class TestConservedQuantity:
     def test_end_state_values(self):
-        p = ModelParams(epsilon=0.5, kappa=4.0, c=2.0, alpha=0.9)
+        p = ModelParams(epsilon=0.5, kappa=4.0, c=2.0)
         assert conserved_k(p, np.array([0.0, 1.0, 0.0, 0.0])) == pytest.approx(0.5)
         assert conserved_k(p, np.array([0.25, 0.0, 0.0, 0.0])) == pytest.approx(0.5)
 
@@ -59,7 +59,7 @@ class TestConservedQuantity:
 
     def test_gradient_orthogonal_to_field(self):
         # d/dz k(s(z)) = grad k . F(s) = 0: the defining property
-        p = params(eps=0.3, kappa=1.7, c=0.8, alpha=0.2)
+        p = params(eps=0.3, kappa=1.7, c=0.8)
         rng = np.random.default_rng(1)
         grad = np.array([p.c, p.c / p.kappa, 1.0, p.epsilon / p.kappa])
         for _ in range(50):
@@ -116,7 +116,7 @@ class TestLinearizationConsistency:
     def test_spatial_exponents_match_ode_jacobian(self):
         # eigenvalues of the first-order system at an end state equal the
         # roots of det(mu^2 D + c mu + B): brute-force eigensolve oracle
-        p = params(eps=0.5, kappa=1.3, c=0.9, alpha=0.2)
+        p = params(eps=0.5, kappa=1.3, c=0.9)
         burned = np.array([1.0 / p.kappa, 0.0, 0.0, 0.0])
         J = ode_jacobian(p, burned)
         mu_direct = np.sort_complex(np.linalg.eigvals(J))
@@ -124,7 +124,7 @@ class TestLinearizationConsistency:
         assert np.allclose(mu_direct, mu_symbol, atol=1e-10)
 
     def test_unburned_state_exponents(self):
-        p = params(eps=0.5, kappa=1.0, c=0.7, alpha=0.2)
+        p = params(eps=0.5, kappa=1.0, c=0.7)
         unburned = np.array([0.0, 1.0, 0.0, 0.0])
         J = ode_jacobian(p, unburned)
         mu_direct = np.sort_complex(np.linalg.eigvals(J))
@@ -133,7 +133,7 @@ class TestLinearizationConsistency:
 
     def test_reduced_unburned_spectrum(self):
         # reduced field at (0, 1, 0): eigenvalues {0, 0, -c}
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=0.8, alpha=0.3)
+        p = ModelParams(epsilon=0.0, kappa=1.0, c=0.8)
         J = ode_jacobian(p, np.array([0.0, 1.0, 0.0]))
         mu = np.sort(np.linalg.eigvals(J).real)
         assert np.allclose(mu, [-0.8, 0.0, 0.0], atol=1e-12)
@@ -141,7 +141,7 @@ class TestLinearizationConsistency:
 
 @pytest.fixture(scope="module")
 def shot_kappa1():
-    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
+    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
     return shoot_speed(p, (0.1, 2.0), tol=1e-12)
 
 
@@ -174,7 +174,7 @@ class TestShooting:
         assert lo_sign == -1 and hi_sign == +1
 
     def test_no_sign_change_reported(self):
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
+        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
         with pytest.raises(ShootingError):
             shoot_speed(p, (1.5, 2.0), tol=1e-10, scan_points=5)
 

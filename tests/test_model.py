@@ -21,8 +21,8 @@ from frontlab.model import (
 )
 
 
-def params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4):
-    return ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=alpha)
+def params(eps=0.5, kappa=1.0, c=1.0):
+    return ModelParams(epsilon=eps, kappa=kappa, c=c)
 
 
 class TestParams:
@@ -39,9 +39,9 @@ class TestParams:
             dict(kappa=0.0),
             dict(kappa=-1.0),
             dict(c=0.0),
-            dict(alpha=0.0),
-            dict(alpha=0.5),   # closure of the band is excluded
-            dict(alpha=0.7),
+            dict(c=-1.0),
+            dict(eps=float("nan")),
+            dict(kappa=float("nan")),
         ],
     )
     def test_invalid(self, kw):
@@ -79,7 +79,7 @@ class TestIgnitionRate:
 
 class TestReactionTerm:
     def test_end_states_are_zeros(self):
-        for p in (params(), params(kappa=2.5, alpha=0.3)):
+        for p in (params(), params(kappa=2.5)):
             assert np.all(eval_f_combustion(p, p.u_minus) == 0.0)
             assert np.all(eval_f_combustion(p, p.u_plus) == 0.0)
 
@@ -105,7 +105,7 @@ class TestJacobian:
         assert np.allclose(J, expect, atol=1e-12)
 
     def test_closed_form_kappa2(self):
-        J = jacobian_at_minus(params(kappa=2.0, alpha=0.3))
+        J = jacobian_at_minus(params(kappa=2.0))
         assert J[0, 1] == pytest.approx(0.1353352832366127, rel=1e-12)
         assert J[1, 1] == pytest.approx(-0.2706705664732254, rel=1e-12)
 
@@ -140,7 +140,7 @@ class TestPerturbationNonlinearity:
 
     def test_product_triangle_structure(self):
         rng = np.random.default_rng(11)
-        p = params(kappa=2.2, alpha=0.2)
+        p = params(kappa=2.2)
         for _ in range(200):
             v = rng.normal(scale=3.0, size=2)
             h = eval_H(p, v)
@@ -269,7 +269,7 @@ class TestGaslessSystem:
     def test_matches_combustion_with_eps_zero(self):
         beta = 1.4
         gas = make_gasless_system(beta)
-        comb = make_combustion_system(ModelParams(epsilon=0.0, kappa=beta, c=1.0, alpha=0.4))
+        comb = make_combustion_system(ModelParams(epsilon=0.0, kappa=beta, c=1.0))
         rng = np.random.default_rng(17)
         for _ in range(50):
             v = rng.normal(size=2)
@@ -314,7 +314,7 @@ class TestEndStates:
         from frontlab.model import combustion_end_states
 
         for kappa in (0.5, 1.0, 3.0):
-            p = params(kappa=kappa, alpha=0.4)
+            p = params(kappa=kappa)
             pair = combustion_end_states(p)
             r_minus, r_plus = pair.residuals(lambda u: eval_f_combustion(p, u))
             assert r_minus <= 1e-14 and r_plus <= 1e-14

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from frontlab.model import ModelParams
 from frontlab.norms import (
     NormSeries,
     fit_decay,
@@ -14,10 +13,6 @@ from frontlab.norms import (
     write_norms_csv,
 )
 from frontlab.sim import Grid
-
-
-def params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4):
-    return ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=alpha)
 
 
 class TestUnweighted:
@@ -177,50 +172,52 @@ def make_series(t, v1, v2, valpha, k_extra=None):
     return NormSeries.from_records(t, records)
 
 
+# sharp rates of the default combustion model at alpha = 0.4:
+# c alpha - alpha^2 = 0.24 and kappa e^-kappa = e^-1
+RATES = dict(nu_expected=0.24, rho_expected=math.exp(-1.0))
+
+
 class TestVerdict:
     def test_zero_data_trivially_passes(self):
         t = np.linspace(0.0, 10.0, 40)
         z = np.zeros_like(t)
         series = make_series(t, z, z, z)
-        rep = verify_stability_theorem(series, params(), eta=0.0, delta=1e-2)
+        rep = verify_stability_theorem(series, eta=0.0, delta=1e-2, **RATES)
         assert rep.overall
         assert rep.items["item4"]["C"] == 0.0
 
     def test_synthetic_pass(self):
-        p = params()  # nu_expected = 0.24, rho = e^-1
         t = np.linspace(0.0, 30.0, 100)
         eta = 1e-3
         v1 = eta * 0.5 * np.ones_like(t)
         v2 = eta * np.exp(-0.37 * t)
         va = eta * np.exp(-0.25 * t)
         series = make_series(t, v1, v2, va)
-        rep = verify_stability_theorem(series, p, eta=eta, delta=10 * eta)
+        rep = verify_stability_theorem(series, eta=eta, delta=10 * eta, **RATES)
         assert rep.overall
         assert rep.items["item3"]["rate"] == pytest.approx(0.25, abs=1e-6)
         assert rep.items["item5"]["rate"] == pytest.approx(0.37, abs=1e-6)
 
     def test_slow_weighted_rate_fails_item3(self):
-        p = params()
         t = np.linspace(0.0, 30.0, 100)
         eta = 1e-3
         v1 = eta * 0.5 * np.ones_like(t)
         v2 = eta * np.exp(-0.37 * t)
         va = eta * np.exp(-0.1 * t)   # below 0.8 * 0.24
         series = make_series(t, v1, v2, va)
-        rep = verify_stability_theorem(series, p, eta=eta, delta=10 * eta)
+        rep = verify_stability_theorem(series, eta=eta, delta=10 * eta, **RATES)
         assert not rep.overall
         assert not rep.items["item3"]["passed"]
         assert rep.items["item5"]["passed"]
 
     def test_amplitude_bound_fails_item2(self):
-        p = params()
         t = np.linspace(0.0, 30.0, 100)
         eta = 1e-3
         v1 = eta * np.ones_like(t)
         v2 = eta * np.exp(-0.37 * t)
         va = eta * np.exp(-0.25 * t) + 50 * eta * np.exp(-((t - 3) ** 2))
         series = make_series(t, v1, v2, va)
-        rep = verify_stability_theorem(series, p, eta=eta, delta=10 * eta)
+        rep = verify_stability_theorem(series, eta=eta, delta=10 * eta, **RATES)
         assert not rep.items["item2"]["passed"]
         assert "sup_E" in rep.items["item2"]
 
@@ -228,7 +225,7 @@ class TestVerdict:
         t = np.linspace(0.0, 10.0, 40)
         z = np.zeros_like(t)
         series = make_series(t, z, z, z)
-        rep = verify_stability_theorem(series, params(), eta=0.0, delta=1e-2)
+        rep = verify_stability_theorem(series, eta=0.0, delta=1e-2, **RATES)
         text = rep.to_text()
         assert "overall_pass: true" in text
         for line in text.strip().splitlines():

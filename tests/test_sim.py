@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from frontlab.model import ModelParams, make_combustion_system
+from frontlab import sim
+from frontlab.model import ModelParams, make_combustion_system, make_exo_endo_system
 from frontlab.norms import norm_E, norm_unweighted
 from frontlab.sim import (
     FieldState,
@@ -12,14 +14,17 @@ from frontlab.sim import (
     build_perturbation,
     dt_max,
     instability_scan,
+    linear_propagator,
     run,
     step_imex,
 )
-from frontlab.spectral import SymbolMatrix, eval_symbol, expm_triangular_2x2
+from frontlab.spectral import SymbolMatrix, eval_symbol
+
+ALPHA = 0.4
 
 
-def params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4):
-    return ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=alpha)
+def params(eps=0.5, kappa=1.0, c=1.0):
+    return ModelParams(epsilon=eps, kappa=kappa, c=c)
 
 
 class TestGrid:
@@ -50,7 +55,7 @@ class TestGrid:
 class TestBuildPerturbation:
     def test_zero_amplitude(self):
         g = Grid(L=20.0, N=64)
-        state, rep = build_perturbation(g, Perturbation(amplitude=0.0), params())
+        state, rep = build_perturbation(g, Perturbation(amplitude=0.0), params(), ALPHA)
         assert np.all(state.data == 0.0)
         assert rep["norm0"] == 0.0 and rep["normE"] == 0.0
 
@@ -59,7 +64,7 @@ class TestBuildPerturbation:
         g = Grid(L=30.0, N=512)
         for w, a in ((1.0, 1.0), (2.5, 0.3)):
             state, rep = build_perturbation(
-                g, Perturbation(amplitude=a, widths=(w,), mask=(1, 0)), params())
+                g, Perturbation(amplitude=a, widths=(w,), mask=(1, 0)), params(), ALPHA)
             expect = a * (np.pi * w**2 / 2.0) ** 0.25
             assert rep["norm0"] == pytest.approx(expect, rel=1e-2)
 
@@ -67,15 +72,15 @@ class TestBuildPerturbation:
         g = Grid(L=20.0, N=128)
         p = params()
         state, rep = build_perturbation(
-            g, Perturbation(eta=1e-3, center=(5.0,), widths=(2.0,), mask=(0, 1)), p)
+            g, Perturbation(eta=1e-3, center=(5.0,), widths=(2.0,), mask=(0, 1)), p, ALPHA)
         assert rep["normE"] == pytest.approx(1e-3, abs=1e-15)
-        measured = norm_E(g, state.data, p.alpha, 0)
+        measured = norm_E(g, state.data, ALPHA, 0)
         assert abs(measured - 1e-3) <= 1e-12
 
     def test_bump_compact_support(self):
         g = Grid(L=20.0, N=256)
         state, _ = build_perturbation(
-            g, Perturbation(shape="bump", center=(3.0,), widths=(2.0,)), params())
+            g, Perturbation(shape="bump", center=(3.0,), widths=(2.0,)), params(), ALPHA)
         z = g.coords(0)
         outside = np.abs(z - 3.0) >= 2.0
         assert np.all(state.data[:, outside] == 0.0)
@@ -84,15 +89,15 @@ class TestBuildPerturbation:
     def test_support_exceeding_grid_rejected(self):
         g = Grid(L=20.0, N=64)
         with pytest.raises(ValueError):
-            build_perturbation(g, Perturbation(center=(19.0,), widths=(2.0,)), params())
+            build_perturbation(g, Perturbation(center=(19.0,), widths=(2.0,)), params(), ALPHA)
         with pytest.raises(ValueError):
             build_perturbation(
-                g, Perturbation(shape="bump", center=(0.0,), widths=(25.0,)), params())
+                g, Perturbation(shape="bump", center=(0.0,), widths=(25.0,)), params(), ALPHA)
 
     def test_mask_length_checked(self):
         g = Grid(L=20.0, N=64)
         with pytest.raises(ValueError):
-            build_perturbation(g, Perturbation(mask=(1, 1, 1)), params())
+            build_perturbation(g, Perturbation(mask=(1, 1, 1)), params(), ALPHA)
 
 
 class TestLinearExact:
@@ -106,7 +111,7 @@ class TestLinearExact:
     def test_single_mode_decay_factor(self):
         # v2-only single Fourier mode decays by |exp(dt lambda_2(xi))|
         g = Grid(L=np.pi * 8, N=64)
-        p = params(eps=0.3, kappa=1.5, c=0.8, alpha=0.3)
+        p = params(eps=0.3, kappa=1.5, c=0.8)
         z = g.coords(0)
         mode_idx = 5
         xi = g.xi(0)[mode_idx]
@@ -133,8 +138,8 @@ class TestLinearExact:
 
     def test_mode_by_mode_matches_symbol_exponential(self):
         g = Grid(L=8.0, N=32)
-        p = params(eps=0.2, kappa=2.0, c=1.5, alpha=0.6)
-        sym = SymbolMatrix.from_params(p, d=1, alpha=0.0)
+        p = params(eps=0.2, kappa=2.0, c=1.5)
+        sym = SymbolMatrix.of(p, d=1)
         rng = np.random.default_rng(1)
         data = rng.normal(size=(2, 32))
         dt = 0.35
@@ -145,16 +150,15 @@ class TestLinearExact:
             if i == g.N[0] // 2:  # Nyquist plane is projected out
                 expect_h[:, i] = 0.0
                 continue
-            M = eval_symbol(sym, [xi])
-            E = expm_triangular_2x2(M[0, 0], M[0, 1], M[1, 1], dt)
+            E = scipy.linalg.expm(dt * eval_symbol(sym, [xi]))
             expect_h[:, i] = E @ vh[:, i]
         expect = np.fft.ifft(expect_h, axis=1).real
-        assert np.max(np.abs(out.data - expect)) <= 1e-10
+        assert np.max(np.abs(out.data - expect)) <= 1e-12
 
     def test_2d_mode_exactness(self):
         g = Grid(L=(6.0, 4.0), N=(32, 16))
         p = params()
-        sym = SymbolMatrix.from_params(p, d=2, alpha=0.0)
+        sym = SymbolMatrix.of(p, d=2)
         rng = np.random.default_rng(2)
         data = rng.normal(size=(2, 32, 16))
         dt = 0.2
@@ -163,11 +167,76 @@ class TestLinearExact:
         for i in (0, 3, 17):
             for j in (0, 2, 9):
                 xi = np.array([g.xi(0)[i], g.xi(1)[j]])
-                M = eval_symbol(sym, xi)
-                E = expm_triangular_2x2(M[0, 0], M[0, 1], M[1, 1], dt)
+                E = scipy.linalg.expm(dt * eval_symbol(sym, xi))
                 expect = E @ vh[:, i, j]
                 got_h = np.fft.fftn(out.data, axes=(1, 2))[:, i, j]
                 assert np.max(np.abs(got_h - expect)) <= 1e-8 * max(1.0, np.abs(expect).max())
+
+
+class TestPropagatorLifetime:
+    def test_rebuilt_systems_get_their_own_propagator(self):
+        # exo_endo at the cold state is linear per species: v_t = D_j v_zz + c v_z.
+        # Each system is dropped before the next is built, so a propagator
+        # keyed by object identity would be handed to its successor.
+        g = Grid(L=10.0, N=64)
+        xi = g.xi(0)
+        rng = np.random.default_rng(11)
+        data = 1e-4 * rng.normal(size=(3, 64))
+        dt = 0.5
+        failures = []
+        for k in range(40):
+            d2 = 0.1 + 0.02 * k
+            model = make_exo_endo_system(d2, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0))
+            out = apply_linear_exact(model, g, FieldState(t=0.0, data=data, n1=1), dt)
+            vh = np.fft.fft(data, axis=1)
+            for j, d in enumerate((1.0, d2, 0.25)):
+                vh[j] *= np.exp((-d * xi**2 + 1j * model.c * xi) * dt)
+            vh[:, g.N[0] // 2] = 0.0  # the Nyquist plane is projected out
+            exact = np.fft.ifft(vh, axis=1).real
+            if np.max(np.abs(out.data - exact)) > 1e-12:
+                failures.append(k)
+            del model, out
+        assert failures == []
+
+    def test_run_builds_one_propagator(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args[-1])
+            return real(*args)
+
+        real = sim.exact_propagator
+        monkeypatch.setattr(sim, "exact_propagator", counting)
+        g = Grid(L=15.0, N=128)
+        res = run(params(), g, Perturbation(eta=1e-3, center=(3.0,), widths=(2.0,)), ALPHA,
+                  T=1.0, dt=0.05, record_every=5)
+        assert res.nsteps == 20
+        assert built == [0.5 * res.dt]
+
+    def test_rejects_propagator_for_another_dt(self):
+        g = Grid(L=10.0, N=32)
+        state = FieldState(t=0.0, data=np.ones((2, 32)))
+        prop = linear_propagator(params(), g, 0.1)
+        with pytest.raises(ValueError):
+            apply_linear_exact(params(), g, state, 0.2, prop)
+
+    def test_non_triangular_system_matches_mode_by_mode(self):
+        from frontlab.model import BlockSystem
+
+        B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
+        model = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+                            f=lambda v: np.tensordot(B, v, axes=(1, 0)),
+                            jac=lambda v: B.copy(), name="rotation-toy")
+        g = Grid(L=8.0, N=32)
+        data = np.random.default_rng(12).normal(size=(3, 32))
+        dt = 0.3
+        out = apply_linear_exact(model, g, FieldState(t=0.0, data=data, n1=2), dt)
+        sym = SymbolMatrix.of(model)
+        vh = np.fft.fft(data, axis=1)
+        for i, xi in enumerate(g.xi(0)):
+            vh[:, i] = scipy.linalg.expm(dt * eval_symbol(sym, [xi])) @ vh[:, i]
+        vh[:, g.N[0] // 2] = 0.0
+        assert np.max(np.abs(out.data - np.fft.ifft(vh, axis=1).real)) <= 1e-12
 
 
 class TestStepImex:
@@ -212,7 +281,7 @@ class TestStepImex:
         p = params()
         # huge-amplitude field gives an O(1) Jacobian estimate
         state, _ = build_perturbation(
-            g, Perturbation(amplitude=50.0, widths=(2.0,)), p)
+            g, Perturbation(amplitude=50.0, widths=(2.0,)), p, ALPHA)
         bound = dt_max(p, state)
         assert np.isfinite(bound)
         with pytest.raises(ValueError):
@@ -223,7 +292,7 @@ class TestStepImex:
         g = Grid(L=15.0, N=128)
         p = params()
         state, _ = build_perturbation(
-            g, Perturbation(amplitude=0.3, widths=(2.0,), mask=(1, 1)), p)
+            g, Perturbation(amplitude=0.3, widths=(2.0,), mask=(1, 1)), p, ALPHA)
         T = 1.0
         ends = []
         for nsteps in (10, 20, 40):
@@ -241,7 +310,7 @@ class TestStepImex:
 class TestRun:
     def test_zero_perturbation_all_norms_zero(self):
         g = Grid(L=10.0, N=64)
-        res = run(params(), g, Perturbation(amplitude=0.0), T=1.0, dt=0.1)
+        res = run(params(), g, Perturbation(amplitude=0.0), ALPHA, T=1.0, dt=0.1)
         for k in (0, 1):
             for name in ("norm0_v1", "norm0_v2", "norm0_v", "normalpha_v", "normE_v"):
                 assert np.all(res.series.column(name, k) == 0.0)
@@ -250,8 +319,8 @@ class TestRun:
         g = Grid(L=15.0, N=128)
         p = params()
         pert = Perturbation(eta=1e-3, center=(5.0,), widths=(2.0,), mask=(0, 1))
-        r1 = run(p, g, pert, T=2.0, dt=0.05, record_every=5)
-        r2 = run(p, g, pert, T=2.0, dt=0.05, record_every=5)
+        r1 = run(p, g, pert, ALPHA, T=2.0, dt=0.05, record_every=5)
+        r2 = run(p, g, pert, ALPHA, T=2.0, dt=0.05, record_every=5)
         assert np.array_equal(r1.series.times, r2.series.times)
         for key in r1.series.columns:
             assert np.array_equal(r1.series.columns[key], r2.series.columns[key])
@@ -259,7 +328,7 @@ class TestRun:
     def test_norm_series_identities(self):
         g = Grid(L=15.0, N=128)
         res = run(params(), g,
-                  Perturbation(eta=1e-2, center=(3.0,), widths=(2.0,), mask=(1, 1)),
+                  Perturbation(eta=1e-2, center=(3.0,), widths=(2.0,), mask=(1, 1)), ALPHA,
                   T=2.0, dt=0.05, record_every=5)
         res.series.validate()
 
@@ -268,10 +337,10 @@ class TestRun:
         # when eps = 0 (pure transport plus uniform decay)
         from frontlab.norms import fit_decay
 
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
+        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
         g = Grid(L=40.0, N=256)
         pert = Perturbation(eta=1e-3, center=(20.0,), widths=(2.0,), mask=(0, 1))
-        res = run(p, g, pert, T=10.0, dt=0.05, record_every=10, nonlinear=False)
+        res = run(p, g, pert, ALPHA, T=10.0, dt=0.05, record_every=10, nonlinear=False)
         fit = fit_decay(res.series.times, res.series.column("norm0_v2", 0))
         assert fit.nu == pytest.approx(np.exp(-1.0), rel=2e-2)
         assert fit.r_squared > 0.999999
@@ -281,8 +350,8 @@ class TestRun:
         # for perturbations supported well inside the domain
         p = params()
         pert = Perturbation(eta=1e-3, center=(0.0,), widths=(1.5,), mask=(1, 1))
-        res_small = run(p, Grid(L=16.0, N=128), pert, T=1.0, dt=0.05, record_every=5)
-        res_big = run(p, Grid(L=32.0, N=256), pert, T=1.0, dt=0.05, record_every=5)
+        res_small = run(p, Grid(L=16.0, N=128), pert, ALPHA, T=1.0, dt=0.05, record_every=5)
+        res_big = run(p, Grid(L=32.0, N=256), pert, ALPHA, T=1.0, dt=0.05, record_every=5)
         for name in ("norm0_v", "normalpha_v"):
             a = res_small.series.column(name, 0)
             b = res_big.series.column(name, 0)
@@ -293,12 +362,12 @@ class TestRun:
         g = Grid(L=20.0, N=128)
         pert = Perturbation(amplitude=1e-3, center=(10.0,), widths=(3.0,), mask=(1, 1))
         with pytest.warns(RuntimeWarning, match="boundary contamination"):
-            res = run(p, g, pert, T=0.2, dt=0.05)
+            res = run(p, g, pert, ALPHA, T=0.2, dt=0.05)
         assert res.warnings
 
     def test_snapshots_bracket_run(self):
         g = Grid(L=10.0, N=64)
-        res = run(params(), g, Perturbation(eta=1e-3, widths=(1.0,), mask=(0, 1)),
+        res = run(params(), g, Perturbation(eta=1e-3, widths=(1.0,), mask=(0, 1)), ALPHA,
                   T=1.0, dt=0.1)
         assert res.snapshots[0].t == 0.0
         assert res.snapshots[-1].t == pytest.approx(1.0)
@@ -310,7 +379,7 @@ class TestInstabilityScan:
         g = Grid(L=15.0, N=128)
         pert = Perturbation(center=(3.0,), widths=(2.0,), mask=(1, 1))
         threshold, history = instability_scan(
-            p, g, pert, T=1.0, dt=0.05, delta=0.05, eta0=1e-3)
+            p, g, pert, ALPHA, T=1.0, dt=0.05, delta=0.05, eta0=1e-3)
         assert threshold is not None
         assert history[-1][1] > 0.05 or history[-1][1] == np.inf
         assert all(h[1] <= 0.05 for h in history[:-1])
@@ -333,7 +402,7 @@ class TestBlockSystemPath:
         sys = make_combustion_system(p)
         g = Grid(L=10.0, N=32)
         state, _ = build_perturbation(
-            g, Perturbation(amplitude=0.2, widths=(2.0,), mask=(1, 1)), p)
+            g, Perturbation(amplitude=0.2, widths=(2.0,), mask=(1, 1)), p, ALPHA)
         a = step_imex(p, g, state, 0.1)
         b = step_imex(sys, g, state, 0.1)
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
@@ -361,15 +430,15 @@ class TestGeneralBlockExperiment:
             ])
 
         return BlockSystem(n1=1, n2=1, d1=[1.0], d2=[0.3], A1=np.zeros((1, 1)),
-                           f=f, jac=jac, c=1.0, alpha=0.4, name="toy-triangular")
+                           f=f, jac=jac, c=1.0, name="toy-triangular")
 
     def test_spectral_abscissas(self):
         from frontlab.spectral import SymbolMatrix, closed_form_abscissa, sweep_symbol
 
         sys = self.make_system()
-        sym_u = SymbolMatrix.from_system(sys, d=1, alpha=0.0)
+        sym_u = SymbolMatrix.of(sys, d=1)
         assert closed_form_abscissa(sym_u) == 0.0
-        sym_w = SymbolMatrix.from_system(sys, d=1)
+        sym_w = SymbolMatrix.of(sys, d=1, alpha=0.4)
         # weighted families: alpha^2 D_j - alpha c + B_jj
         expect = max(0.4**2 - 0.4, 0.3 * 0.4**2 - 0.4 - 0.8)
         assert closed_form_abscissa(sym_w) == pytest.approx(expect, abs=1e-15)
@@ -383,12 +452,12 @@ class TestGeneralBlockExperiment:
         g = Grid(L=40.0, N=256)
         pert = Perturbation(eta=1e-3, center=(20.0,), widths=(2.0,), mask=(0, 1))
         with np.errstate(all="ignore"):
-            res = run(sys, g, pert, T=12.0, dt=0.05, record_every=10)
+            res = run(sys, g, pert, 0.4, T=12.0, dt=0.05, record_every=10)
         # second block decays at its zero-frequency rate 0.8 (plus diffusion)
         fit = fit_decay(res.series.times, res.series.column("norm0_v2", 0),
                         window=(1.0, 12.0))
         assert fit.nu >= 0.8
-        rep = verify_stability_theorem(res.series, None, eta=1e-3, delta=1e-2,
+        rep = verify_stability_theorem(res.series, eta=1e-3, delta=1e-2,
                                        nu_expected=0.24, rho_expected=0.8,
                                        rate_floor=0.8, window=(1.0, 12.0))
         assert rep.overall

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from frontlab.model import ModelParams, make_exo_endo_system
+from frontlab.model import (
+    BlockSystem,
+    ModelParams,
+    make_exo_endo_system,
+    make_gasless_system,
+)
 from frontlab.spectral import (
     SymbolMatrix,
     abscissa_unweighted,
@@ -10,7 +16,7 @@ from frontlab.spectral import (
     block_abscissas,
     eigvals_symbol,
     eval_symbol,
-    expm_triangular_2x2,
+    exact_propagator,
     optimal_weight,
     semigroup_envelope,
     sweep_symbol,
@@ -19,8 +25,11 @@ from frontlab.spectral import (
 )
 
 
-def params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4):
-    return ModelParams(epsilon=eps, kappa=kappa, c=c, alpha=alpha)
+ALPHA = 0.4
+
+
+def params(eps=0.5, kappa=1.0, c=1.0):
+    return ModelParams(epsilon=eps, kappa=kappa, c=c)
 
 
 def expm_series(M: np.ndarray, t: float) -> np.ndarray:
@@ -41,14 +50,14 @@ def expm_series(M: np.ndarray, t: float) -> np.ndarray:
 class TestSymbol:
     def test_zero_frequency_is_reaction_jacobian(self):
         p = params(kappa=1.3)
-        sym = SymbolMatrix.from_params(p, d=2, alpha=0.0)
+        sym = SymbolMatrix.of(p, d=2)
         ek = np.exp(-p.kappa)
         expect = np.array([[0.0, ek], [0.0, -p.kappa * ek]])
         assert np.allclose(eval_symbol(sym, [0.0, 0.0]), expect, atol=1e-15)
 
     def test_unweighted_1d_entries(self):
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0, alpha=0.4)
-        sym = SymbolMatrix.from_params(p, d=1, alpha=0.0)
+        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
+        sym = SymbolMatrix.of(p, d=1)
         M = eval_symbol(sym, [1.0])
         assert M[0, 0] == pytest.approx(-1.0 + 1.0j, abs=1e-15)
         assert M[1, 1] == pytest.approx(1.0j - np.exp(-1.0), abs=1e-12)
@@ -56,8 +65,8 @@ class TestSymbol:
         assert M[1, 0] == 0.0
 
     def test_weighted_zero_frequency_diagonal(self):
-        p = params(alpha=0.4)
-        sym = SymbolMatrix.from_params(p, d=1)
+        p = params()
+        sym = SymbolMatrix.of(p, d=1, alpha=0.4)
         M = eval_symbol(sym, [0.0])
         assert M[0, 0] == pytest.approx(0.4**2 - 0.4, abs=1e-15)
         assert M[1, 1] == pytest.approx(
@@ -65,7 +74,7 @@ class TestSymbol:
         )
 
     def test_dimension_mismatch(self):
-        sym = SymbolMatrix.from_params(params(), d=2)
+        sym = SymbolMatrix.of(params(), d=2, alpha=ALPHA)
         with pytest.raises(ValueError):
             eval_symbol(sym, [1.0])
 
@@ -73,7 +82,7 @@ class TestSymbol:
         rng = np.random.default_rng(2)
         p = params()
         for alpha in (0.0, 0.2, 0.49):
-            sym = SymbolMatrix.from_params(p, d=3, alpha=alpha)
+            sym = SymbolMatrix.of(p, d=3, alpha=alpha)
             for _ in range(50):
                 xi = rng.normal(scale=5.0, size=3)
                 assert eval_symbol(sym, xi)[1, 0] == 0.0
@@ -83,10 +92,10 @@ class TestSymbol:
         # (substituting the complex shift performs the weight conjugation)
         p = params()
         rng = np.random.default_rng(3)
-        sym_w = SymbolMatrix.from_params(p, d=1)
+        sym_w = SymbolMatrix.of(p, d=1, alpha=ALPHA)
         for _ in range(25):
             x = rng.normal(scale=3.0)
-            z = x + 1j * p.alpha
+            z = x + 1j * ALPHA
             D = np.diag([1.0, p.epsilon])
             expect = -z**2 * D + 1j * p.c * z * np.eye(2) + np.array(
                 [[0.0, np.exp(-p.kappa)], [0.0, -p.kappa * np.exp(-p.kappa)]]
@@ -97,7 +106,7 @@ class TestSymbol:
 class TestEigvals:
     def test_combustion_curves(self):
         p = params(eps=0.3, kappa=1.5, c=2.0)
-        sym = SymbolMatrix.from_params(p, d=2, alpha=0.0)
+        sym = SymbolMatrix.of(p, d=2)
         rng = np.random.default_rng(4)
         for _ in range(50):
             xi = rng.normal(scale=4.0, size=2)
@@ -126,8 +135,8 @@ class TestEigvals:
     def test_conjugate_symmetry(self):
         p = params()
         rng = np.random.default_rng(5)
-        for sym in (SymbolMatrix.from_params(p, d=2, alpha=0.0),
-                    SymbolMatrix.from_params(p, d=2)):
+        for sym in (SymbolMatrix.of(p, d=2),
+                    SymbolMatrix.of(p, d=2, alpha=ALPHA)):
             for _ in range(30):
                 xi = rng.normal(scale=3.0, size=2)
                 lp = np.sort_complex(eigvals_symbol(sym, xi))
@@ -135,9 +144,8 @@ class TestEigvals:
                 assert np.allclose(lp, lm, atol=1e-12)
 
     def test_dense_path_matches_triangular(self):
-        sys = make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0),
-                                   c=1.0, alpha=0.2)
-        sym = SymbolMatrix.from_system(sys, d=1)
+        sys = make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0), c=1.0)
+        sym = SymbolMatrix.of(sys, d=1, alpha=0.2)
         assert sym.is_triangular  # B = 0 at the cold state
         general = SymbolMatrix(d=1, D=sym.D, c=sym.c,
                                B=((0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.0, 0.0, -1.0)),
@@ -152,20 +160,18 @@ class TestAbscissas:
     def test_unweighted_is_zero(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            c = rng.uniform(0.2, 4.0)
             p = ModelParams(
                 epsilon=rng.uniform(0.0, 0.99),
                 kappa=rng.uniform(0.1, 5.0),
-                c=c,
-                alpha=rng.uniform(1e-3, 0.499) * c,
+                c=rng.uniform(0.2, 4.0),
             )
             assert abscissa_unweighted(p) == 0.0
 
     def test_weighted_examples(self):
-        p = ModelParams(epsilon=0.3, kappa=2.0, c=1.0, alpha=0.45)
+        p = ModelParams(epsilon=0.3, kappa=2.0, c=1.0)
         assert abscissa_weighted(p, alpha=0.5) == pytest.approx(-0.25, abs=1e-15)
-        p2 = params(eps=0.5, kappa=1.0, c=1.0, alpha=0.4)
-        assert abscissa_weighted(p2) == pytest.approx(-0.24, abs=1e-15)
+        p2 = params(eps=0.5, kappa=1.0, c=1.0)
+        assert abscissa_weighted(p2, alpha=0.4) == pytest.approx(-0.24, abs=1e-15)
         assert abscissa_weighted(p2, alpha=0.0) == 0.0
 
     def test_branch_dominance_on_grid(self):
@@ -186,10 +192,10 @@ class TestAbscissas:
                 epsilon=rng.uniform(0.0, 0.99),
                 kappa=rng.uniform(0.1, 4.0),
                 c=c,
-                alpha=rng.uniform(1e-3, 0.499) * c,
             )
-            for alpha, closed in ((0.0, 0.0), (p.alpha, abscissa_weighted(p))):
-                sym = SymbolMatrix.from_params(p, d=1, alpha=alpha)
+            weight = rng.uniform(1e-3, 0.499) * c
+            for alpha, closed in ((0.0, 0.0), (weight, abscissa_weighted(p, weight))):
+                sym = SymbolMatrix.of(p, d=1, alpha=alpha)
                 sw = sweep_symbol(sym, m=401)
                 assert sw.certified
                 assert sw.realized_abscissa <= closed + 1e-12
@@ -217,7 +223,7 @@ class TestOptimalWeight:
         rng = np.random.default_rng(8)
         for _ in range(10):
             c = rng.uniform(0.2, 4.0)
-            p = ModelParams(epsilon=0.4, kappa=1.0, c=c, alpha=0.49 * c)
+            p = ModelParams(epsilon=0.4, kappa=1.0, c=c)
             astar, vstar = optimal_weight(c)
             grid = np.linspace(1e-6, c, 1001)
             vals = np.array([abscissa_weighted(p, alpha=a) for a in grid])
@@ -227,19 +233,19 @@ class TestOptimalWeight:
 
 class TestSweepMachinery:
     def test_auto_extent_certifies(self):
-        sym = SymbolMatrix.from_params(params(), d=1)
+        sym = SymbolMatrix.of(params(), d=1, alpha=ALPHA)
         R, certified = auto_extent(sym)
         assert certified and R >= 4.0
 
     def test_rejects_even_or_tiny_m(self):
-        sym = SymbolMatrix.from_params(params(), d=1)
+        sym = SymbolMatrix.of(params(), d=1, alpha=ALPHA)
         with pytest.raises(ValueError):
             sweep_symbol(sym, m=400)
         with pytest.raises(ValueError):
             sweep_symbol(sym, m=1)
 
     def test_symmetry_of_curves(self):
-        sym = SymbolMatrix.from_params(params(), d=1)
+        sym = SymbolMatrix.of(params(), d=1, alpha=ALPHA)
         sw = sweep_symbol(sym, R=10.0, m=101)
         lam = sw.eigvals.reshape(101, 2)
         assert np.allclose(np.sort_complex(lam[0]), np.sort_complex(np.conj(lam[-1])),
@@ -249,15 +255,14 @@ class TestSweepMachinery:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             c = rng.uniform(0.3, 2.0)
-            p = ModelParams(epsilon=rng.uniform(0.0, 0.9), kappa=rng.uniform(0.2, 3.0),
-                            c=c, alpha=rng.uniform(0.05, 0.45) * c)
-            rep = tensor_sum_check(p, R=15.0, m=31)
+            p = ModelParams(epsilon=rng.uniform(0.0, 0.9), kappa=rng.uniform(0.2, 3.0), c=c)
+            rep = tensor_sum_check(p, rng.uniform(0.05, 0.45) * c, R=15.0, m=31)
             assert rep["difference"] <= 1e-10
 
     def test_transverse_slice_reproduces_1d(self):
         p = params()
-        sym1 = SymbolMatrix.from_params(p, d=1)
-        sym2 = SymbolMatrix.from_params(p, d=2)
+        sym1 = SymbolMatrix.of(p, d=1, alpha=ALPHA)
+        sym2 = SymbolMatrix.of(p, d=2, alpha=ALPHA)
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = rng.normal(scale=3.0)
@@ -272,40 +277,115 @@ class TestSweepMachinery:
             assert np.allclose(fam_2d, fam_1d - D * eta**2, atol=1e-12)
 
 
+def upper_symbol(D, B, c=1.0, alpha=0.0):
+    return SymbolMatrix(d=1, D=tuple(D), c=c, B=tuple(tuple(row) for row in B), alpha=alpha)
+
+
+def propagator_matrices(sym, xi, dt):
+    """Dense (len(xi), n, n) matrices from exact_propagator on 1D samples xi."""
+    xi = np.asarray(xi, dtype=float)
+    prop = exact_propagator(sym, xi**2, xi, dt)
+    E = np.zeros(xi.shape + (sym.n, sym.n), dtype=complex)
+    for i, row in enumerate(prop.rows):
+        for j, e in row:
+            E[..., i, j] = e
+    return E
+
+
 class TestTriangularPropagator:
     def test_identity_at_zero_matrix(self):
-        E = expm_triangular_2x2(0.0, 0.0, 0.0, 0.7)
+        sym = upper_symbol((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), c=0.0)
+        E = propagator_matrices(sym, [0.0, 1.5, -3.0], 0.7)
         assert np.allclose(E, np.eye(2), atol=1e-15)
 
     def test_confluent_limit(self):
-        a = -0.3 + 0.2j
-        E = expm_triangular_2x2(a, 1.5, a, 0.9)
-        assert E[0, 1] == pytest.approx(1.5 * 0.9 * np.exp(a * 0.9), abs=1e-12)
+        # equal diffusion and equal diagonal: S_11 = S_22 at every frequency
+        sym = upper_symbol((0.6, 0.6), ((-0.3, 1.5), (0.0, -0.3)))
+        xi = np.array([0.0, 0.4, -2.0])
+        E = propagator_matrices(sym, xi, 0.9)
+        s11 = -0.6 * xi**2 + 1j * xi - 0.3
+        assert np.allclose(E[:, 0, 1], 1.5 * 0.9 * np.exp(0.9 * s11), rtol=1e-14, atol=0.0)
 
     def test_against_series_oracle(self):
         rng = np.random.default_rng(10)
         worst = 0.0
-        for k in range(1000):
-            a = rng.normal() + 1j * rng.normal()
-            d = rng.normal() + 1j * rng.normal()
-            b = rng.normal() + 1j * rng.normal()
+        for k in range(300):
+            D = rng.uniform(0.0, 2.0, size=2)
+            B = np.array([[rng.normal(), rng.normal()], [0.0, rng.normal()]])
+            if k < 30:  # confluent cluster
+                D[1] = D[0]
+                B[1, 1] = B[0, 0] + rng.normal(scale=1e-13)
+            sym = upper_symbol(D, B, c=rng.uniform(0.2, 2.0), alpha=rng.uniform(0.0, 0.5))
+            xi = rng.normal(scale=1.5)
             t = rng.uniform(0.0, 2.0)
-            if k < 100:  # confluent cluster
-                d = a + rng.normal(scale=1e-13) * (1 + 1j)
-            E = expm_triangular_2x2(a, b, d, t)
-            M = np.array([[a, b], [0.0, d]])
-            worst = max(worst, float(np.max(np.abs(E - expm_series(M, t)))))
+            E = propagator_matrices(sym, [xi], t)[0]
+            worst = max(worst, float(np.max(np.abs(E - expm_series(eval_symbol(sym, [xi]), t)))))
         assert worst <= 1e-10
 
     def test_fixed_time_value(self):
-        a, b, d, t = 0.37 - 1.1j, -0.6 + 0.25j, -1.4 + 0.8j, 0.7
-        E = expm_triangular_2x2(a, b, d, t)
-        M = np.array([[a, b], [0.0, d]])
-        assert np.allclose(E, expm_series(M, t), atol=1e-12)
+        sym = upper_symbol((0.8, 0.3), ((0.37, -0.6), (0.0, -1.4)), c=1.2, alpha=0.25)
+        E = propagator_matrices(sym, [0.9], 0.7)[0]
+        assert np.allclose(E, expm_series(eval_symbol(sym, [0.9]), 0.7), atol=1e-12)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            expm_triangular_2x2(0.0, 0.0, 0.0, -1.0)
+            exact_propagator(upper_symbol((1.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+                             0.0, 0.0, -1.0)
+
+
+def confluent_toy():
+    """d1 = d2, B11 = B22, B12 != 0: S_11 - S_22 vanishes at every frequency."""
+    B = np.array([[-0.3, 0.8], [0.0, -0.3]])
+    return BlockSystem(n1=1, n2=1, d1=[0.7], d2=[0.7], A1=[[-0.3]],
+                       f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
+                       jac=lambda v: B.copy(), name="confluent-toy")
+
+
+def rotation_toy():
+    """n1 = 2 with a rotation A1: B is not triangular, so expm is used."""
+    B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
+    return BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+                       f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
+                       jac=lambda v: B.copy(), name="rotation-toy")
+
+
+class TestExactPropagator:
+    """exact_propagator against per-mode scipy.linalg.expm(dt S(xi))."""
+
+    @pytest.mark.parametrize("system", [
+        lambda: make_gasless_system(1.0),                      # zero diffusion
+        lambda: make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0)),
+        confluent_toy,
+        rotation_toy,                                          # expm branch
+    ], ids=["gasless", "exo_endo", "confluent", "non_triangular"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_matches_per_mode_expm(self, system, alpha):
+        sym = SymbolMatrix.of(system(), d=1, alpha=alpha)
+        xi = np.linspace(-6.0, 6.0, 41)
+        dt = 0.35
+        E = propagator_matrices(sym, xi, dt)
+        for k, x in enumerate(xi):
+            expect = scipy.linalg.expm(dt * eval_symbol(sym, [x]))
+            assert np.max(np.abs(E[k] - expect)) <= 1e-12
+
+    def test_skips_identically_zero_entries(self):
+        # combustion: E_11, E_12, E_22 only; exo_endo at the cold state: diagonal only
+        rows = exact_propagator(SymbolMatrix.of(params()), 1.0, 0.5, 0.1).rows
+        assert [[j for j, _ in row] for row in rows] == [[0, 1], [1]]
+        exo = make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0))
+        rows = exact_propagator(SymbolMatrix.of(exo), 1.0, 0.5, 0.1).rows
+        assert [[j for j, _ in row] for row in rows] == [[0], [1], [2]]
+
+    def test_chained_triangular_uses_expm(self):
+        # B12 B23 != 0 chains two off-diagonal entries: the phi1 form would
+        # miss the second-order term, so the dense branch must be taken
+        sym = upper_symbol((1.0, 0.5, 0.2), ((0.0, 0.7, 0.0), (0.0, -0.2, 0.6),
+                                             (0.0, 0.0, -0.4)))
+        E = propagator_matrices(sym, [0.0, 1.3], 0.5)
+        for k, x in enumerate((0.0, 1.3)):
+            expect = scipy.linalg.expm(0.5 * eval_symbol(sym, [x]))
+            assert np.max(np.abs(E[k] - expect)) <= 1e-12
+        assert abs(E[0, 0, 2]) > 1e-3
 
 
 class TestSemigroupEnvelope:
@@ -318,44 +398,40 @@ class TestSemigroupEnvelope:
         assert env.max() == pytest.approx(1.0)
 
     def test_combustion_envelope_finite_and_stable(self):
-        p = params()
+        sym = SymbolMatrix.of(params(), alpha=ALPHA)
         t = np.linspace(0.0, 40.0, 801)
         xi = np.linspace(-15.0, 15.0, 301)
-        K1, nu = semigroup_envelope(p, t, xi)
+        K1, nu = semigroup_envelope(sym, t, xi)
         assert nu == pytest.approx(0.24, abs=1e-12)
         assert 1.0 <= K1 < 10.0
         t2 = np.linspace(0.0, 40.0, 1601)
         xi2 = np.linspace(-15.0, 15.0, 601)
-        K2, _ = semigroup_envelope(p, t2, xi2)
+        K2, _ = semigroup_envelope(sym, t2, xi2)
         assert abs(K2 - K1) <= 0.02 * K1
 
     def test_envelope_nonincreasing_in_alpha_at_zero_frequency(self):
-        p0 = params()
+        p = params()
         t = np.linspace(0.0, 60.0, 1201)
         ks = []
         for alpha in np.linspace(0.05, 0.49, 10):
-            p = ModelParams(epsilon=p0.epsilon, kappa=p0.kappa, c=p0.c, alpha=alpha)
-            K, _ = semigroup_envelope(p, t, [0.0])
+            K, _ = semigroup_envelope(SymbolMatrix.of(p, alpha=alpha), t, [0.0])
             ks.append(K)
         assert all(b <= a + 1e-12 for a, b in zip(ks, ks[1:]))
 
     def test_invalid_band_rejected(self):
-        p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=0.4)
+        p = params()
         with pytest.raises(ValueError):
             # alpha = 0 has zero decay rate: not a valid envelope rate
-            semigroup_envelope(
-                ModelParams(epsilon=0.5, kappa=1.0, c=1.0, alpha=1e-9), [0.0], [0.0]
-            ) if False else (_ for _ in ()).throw(
-                ValueError("alpha=0 handled via abscissa_weighted(alpha=0)")
-            )
+            semigroup_envelope(SymbolMatrix.of(p), [0.0], [0.0])
         # the documented failure mode: envelope cap exceeded
         with pytest.raises(RuntimeError):
-            semigroup_envelope(p, np.linspace(0, 5, 6), [0.0], cap=0.5)
+            semigroup_envelope(SymbolMatrix.of(p, alpha=ALPHA), np.linspace(0, 5, 6), [0.0],
+                               cap=0.5)
 
 
 class TestSpectrumCsv:
     def test_format(self, tmp_path):
-        sym = SymbolMatrix.from_params(params(), d=1)
+        sym = SymbolMatrix.of(params(), d=1, alpha=ALPHA)
         sw = sweep_symbol(sym, R=2.0, m=5)
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(path, sw)
