@@ -39,6 +39,7 @@ from .sim import (
     Perturbation,
     apply_linear_exact,
     build_perturbation,
+    linear_propagator,
     run,
     step_imex,
 )
@@ -70,7 +71,7 @@ __all__ = [
     "optimal_weight", "semigroup_envelope", "sweep_symbol", "tensor_sum_check",
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",
     "FieldState", "Grid", "Perturbation", "apply_linear_exact",
-    "build_perturbation", "run", "step_imex",
+    "build_perturbation", "linear_propagator", "run", "step_imex",
     "DecayFit", "NormSeries", "VerdictReport", "fit_decay", "norm_E",
     "norm_unweighted", "norm_weighted", "verify_stability_theorem",
 ]

@@ -242,6 +242,8 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     would break the conjugate symmetry real fields need; it is projected to
     zero (its content is below rounding for resolved fields).
     """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     xi2, xi1 = _frequency_grids(grid)
     prop = exact_propagator(SymbolMatrix.of(model, d=grid.d), xi2, xi1, dt)
     for row in prop.rows:
@@ -250,20 +252,13 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     return prop
 
 
-def apply_linear_exact(model: Model, grid: Grid, state: FieldState, dt: float,
-                       prop: Optional[Propagator] = None) -> FieldState:
-    """Advance the linear flow exactly by dt, mode by mode.
+def apply_linear_exact(grid: Grid, state: FieldState, prop: Propagator) -> FieldState:
+    """Advance the linear flow exactly by prop.dt, mode by mode.
 
-    prop is linear_propagator(model, grid, dt), built here when not given.
-    Every retained mode evolves by exactly exp(dt S(xi)); the single z-axis
-    Nyquist plane is projected out to keep the map real and a semigroup.
+    prop is a linear_propagator on this grid.  Every retained mode evolves
+    by exactly exp(dt S(xi)); the single z-axis Nyquist plane is projected
+    out to keep the map real and a semigroup.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if prop is None:
-        prop = linear_propagator(model, grid, dt)
-    elif prop.dt != dt:
-        raise ValueError(f"propagator built for dt = {prop.dt}, applied with dt = {dt}")
     axes = tuple(range(1, grid.d + 1))
     vh = np.fft.fftn(state.data, axes=axes)
     out = np.empty_like(vh)
@@ -272,7 +267,7 @@ def apply_linear_exact(model: Model, grid: Grid, state: FieldState, dt: float,
         for j, e in rest:
             out[i] += e * vh[j]
     data = np.fft.ifftn(out, axes=axes).real
-    return FieldState(t=state.t + dt, data=data, n1=state.n1)
+    return FieldState(t=state.t + prop.dt, data=data, n1=state.n1)
 
 
 def dt_max(model: Model, state: FieldState) -> float:
@@ -287,26 +282,26 @@ def dt_max(model: Model, state: FieldState) -> float:
     return 0.5 / est
 
 
-def step_imex(model: Model, grid: Grid, state: FieldState, dt: float,
-              nonlinear: bool = True, half: Optional[Propagator] = None) -> FieldState:
-    """One Strang step: exact half linear, explicit midpoint nonlinear, half linear.
+def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
+              nonlinear: bool = True) -> FieldState:
+    """One Strang step of dt = 2 half.dt: exact half linear, explicit midpoint
+    nonlinear, half linear.
 
-    half is the propagator for dt / 2, built here when not given.  Second
-    order in dt on smooth data; the zero state is preserved exactly.
-    Non-finite values abort with the offending time.
+    half is linear_propagator(model, grid, dt / 2).  Second order in dt on
+    smooth data; the zero state is preserved exactly.  Non-finite values
+    abort with the offending time.
     """
+    dt = 2.0 * half.dt
     if nonlinear and dt > dt_max(model, state):
         raise ValueError(
             f"dt = {dt} exceeds the explicit-stage stability bound "
             f"{dt_max(model, state):.3e}"
         )
-    if half is None:
-        half = linear_propagator(model, grid, 0.5 * dt)
-    out = apply_linear_exact(model, grid, state, 0.5 * dt, half)
+    out = apply_linear_exact(grid, state, half)
     if nonlinear:
         mid = out.data + 0.5 * dt * model.nonlinearity(out.data)
         out.data = out.data + dt * model.nonlinearity(mid)
-    out = apply_linear_exact(model, grid, out, 0.5 * dt, half)
+    out = apply_linear_exact(grid, out, half)
     out.t = state.t + dt
     if not np.all(np.isfinite(out.data)):
         raise SimulationBlowupError(out.t)
@@ -393,7 +388,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
 
     check_boundary(state)
     for step in range(1, nsteps + 1):
-        state = step_imex(model, grid, state, dt_eff, nonlinear=nonlinear, half=half)
+        state = step_imex(model, grid, state, half, nonlinear=nonlinear)
         if step % record_every == 0 or step == nsteps:
             times.append(state.t)
             records.append(_norm_record(grid, state, alpha))

@@ -374,11 +374,17 @@ def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     Without chained off-diagonal entries in an upper-triangular B the
     exponential is closed form,
 
-        E_jj = exp(dt S_jj),   E_ij = B_ij dt E_jj phi1(dt (S_ii - S_jj)),
+        E_jj = exp(dt S_jj),   E_ij = B_ij dt E_jj phi1(dt (S_ii - S_jj))
+                                    = B_ij dt E_ii phi1(dt (S_jj - S_ii)),
 
-    exact also where S_ii = S_jj; dt may be an array broadcasting against
-    the samples.  Any other B takes one batched scipy.linalg.expm call over
-    the stacked modes (scalar dt).
+    exact also where S_ii = S_jj.  The second form is taken where
+    Re dt (S_ii - S_jj) > 1, so phi1 never sees an argument with real part
+    above 1: no overflow where S_jj decays much faster than S_ii, and the
+    exponential factor underflows only where the entry itself is below
+    ~1e-307.  The threshold is 1 rather than 0 so that the first form, and
+    its rounding, is kept wherever it is accurate.
+    dt may be an array broadcasting against the samples.  Any other B takes
+    one batched scipy.linalg.expm call over the stacked modes (scalar dt).
     """
     if np.any(np.asarray(dt) < 0.0):
         raise ValueError("dt must be nonnegative")
@@ -388,9 +394,14 @@ def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     if _closed_form_exponential(sym):
         S = [diag[..., j] for j in range(n)]
         E = [np.exp(s * dt) for s in S]
+
+        def off(i, j):
+            z = (S[i] - S[j]) * dt
+            flip = z.real > 1.0
+            return B[i, j] * dt * np.where(flip, E[i], E[j]) * _phi1(np.where(flip, -z, z))
+
         rows = tuple(
-            ((i, E[i]),) + tuple((j, B[i, j] * dt * E[j] * _phi1((S[i] - S[j]) * dt))
-                                 for j in range(i + 1, n) if B[i, j] != 0.0)
+            ((i, E[i]),) + tuple((j, off(i, j)) for j in range(i + 1, n) if B[i, j] != 0.0)
             for i in range(n))
         return Propagator(dt=dt, rows=rows)
     # imported here only: scipy.linalg adds ~29 MiB to a process that needs
@@ -441,8 +452,8 @@ def semigroup_envelope(sym: SymbolMatrix, t_grid, xi_grid,
         first, second = exact_propagator(sym, xi**2, xi, tb).rows
         e12 = dict(first).get(1, 0.0)
         env = np.exp(nu * tb) * _specnorm_upper_2x2(first[0][1], e12, second[0][1])
-        K = max(K, float(np.max(env)))
-    if K > cap:
+        K = float(np.maximum(K, np.max(env)))  # propagates a NaN sample
+    if not K <= cap:
         raise RuntimeError(
             f"semigroup envelope exceeded the cap {cap:g} (K_est = {K:.3e}); "
             "the decay rate nu appears to be outside the valid weight band"

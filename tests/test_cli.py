@@ -593,6 +593,31 @@ class TestAlphaRule:
         assert meta["model"]["alpha"] == 0.5
 
 
+class TestSpectrumBlockKinds:
+    def test_gasless_2d_runs_envelope_and_tensor_sum(self, tmp_path):
+        # d = 2 adds the tensor-sum check and gasless gets the envelope; both
+        # can set exit code 1, neither does for an admissible alpha
+        cfg = write_config(tmp_path, joined(GASLESS, """
+            [weights]
+            alpha = 0.3
+
+            [grid]
+            d = 2
+
+            [spectrum]
+            m = 41
+        """))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        summary = dict(ln.split(": ", 1) for ln in
+                       (out / "summary.txt").read_text().splitlines() if ": " in ln)
+        assert float(summary["tensor_sum_difference"]) <= 1e-10
+        # nu = c alpha - alpha^2 D_1 with D_1 = 1 (the zero-diffusion block decays faster)
+        assert float(summary["nu"]) == pytest.approx(0.3 - 0.3**2, abs=1e-12)
+        assert 1.0 <= float(summary["envelope_K"]) < 1e6
+        assert "envelope_error" not in summary
+
+
 class TestVerifyEveryKind:
     def test_gasless_verify_passes_with_symbol_rates(self, tmp_path):
         cfg = write_config(tmp_path, joined(GASLESS, """

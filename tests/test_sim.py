@@ -104,7 +104,7 @@ class TestLinearExact:
     def test_zero_field_stays_zero(self):
         g = Grid(L=10.0, N=32)
         state = FieldState(t=0.0, data=np.zeros((2, 32)))
-        out = apply_linear_exact(params(), g, state, 0.5)
+        out = apply_linear_exact(g, state, linear_propagator(params(), g, 0.5))
         assert np.all(out.data == 0.0)
         assert out.t == 0.5
 
@@ -119,7 +119,7 @@ class TestLinearExact:
         data[1] = np.cos(xi * z)
         state = FieldState(t=0.0, data=data)
         dt = 0.7
-        out = apply_linear_exact(p, g, state, dt)
+        out = apply_linear_exact(g, state, linear_propagator(p, g, dt))
         lam2 = -p.epsilon * xi**2 + 1j * p.c * xi - p.kappa * np.exp(-p.kappa)
         expect = abs(np.exp(dt * lam2))
         amp_before = norm_unweighted(g, state.data[1], 0)
@@ -132,8 +132,9 @@ class TestLinearExact:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(2, 128))
         state = FieldState(t=0.0, data=data)
-        full = apply_linear_exact(p, g, state, 0.8)
-        half = apply_linear_exact(p, g, apply_linear_exact(p, g, state, 0.4), 0.4)
+        full = apply_linear_exact(g, state, linear_propagator(p, g, 0.8))
+        h = linear_propagator(p, g, 0.4)
+        half = apply_linear_exact(g, apply_linear_exact(g, state, h), h)
         assert np.max(np.abs(full.data - half.data)) <= 1e-12
 
     def test_mode_by_mode_matches_symbol_exponential(self):
@@ -143,7 +144,7 @@ class TestLinearExact:
         rng = np.random.default_rng(1)
         data = rng.normal(size=(2, 32))
         dt = 0.35
-        out = apply_linear_exact(p, g, FieldState(t=0.0, data=data), dt)
+        out = apply_linear_exact(g, FieldState(t=0.0, data=data), linear_propagator(p, g, dt))
         vh = np.fft.fft(data, axis=1)
         expect_h = np.empty_like(vh)
         for i, xi in enumerate(g.xi(0)):
@@ -162,7 +163,7 @@ class TestLinearExact:
         rng = np.random.default_rng(2)
         data = rng.normal(size=(2, 32, 16))
         dt = 0.2
-        out = apply_linear_exact(p, g, FieldState(t=0.0, data=data), dt)
+        out = apply_linear_exact(g, FieldState(t=0.0, data=data), linear_propagator(p, g, dt))
         vh = np.fft.fftn(data, axes=(1, 2))
         for i in (0, 3, 17):
             for j in (0, 2, 9):
@@ -187,7 +188,8 @@ class TestPropagatorLifetime:
         for k in range(40):
             d2 = 0.1 + 0.02 * k
             model = make_exo_endo_system(d2, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0))
-            out = apply_linear_exact(model, g, FieldState(t=0.0, data=data, n1=1), dt)
+            out = apply_linear_exact(g, FieldState(t=0.0, data=data, n1=1),
+                                     linear_propagator(model, g, dt))
             vh = np.fft.fft(data, axis=1)
             for j, d in enumerate((1.0, d2, 0.25)):
                 vh[j] *= np.exp((-d * xi**2 + 1j * model.c * xi) * dt)
@@ -213,12 +215,20 @@ class TestPropagatorLifetime:
         assert res.nsteps == 20
         assert built == [0.5 * res.dt]
 
-    def test_rejects_propagator_for_another_dt(self):
-        g = Grid(L=10.0, N=32)
-        state = FieldState(t=0.0, data=np.ones((2, 32)))
-        prop = linear_propagator(params(), g, 0.1)
-        with pytest.raises(ValueError):
-            apply_linear_exact(params(), g, state, 0.2, prop)
+    def test_faster_decaying_second_component_runs(self):
+        # dt (D_2 - D_1) |xi|^2 far above the exp overflow threshold on the
+        # high modes; the v1 profile only advects, v2 feeds it through B12
+        from frontlab.model import BlockSystem
+
+        B = np.array([[0.0, 1.0], [0.0, -0.5]])
+        model = BlockSystem(n1=1, n2=1, d1=[0.0], d2=[1.0], A1=[[0.0]],
+                            f=lambda v: np.tensordot(B, v, axes=(1, 0)),
+                            jac=lambda v: B.copy(), name="fast-second-toy")
+        g = Grid(L=10.0, N=512)  # |xi| up to 80: dt/2 |xi|^2 = 960
+        res = run(model, g, Perturbation(amplitude=1e-3, widths=(1.0,)), 0.3,
+                  T=0.6, dt=0.3, nonlinear=False)
+        assert np.all(np.isfinite(res.snapshots[-1].data))
+        assert res.series.column("norm0_v1")[-1] > 0.0
 
     def test_non_triangular_system_matches_mode_by_mode(self):
         from frontlab.model import BlockSystem
@@ -230,7 +240,8 @@ class TestPropagatorLifetime:
         g = Grid(L=8.0, N=32)
         data = np.random.default_rng(12).normal(size=(3, 32))
         dt = 0.3
-        out = apply_linear_exact(model, g, FieldState(t=0.0, data=data, n1=2), dt)
+        out = apply_linear_exact(g, FieldState(t=0.0, data=data, n1=2),
+                                 linear_propagator(model, g, dt))
         sym = SymbolMatrix.of(model)
         vh = np.fft.fft(data, axis=1)
         for i, xi in enumerate(g.xi(0)):
@@ -244,7 +255,7 @@ class TestStepImex:
         g = Grid(L=10.0, N=64)
         state = FieldState(t=0.0, data=np.zeros((2, 64)))
         for dt in (1e-3, 0.1, 1.0):
-            out = step_imex(params(), g, state, dt)
+            out = step_imex(params(), g, state, linear_propagator(params(), g, 0.5 * dt))
             assert np.all(out.data == 0.0)
 
     def test_nonlinear_disabled_equals_linear(self):
@@ -252,8 +263,8 @@ class TestStepImex:
         p = params()
         rng = np.random.default_rng(3)
         state = FieldState(t=0.0, data=0.1 * rng.normal(size=(2, 64)))
-        a = step_imex(p, g, state, 0.25, nonlinear=False)
-        b = apply_linear_exact(p, g, state, 0.25)
+        a = step_imex(p, g, state, linear_propagator(p, g, 0.125), nonlinear=False)
+        b = apply_linear_exact(g, state, linear_propagator(p, g, 0.25))
         assert np.max(np.abs(a.data - b.data)) <= 1e-14
 
     def test_triangular_decoupling_linear(self):
@@ -264,9 +275,10 @@ class TestStepImex:
         v2 = 0.3 * rng.normal(size=64)
         s_a = FieldState(t=0.0, data=np.stack([np.zeros(64), v2]))
         s_b = FieldState(t=0.0, data=np.stack([rng.normal(size=64), v2]))
+        half = linear_propagator(p, g, 0.05)
         for _ in range(5):
-            s_a = step_imex(p, g, s_a, 0.1, nonlinear=False)
-            s_b = step_imex(p, g, s_b, 0.1, nonlinear=False)
+            s_a = step_imex(p, g, s_a, half, nonlinear=False)
+            s_b = step_imex(p, g, s_b, half, nonlinear=False)
         assert np.max(np.abs(s_a.data[1] - s_b.data[1])) <= 1e-14
 
     def test_nan_detection(self):
@@ -274,7 +286,8 @@ class TestStepImex:
         data = np.zeros((2, 64))
         data[0, 5] = np.nan
         with pytest.raises(SimulationBlowupError):
-            step_imex(params(), g, FieldState(t=2.0, data=data), 0.1)
+            step_imex(params(), g, FieldState(t=2.0, data=data),
+                      linear_propagator(params(), g, 0.05))
 
     def test_dt_stability_bound_enforced(self):
         g = Grid(L=10.0, N=64)
@@ -285,7 +298,7 @@ class TestStepImex:
         bound = dt_max(p, state)
         assert np.isfinite(bound)
         with pytest.raises(ValueError):
-            step_imex(p, g, state, 10.0 * bound)
+            step_imex(p, g, state, linear_propagator(p, g, 0.5 * 10.0 * bound))
 
     def test_splitting_order(self):
         # Richardson: observed order of Strang splitting >= 1.9 on smooth data
@@ -297,9 +310,9 @@ class TestStepImex:
         ends = []
         for nsteps in (10, 20, 40):
             s = state.copy()
-            dt = T / nsteps
+            half = linear_propagator(p, g, 0.5 * T / nsteps)
             for _ in range(nsteps):
-                s = step_imex(p, g, s, dt)
+                s = step_imex(p, g, s, half)
             ends.append(s.data.copy())
         e1 = np.max(np.abs(ends[0] - ends[1]))
         e2 = np.max(np.abs(ends[1] - ends[2]))
@@ -393,8 +406,8 @@ class TestBlockSystemPath:
         rng = np.random.default_rng(5)
         data = 0.01 * rng.normal(size=(2, 32))
         state = FieldState(t=0.0, data=data)
-        a = apply_linear_exact(p, g, state, 0.3)
-        b = apply_linear_exact(sys, g, state, 0.3)
+        a = apply_linear_exact(g, state, linear_propagator(p, g, 0.3))
+        b = apply_linear_exact(g, state, linear_propagator(sys, g, 0.3))
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
     def test_combustion_system_matches_params_nonlinear(self):
@@ -403,8 +416,8 @@ class TestBlockSystemPath:
         g = Grid(L=10.0, N=32)
         state, _ = build_perturbation(
             g, Perturbation(amplitude=0.2, widths=(2.0,), mask=(1, 1)), p, ALPHA)
-        a = step_imex(p, g, state, 0.1)
-        b = step_imex(sys, g, state, 0.1)
+        a = step_imex(p, g, state, linear_propagator(p, g, 0.05))
+        b = step_imex(sys, g, state, linear_propagator(sys, g, 0.05))
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
 

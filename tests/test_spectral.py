@@ -309,10 +309,10 @@ class TestTriangularPropagator:
     def test_against_series_oracle(self):
         rng = np.random.default_rng(10)
         worst = 0.0
-        for k in range(300):
+        for k in range(1000):
             D = rng.uniform(0.0, 2.0, size=2)
             B = np.array([[rng.normal(), rng.normal()], [0.0, rng.normal()]])
-            if k < 30:  # confluent cluster
+            if k < 100:  # confluent cluster
                 D[1] = D[0]
                 B[1, 1] = B[0, 0] + rng.normal(scale=1e-13)
             sym = upper_symbol(D, B, c=rng.uniform(0.2, 2.0), alpha=rng.uniform(0.0, 0.5))
@@ -349,6 +349,14 @@ def rotation_toy():
                        jac=lambda v: B.copy(), name="rotation-toy")
 
 
+def fast_second_toy():
+    """d1 = 0 < d2 with B12 != 0: S_22 decays much faster than S_11 at high xi."""
+    B = np.array([[0.0, 1.0], [0.0, -0.5]])
+    return BlockSystem(n1=1, n2=1, d1=[0.0], d2=[1.0], A1=[[0.0]],
+                       f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
+                       jac=lambda v: B.copy(), name="fast-second-toy")
+
+
 class TestExactPropagator:
     """exact_propagator against per-mode scipy.linalg.expm(dt S(xi))."""
 
@@ -367,6 +375,19 @@ class TestExactPropagator:
         for k, x in enumerate(xi):
             expect = scipy.linalg.expm(dt * eval_symbol(sym, [x]))
             assert np.max(np.abs(E[k] - expect)) <= 1e-12
+
+    def test_faster_decaying_second_component_at_large_dt_xi2(self):
+        # dt (D_2 - D_1) |xi|^2 reaches 960: exp(dt S_22) underflows to 0 and
+        # exp(dt (S_11 - S_22)) would overflow, yet E_12 is finite
+        sym = SymbolMatrix.of(fast_second_toy(), d=1)
+        xi = np.linspace(-80.0, 80.0, 161)
+        dt = 0.15
+        E = propagator_matrices(sym, xi, dt)
+        assert np.all(np.isfinite(E))
+        for k, x in enumerate(xi):
+            expect = scipy.linalg.expm(dt * eval_symbol(sym, [x]))
+            assert np.max(np.abs(E[k] - expect)) <= 1e-12
+        assert abs(E[-1, 0, 1]) > 1e-5
 
     def test_skips_identically_zero_entries(self):
         # combustion: E_11, E_12, E_22 only; exo_endo at the cold state: diagonal only
