@@ -197,8 +197,17 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     model, alpha = _build_model(scenario)
     d = scenario.get("grid", "d", int, 1)
     m = scenario.get("spectrum", "m", int, 401 if d == 1 else 101)
+    if m < 3 or m % 2 == 0:
+        raise ConfigError(f"[spectrum] m must be an odd integer >= 3, got {m}")
     R_text = scenario.get("spectrum", "r", str, "auto")
-    R = None if str(R_text).strip().lower() == "auto" else float(R_text)
+    R = None
+    if R_text.strip().lower() != "auto":
+        try:
+            R = float(R_text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [spectrum] r: {R_text!r}") from exc
+        if not R > 0.0:
+            raise ConfigError(f"[spectrum] r must be positive, got {R}")
 
     sym_u = _spectral.SymbolMatrix.of(model, d=d)
     sym_w = _spectral.SymbolMatrix.of(model, d=d, alpha=alpha)
@@ -262,16 +271,16 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             raise ConfigError("shooting requires [model] epsilon = 0")
         c_min = scenario.get("front", "c_min", float, 0.05)
         c_max = scenario.get("front", "c_max", float, 2.0)
-        scan_points = scenario.get("front", "scan_points", int, 17)
         try:
-            params = ModelParams(epsilon=0.0, kappa=kappa, c=max(c_max, 1.0))
-            c_star, profile = _front.shoot_speed(params, (c_min, c_max), tol=tol,
-                                                 scan_points=scan_points)
+            c_star, profile = _front.shoot_speed(kappa, (c_min, c_max), tol=tol)
         except _front.ShootingError as exc:
             metrics = {"error": str(exc)}
             _write_summary(outdir, "summary.txt", scenario, metrics)
             return 1, metrics
-        _front.write_profile_csv(outdir / "profile.csv", profile)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _front.write_profile_csv(outdir / "profile.csv", profile.z, profile.states,
+                                 profile.k_values - c_star / kappa)
         metrics = {
             "c_star": c_star,
             "phi1_left_residual": profile.residual_left,
@@ -288,19 +297,16 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         c = scenario.get("model", "c", float, 1.0)
         dim = 4 if eps > 0.0 else 3
         s0 = scenario.get("front", "s0", "floats", (0.0, 1.0, 0.0, 0.0)[:dim])
-        z0, z1 = scenario.get("front", "span", "floats", (0.0, 10.0))
+        span = scenario.get("front", "span", "floats", (0.0, 10.0))
+        if len(span) != 2:
+            raise ConfigError(f"[front] span takes two values, got {len(span)}")
         try:
             params = ModelParams(epsilon=eps, kappa=kappa, c=c)
-            res = _front.integrate_orbit(params, np.asarray(s0), (z0, z1), tol=tol)
+            res = _front.integrate_orbit(params, np.asarray(s0), span, tol=tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        with open(outdir / "orbit.csv", "w", newline="") as fh:
-            fh.write("z,phi1,phi2,phi3,phi4,k_drift\n")
-            k0 = res.k_values[0]
-            for z, s, kv in zip(res.z, res.states, res.k_values):
-                p4 = s[3] if s.size == 4 else 0.0
-                row = [z, s[0], s[1], s[2], p4, kv - k0]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _front.write_profile_csv(outdir / "orbit.csv", res.z, res.states,
+                                 res.k_values - res.k_values[0])
         metrics = {"k_drift_max": res.k_drift, "steps": res.nsteps,
                    "samples": len(res.z)}
         _write_summary(outdir, "summary.txt", scenario, metrics)
@@ -402,9 +408,13 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         window = scenario.get("verify", "window", "floats")
         if len(window) != 2:
             raise ConfigError("[verify] window takes two times")
-    report = _norms.verify_stability_theorem(
-        result.series, eta=eta, delta=delta, nu_expected=nu_expected,
-        rho_expected=rho_expected, rate_floor=rate_floor, c1_cap=c1_cap, window=window)
+    try:
+        report = _norms.verify_stability_theorem(
+            result.series, eta=eta, delta=delta, nu_expected=nu_expected,
+            rho_expected=rho_expected, rate_floor=rate_floor, c1_cap=c1_cap, window=window)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; widen [verify] window or lower [time] "
+                          "record_every") from exc
     (outdir / "verdict.txt").write_text(report.to_text())
     metrics = {"overall_pass": report.overall,
                "boundary_warnings": len(result.warnings)}

@@ -17,9 +17,10 @@ For eps = 0 the phi4 equation degenerates and the reduced three-dimensional
 field uses phi2' = (kappa/c) phi2 g(phi1) instead.
 
 The connecting orbit is found for eps = 0 by shooting: start a distance
-delta along the leftward-unstable eigenvector of the unburned state,
+DELTA along the leftward-unstable eigenvector of the unburned state,
 integrate toward z = -infinity, and bisect the speed c on the dichotomy
 "temperature escapes upward" versus "temperature crashes through zero".
+The profile is the last escaping shot of the bisection, the one at c*.
 The conserved quantity forces the left temperature limit to 1/kappa.
 """
 
@@ -46,8 +47,9 @@ __all__ = [
     "write_profile_csv",
 ]
 
-BURNOUT_PHI2 = 1e-10
-BURNOUT_STEPS = 50
+SCAN_POINTS = 17        # speeds in the bracket scan
+DELTA = 1e-8            # offset of the shot start along the unstable direction
+ZETA_MAX = 5000.0       # leftward length of one shot
 
 
 class StepUnderflowError(RuntimeError):
@@ -113,15 +115,18 @@ def vector_field(params: ModelParams, s) -> np.ndarray:
     raise ValueError(f"state must have length 3 (eps = 0) or 4, got shape {s.shape}")
 
 
-def conserved_k(params: ModelParams, s) -> float:
+def conserved_k(params: ModelParams, s):
     """First integral phi3 + c phi1 + (eps/kappa) phi4 + (c/kappa) phi2.
 
-    Accepts the reduced 3-dimensional state (phi4 treated as 0).
+    s is one state or a stack of states along the last axis; a float is
+    returned for one state, an array for a stack.  Accepts the reduced
+    3-dimensional state (phi4 treated as 0).
     """
     s = np.asarray(s, dtype=float)
-    p4 = s[3] if s.shape[0] == 4 else 0.0
-    return float(s[2] + params.c * s[0] + params.epsilon / params.kappa * p4
-                 + params.c / params.kappa * s[1])
+    p4 = s[..., 3] if s.shape[-1] == 4 else 0.0
+    k = (s[..., 2] + params.c * s[..., 0] + params.epsilon / params.kappa * p4
+         + params.c / params.kappa * s[..., 1])
+    return float(k) if k.ndim == 0 else k
 
 
 def ode_jacobian(params: ModelParams, s) -> np.ndarray:
@@ -198,28 +203,25 @@ def _rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
           span: float,
           rtol: float,
           atol: float,
-          record: bool = True,
-          stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
-          h0: float = 1e-4,
-          max_step: float = np.inf):
+          stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None):
     """Embedded Dormand-Prince 5(4) integration over tau in [0, span].
 
     `stop(tau, s)` may return a reason string to terminate after an accepted
-    step.  Returns (tau array, state array, reason, nsteps); reason is "span"
-    when the full interval was covered.  Step-size underflow raises
-    StepUnderflowError with the failing location.
+    step.  Returns (tau array, state array, reason, nsteps) with every
+    accepted step recorded; reason is "span" when the full interval was
+    covered.  Step-size underflow raises StepUnderflowError with the failing
+    location.
     """
     s = np.asarray(s0, dtype=float).copy()
-    dim = s.size
     tau = 0.0
-    h = min(h0, span if span > 0 else h0, max_step)
+    h = min(1e-4, span)
     taus = [0.0]
-    states = [s.copy()]
+    states = [s]
     nsteps = 0
     reason = "span"
-    k = np.empty((7, dim))
+    k = np.empty((7, s.size))
     while tau < span:
-        h = min(h, span - tau, max_step)
+        h = min(h, span - tau)
         if h < 1e-14 * max(1.0, abs(tau)):
             raise StepUnderflowError(tau)
         k[0] = rhs(tau, s)
@@ -232,11 +234,10 @@ def _rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
         enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if enorm <= 1.0:
             tau += h
-            s = s5
+            s = s5  # a fresh array each step, so the recorded states never alias
             nsteps += 1
-            if record:
-                taus.append(tau)
-                states.append(s.copy())
+            taus.append(tau)
+            states.append(s)
             if stop is not None:
                 why = stop(tau, s)
                 if why is not None:
@@ -244,9 +245,6 @@ def _rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
                     break
         factor = 0.9 * enorm**-0.2 if enorm > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    if not record:
-        taus = [0.0, tau]
-        states = [np.asarray(s0, dtype=float), s]
     return np.asarray(taus), np.asarray(states), reason, nsteps
 
 
@@ -274,10 +272,9 @@ def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> Orbi
         taus, states, _reason, nsteps = _rk45(rhs, s0, span, rtol=tol, atol=tol)
     except StepUnderflowError as exc:
         raise StepUnderflowError(z0 + direction * exc.z) from None
-    z = z0 + direction * taus
-    kvals = np.array([conserved_k(params, s) for s in states])
+    kvals = conserved_k(params, states)
     return OrbitResult(
-        z=z,
+        z=z0 + direction * taus,
         states=states,
         k_values=kvals,
         k_drift=float(np.max(np.abs(kvals - kvals[0]))),
@@ -310,14 +307,15 @@ def _reduced_rhs_leftward(c: float, kappa: float):
     return rhs
 
 
-def _classify_shot(kappa: float, c: float, delta: float,
-                   rtol: float, atol: float, zeta_max: float):
-    """Integrate leftward from the offset start; return (sign, reason, state).
+def _shot(kappa: float, c: float, tol: float):
+    """One leftward shot from the offset start; return (sign, tau, states).
 
     sign +1: temperature escaped above 1.5/kappa (speed too large);
-    sign -1: temperature crashed below zero (speed too small).
+    sign -1: temperature crashed below zero (speed too small);
+    sign 0: neither within ZETA_MAX.  The trajectory is recorded at every
+    accepted step (relative tolerance tol, absolute tol * 1e-2).
     """
-    s0 = np.array([0.0, 1.0, 0.0]) + delta * _unstable_direction(c)
+    s0 = np.array([0.0, 1.0, 0.0]) + DELTA * _unstable_direction(c)
 
     def stop(_tau, s):
         if s[0] > 1.5 / kappa:
@@ -327,49 +325,34 @@ def _classify_shot(kappa: float, c: float, delta: float,
         return None
 
     try:
-        _taus, states, reason, _n = _rk45(_reduced_rhs_leftward(c, kappa), s0,
-                                          zeta_max, rtol=rtol, atol=atol,
-                                          record=False, stop=stop)
+        taus, states, reason, _n = _rk45(_reduced_rhs_leftward(c, kappa), s0, ZETA_MAX,
+                                         rtol=tol, atol=tol * 1e-2, stop=stop)
     except StepUnderflowError as exc:
         raise StepUnderflowError(-exc.z) from None  # zeta = -z
-    if reason == "up":
-        return 1, reason, states[-1]
-    if reason == "down":
-        return -1, reason, states[-1]
-    return 0, reason, states[-1]
+    return {"up": 1, "down": -1}.get(reason, 0), taus, states
 
 
-def shoot_speed(params: ModelParams, c_bracket, tol: float = 1e-12,
-                delta: float = 1e-8, scan_points: int = 17,
-                zeta_max: float = 5000.0) -> tuple[float, FrontProfile]:
+def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, FrontProfile]:
     """Find the front speed of the reduced eps = 0 system by bisection.
 
-    Scans `scan_points` speeds across c_bracket for a sign change of the
+    Scans SCAN_POINTS speeds across c_bracket for a sign change of the
     shooting functional (escape direction of the temperature), then bisects
-    to floating-point resolution.  The profile is the final leftward orbit,
-    terminated once phi2 stays below 1e-10 for 50 consecutive accepted
-    steps, trimmed at its closest approach to the burned state, and returned
-    with z ascending.  The first-integral identity k = c/kappa is the
-    convergence certificate.
+    to floating-point resolution.  The profile is the last escaping shot,
+    the one at c* = hi, trimmed at its closest approach to the burned state
+    and returned with z ascending.  The first-integral identity
+    k = c/kappa is the convergence certificate.
     """
-    if params.epsilon != 0.0:
-        raise ValueError("shooting requires eps = 0 (reduced system)")
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    kappa = params.kappa
     c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
     if not 0.0 < c_lo < c_hi:
         raise ValueError("c_bracket must satisfy 0 < c_lo < c_hi")
-    atol = tol * 1e-2
 
     # bracket scan: coarse signs only, so a loose tolerance suffices
-    scan_tol = max(tol, 1e-8)
-    grid = np.linspace(c_lo, c_hi, scan_points)
-    signs = []
-    for c in grid:
-        sgn, _reason, _s = _classify_shot(kappa, c, delta, scan_tol,
-                                          scan_tol * 1e-2, zeta_max)
-        signs.append(sgn)
+    grid = np.linspace(c_lo, c_hi, SCAN_POINTS)
+    signs = [_shot(kappa, c, max(tol, 1e-8))[0] for c in grid]
     pair = None
     for i in range(len(grid) - 1):
         if signs[i] == -1 and signs[i + 1] == +1:
@@ -383,55 +366,31 @@ def shoot_speed(params: ModelParams, c_bracket, tol: float = 1e-12,
         )
 
     lo, hi = pair
+    escaped = None  # (tau, states) of the shot at hi
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        sgn, _reason, _s = _classify_shot(kappa, mid, delta, tol, atol, zeta_max)
+        sgn, taus, states = _shot(kappa, mid, tol)
         iterations += 1
         if sgn >= 0:
-            hi = mid
+            hi, escaped = mid, (taus, states)
         else:
             lo = mid
     c_star = hi
+    if escaped is None:  # hi never moved: its scan shot ran at the loose tolerance
+        escaped = _shot(kappa, c_star, tol)[1:]
+    taus, states = escaped
 
-    # final orbit at c_star with full recording and burnout termination
-    s0 = np.array([0.0, 1.0, 0.0]) + delta * _unstable_direction(c_star)
-    rhs = _reduced_rhs_leftward(c_star, kappa)
-
-    burn_count = [0]
-
-    def stop(_tau, s):
-        if s[1] < BURNOUT_PHI2:
-            burn_count[0] += 1
-            if burn_count[0] >= BURNOUT_STEPS:
-                return "burnout"
-        else:
-            burn_count[0] = 0
-        if s[0] > 1.5 / kappa or s[0] < -1e-3 / kappa:
-            return "diverged"
-        return None
-
-    try:
-        taus, states, reason, _n = _rk45(rhs, s0, zeta_max, rtol=tol, atol=atol,
-                                         record=True, stop=stop)
-    except StepUnderflowError as exc:
-        raise StepUnderflowError(-exc.z) from None  # zeta = -z
     # trim at the closest approach to the burned equilibrium (1/kappa, 0, 0):
     # beyond it only the leftward-unstable drift remains
     target = np.array([1.0 / kappa, 0.0, 0.0])
-    dist = np.max(np.abs(states - target), axis=1)
-    cut = int(np.argmin(dist))
-    taus = taus[: cut + 1]
-    states = states[: cut + 1]
-
-    z = -taus[::-1]
-    st = states[::-1]
+    cut = int(np.argmin(np.max(np.abs(states - target), axis=1)))
+    z = -taus[cut::-1]
     full = np.zeros((len(z), 4))
-    full[:, :3] = st
-    kvals = st[:, 2] + c_star * st[:, 0] + (c_star / kappa) * st[:, 1]
-    phi2 = full[:, 1]
+    full[:, :3] = states[cut::-1]
+    kvals = conserved_k(ModelParams(epsilon=0.0, kappa=kappa, c=c_star), full)
     profile = FrontProfile(
         z=z,
         states=full,
@@ -442,17 +401,20 @@ def shoot_speed(params: ModelParams, c_bracket, tol: float = 1e-12,
         k_drift=float(np.max(np.abs(kvals - c_star / kappa))),
         residual_left=float(abs(full[0, 0] - 1.0 / kappa)),
         residual_right=float(np.max(np.abs(full[-1] - np.array([0.0, 1.0, 0.0, 0.0])))),
-        phi2_monotone=bool(np.all(np.diff(phi2) >= -1e-12)),
+        phi2_monotone=bool(np.all(np.diff(full[:, 1]) >= -1e-12)),
         bisection_iterations=iterations,
     )
     return c_star, profile
 
 
-def write_profile_csv(path, profile: FrontProfile) -> None:
-    """Profile CSV: z, phi1..phi4, and the signed drift of the first integral."""
-    k_ref = profile.c / profile.kappa
+def write_profile_csv(path, z, states, k_drift) -> None:
+    """Orbit or profile CSV: z, phi1..phi4, and the signed drift of the first integral.
+
+    states holds 3 (eps = 0, phi4 written as 0) or 4 columns; k_drift is the
+    first integral minus its reference value at each sample.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("z,phi1,phi2,phi3,phi4,k_drift\n")
-        for z, s, kv in zip(profile.z, profile.states, profile.k_values):
-            row = [z, s[0], s[1], s[2], s[3], kv - k_ref]
+        for zi, s, dk in zip(z, states, k_drift):
+            row = [zi, s[0], s[1], s[2], s[3] if s.size == 4 else 0.0, dk]
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -351,16 +351,16 @@ class RunResult:
 
 def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
         alpha: float, T: float, dt: float, record_every: int = 1,
-        nonlinear: bool = True, snapshot_every: Optional[int] = None) -> RunResult:
+        nonlinear: bool = True) -> RunResult:
     """Integrate to time T, recording the norm table every record_every steps.
 
     alpha is the exponent of the weight exp(alpha z) the norms are measured in.
 
     dt is adjusted (downward) to land on T exactly; output is deterministic
-    for fixed inputs.  Snapshots hold the initial and final states plus
-    every snapshot_every-th record when requested.  A boundary-contamination
-    warning is recorded (and issued once via warnings.warn) when the
-    weighted mass within 5% of the z boundary exceeds 1e-8 of the total.
+    for fixed inputs.  Snapshots hold the initial and final states.  A
+    boundary-contamination warning is recorded (and issued once via
+    warnings.warn) when the weighted mass within 5% of the z boundary
+    exceeds 1e-8 of the total.
     """
     if not T > 0.0 or not dt > 0.0:
         raise ValueError("T and dt must be positive")
@@ -375,7 +375,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     half = linear_propagator(model, grid, 0.5 * dt_eff)
     times = [state.t]
     records = [_norm_record(grid, state, alpha)]
-    snapshots = [state.copy()]
+    initial = state.copy()
     warnlog: list[str] = []
 
     def check_boundary(st: FieldState):
@@ -393,11 +393,8 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             times.append(state.t)
             records.append(_norm_record(grid, state, alpha))
             check_boundary(state)
-            if snapshot_every is not None and (step // record_every) % snapshot_every == 0:
-                snapshots.append(state.copy())
-    snapshots.append(state.copy())
     series = _norms.NormSeries.from_records(times, records)
-    return RunResult(series=series, snapshots=snapshots, warnings=warnlog,
+    return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
                      dt=dt_eff, nsteps=nsteps)
 
 

@@ -179,8 +179,7 @@ def test_criterion_5_theorem_experiment_2d():
 
 def test_criterion_6_front_structure():
     t0 = time.time()
-    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
-    c_star, profile = shoot_speed(p, (0.1, 2.0), tol=1e-12)
+    c_star, profile = shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
     assert profile.residual_left <= 1e-6
     assert profile.k_drift <= 1e-8
 

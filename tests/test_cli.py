@@ -129,7 +129,6 @@ class TestFrontCommand:
             mode = shoot
             c_min = 0.3
             c_max = 1.0
-            scan_points = 8
             tol = 1e-12
         """)
         out = tmp_path / "out"
@@ -154,7 +153,6 @@ class TestFrontCommand:
             mode = shoot
             c_min = 1.5
             c_max = 2.0
-            scan_points = 4
             tol = 1e-10
         """)
         out = tmp_path / "out"
@@ -265,6 +263,13 @@ class TestVerifyCommand:
         verdict = (out / "verdict.txt").read_text()
         assert "overall_pass: true" in verdict
         assert (out / "norms.csv").exists()
+
+    def test_too_few_fit_samples_exits_2(self, tmp_path, capsys):
+        # t = 2, dt = 0.05, record_every = 5: 8 samples in the default window
+        cfg = write_config(tmp_path, BASE_SIM)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "[verify] window" in err and "[time] record_every" in err
 
     def test_failing_rate_exits_1(self, tmp_path):
         # alpha tiny: expected weighted rate 0.24 demanded via explicit
@@ -437,6 +442,19 @@ class TestExitCodes:
     def test_unknown_command_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[model]\nkind = combustion\n")
         assert main(["explode", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, section, setting, named", [
+        ("spectrum", "spectrum", "m = 400", "[spectrum] m"),
+        ("spectrum", "spectrum", "r = abc", "[spectrum] r"),
+        ("spectrum", "spectrum", "r = -1", "[spectrum] r"),
+        ("front", "front", "mode = orbit\nspan = 0, 1, 2", "[front] span"),
+        ("front", "front", "c_min = 2\nc_max = 1", "c_bracket"),
+    ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed"])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
+        cfg = write_config(tmp_path, f"[model]\nkind = combustion\n\n[{section}]\n{setting}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "frontlab: config error" in err and named in err
 
 
 class TestShippedScenarios:

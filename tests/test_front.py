@@ -3,6 +3,7 @@ import pytest
 
 from frontlab.front import (
     ShootingError,
+    _shot,
     conserved_k,
     integrate_orbit,
     ode_jacobian,
@@ -56,6 +57,14 @@ class TestConservedQuantity:
         p = params(eps=0.5, kappa=1.0, c=1.0)
         val = conserved_k(p, np.array([0.3, 0.2, 0.1, 0.4]))
         assert val == pytest.approx(0.1 + 0.3 + 0.2 + 0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("eps, dim", [(0.3, 4), (0.0, 3)])
+    def test_stack_matches_per_state_values(self, eps, dim):
+        p = params(eps=eps, kappa=1.7, c=0.8)
+        stack = np.random.default_rng(2).normal(size=(200, dim))
+        per_state = [conserved_k(p, s) for s in stack]
+        assert all(isinstance(k, float) for k in per_state)
+        assert conserved_k(p, stack).tobytes() == np.array(per_state).tobytes()
 
     def test_gradient_orthogonal_to_field(self):
         # d/dz k(s(z)) = grad k . F(s) = 0: the defining property
@@ -141,8 +150,7 @@ class TestLinearizationConsistency:
 
 @pytest.fixture(scope="module")
 def shot_kappa1():
-    p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
-    return shoot_speed(p, (0.1, 2.0), tol=1e-12)
+    return shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
 
 
 class TestShooting:
@@ -167,27 +175,43 @@ class TestShooting:
         assert isinstance(profile.phi2_monotone, bool)
 
     def test_bracket_endpoints_have_opposite_signs(self, shot_kappa1):
-        from frontlab.front import _classify_shot
-
-        lo_sign, _, _ = _classify_shot(1.0, 0.1, 1e-8, 1e-10, 1e-12, 5000.0)
-        hi_sign, _, _ = _classify_shot(1.0, 2.0, 1e-8, 1e-10, 1e-12, 5000.0)
+        lo_sign, _, _ = _shot(1.0, 0.1, 1e-10)
+        hi_sign, _, _ = _shot(1.0, 2.0, 1e-10)
         assert lo_sign == -1 and hi_sign == +1
 
-    def test_no_sign_change_reported(self):
-        p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
-        with pytest.raises(ShootingError):
-            shoot_speed(p, (1.5, 2.0), tol=1e-10, scan_points=5)
+    def test_speed_sits_on_the_shooting_boundary(self, shot_kappa1):
+        c_star, _ = shot_kappa1
+        assert _shot(1.0, c_star * (1 - 1e-6), 1e-12)[0] == -1
+        assert _shot(1.0, c_star * (1 + 1e-6), 1e-12)[0] == +1
 
-    def test_rejects_positive_eps(self):
-        with pytest.raises(ValueError):
-            shoot_speed(params(eps=0.5), (0.1, 2.0))
+    def test_profile_is_the_shot_at_c_star(self, shot_kappa1):
+        c_star, profile = shot_kappa1
+        sign, taus, states = _shot(1.0, c_star, 1e-12)
+        n = len(profile.z)
+        assert sign == +1
+        assert np.array_equal(profile.z, -taus[n - 1::-1])
+        assert np.array_equal(profile.states[:, :3], states[n - 1::-1])
+
+    def test_no_sign_change_reported(self):
+        with pytest.raises(ShootingError):
+            shoot_speed(1.0, (1.5, 2.0), tol=1e-10)
+
+    def test_rejects_nonpositive_kappa(self):
+        for kappa in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="kappa"):
+                shoot_speed(kappa, (0.1, 2.0))
 
     def test_profile_csv(self, shot_kappa1, tmp_path):
         _, profile = shot_kappa1
         path = tmp_path / "profile.csv"
-        write_profile_csv(path, profile)
+        drift = profile.k_values - profile.c / profile.kappa
+        write_profile_csv(path, profile.z, profile.states, drift)
         lines = path.read_text().splitlines()
         assert lines[0] == "z,phi1,phi2,phi3,phi4,k_drift"
         assert len(lines) == 1 + len(profile.z)
         # phi4 column zero-filled for eps = 0
         assert all(float(ln.split(",")[4]) == 0.0 for ln in lines[1:])
+        # a reduced 3-column state stack writes the same zero-filled rows
+        reduced = tmp_path / "reduced.csv"
+        write_profile_csv(reduced, profile.z, profile.states[:, :3], drift)
+        assert reduced.read_bytes() == path.read_bytes()

@@ -382,6 +382,7 @@ class TestRun:
         g = Grid(L=10.0, N=64)
         res = run(params(), g, Perturbation(eta=1e-3, widths=(1.0,), mask=(0, 1)), ALPHA,
                   T=1.0, dt=0.1)
+        assert len(res.snapshots) == 2
         assert res.snapshots[0].t == 0.0
         assert res.snapshots[-1].t == pytest.approx(1.0)
 
