@@ -274,13 +274,15 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         try:
             c_star, profile = _front.shoot_speed(kappa, (c_min, c_max), tol=tol)
         except _front.ShootingError as exc:
-            metrics = {"error": str(exc)}
+            _front.write_shots_csv(outdir / "shots.csv", exc.shots)
+            metrics = {"error": str(exc), "shots": len(exc.shots)}
             _write_summary(outdir, "summary.txt", scenario, metrics)
             return 1, metrics
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         _front.write_profile_csv(outdir / "profile.csv", profile.z, profile.states,
                                  profile.k_values - c_star / kappa)
+        _front.write_shots_csv(outdir / "shots.csv", profile.shots)
         metrics = {
             "c_star": c_star,
             "phi1_left_residual": profile.residual_left,
@@ -288,6 +290,7 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             "k_drift_max": profile.k_drift,
             "phi2_monotone": profile.phi2_monotone,
             "bisection_iterations": profile.bisection_iterations,
+            "shots": len(profile.shots),
             "samples": len(profile.z),
         }
         _write_summary(outdir, "summary.txt", scenario, metrics)

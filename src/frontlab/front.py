@@ -26,8 +26,9 @@ The conserved quantity forces the left temperature limit to 1/kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .model import ModelParams, eval_g, eval_g_prime
 __all__ = [
     "FrontProfile",
     "OrbitResult",
+    "ShotRecord",
     "ShootingError",
     "StepUnderflowError",
     "vector_field",
@@ -45,6 +47,7 @@ __all__ = [
     "integrate_orbit",
     "shoot_speed",
     "write_profile_csv",
+    "write_shots_csv",
 ]
 
 SCAN_POINTS = 17        # speeds in the bracket scan
@@ -60,8 +63,25 @@ class StepUnderflowError(RuntimeError):
         self.z = z
 
 
+class ShotRecord(NamedTuple):
+    """One shot of shoot_speed, in the order the shots were taken."""
+
+    c: float
+    tol: float               # relative tolerance of the shot
+    sign: int                # +1 escaped up, -1 crashed down, 0 neither
+    reason: str              # stop reason: "up", "down" or "span"
+    steps: int               # accepted integration steps
+
+
 class ShootingError(RuntimeError):
-    """No sign change of the shooting functional inside the speed bracket."""
+    """No sign change of the shooting functional inside the speed bracket.
+
+    `shots` holds the ShotRecord of every shot taken before giving up.
+    """
+
+    def __init__(self, message: str, shots: list):
+        super().__init__(message)
+        self.shots = shots
 
 
 @dataclass
@@ -90,6 +110,7 @@ class FrontProfile:
     residual_right: float    # distance of the right end from (0, 1, 0, 0)
     phi2_monotone: bool      # diagnostic only, never a hard invariant
     bisection_iterations: int = 0
+    shots: list = field(default_factory=list)   # ShotRecord of every shot taken
 
 
 def vector_field(params: ModelParams, s) -> np.ndarray:
@@ -181,71 +202,118 @@ def spatial_eigenvalues(params: ModelParams, which: str = "minus") -> np.ndarray
     return np.sort_complex(np.asarray(roots, dtype=complex))
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    np.array(()),
-    np.array((1 / 5,)),
-    np.array((3 / 40, 9 / 40)),
-    np.array((44 / 45, -56 / 15, 32 / 9)),
-    np.array((19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
-    np.array((9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
-)
-_DP_C = tuple(float(row.sum()) for row in _DP_A)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980).  The fifth-order weights are the last row of A, so the seventh stage
+# is the field at the accepted state: the next step's first stage (FSAL).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# error weights: fifth- minus fourth-order weights
+_E1 = _B1 - 5179 / 57600
+_E3 = _B3 - 7571 / 16695
+_E4 = _B4 - 393 / 640
+_E5 = _B5 + 92097 / 339200
+_E6 = _B6 - 187 / 2100
+_E7 = -1 / 40
 
 
-def _rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
-          s0: np.ndarray,
+def _rk45(rhs: Callable[[Sequence[float]], Sequence[float]],
+          s0: Sequence[float],
           span: float,
           rtol: float,
           atol: float,
-          stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None):
+          stop: Optional[Callable[[Sequence[float]], Optional[str]]] = None):
     """Embedded Dormand-Prince 5(4) integration over tau in [0, span].
 
-    `stop(tau, s)` may return a reason string to terminate after an accepted
-    step.  Returns (tau array, state array, reason, nsteps) with every
-    accepted step recorded; reason is "span" when the full interval was
-    covered.  Step-size underflow raises StepUnderflowError with the failing
-    location.
+    Runs on lists of Python floats: the state and the autonomous field
+    rhs(s) have any fixed length, and each stage is written out with the
+    tableau constants.  `stop(s)` may return a reason string to terminate
+    after an accepted step.  Returns (tau array, state array, reason,
+    nsteps) with every accepted step recorded; reason is "span" when the
+    full interval was covered.  A step whose error norm is not finite is
+    rejected like any other, so a NaN field ends in StepUnderflowError,
+    which carries the failing location.
     """
-    s = np.asarray(s0, dtype=float).copy()
+    s = [float(x) for x in s0]
+    n = len(s)
     tau = 0.0
     h = min(1e-4, span)
     taus = [0.0]
     states = [s]
     nsteps = 0
     reason = "span"
-    k = np.empty((7, s.size))
+    k1 = rhs(s)
     while tau < span:
         h = min(h, span - tau)
         if h < 1e-14 * max(1.0, abs(tau)):
             raise StepUnderflowError(tau)
-        k[0] = rhs(tau, s)
-        for i in range(1, 7):
-            incr = _DP_A[i] @ k[:i]
-            k[i] = rhs(tau + h * _DP_C[i], s + h * incr)
-        s5 = s + h * (_DP_B5 @ k)
-        err = h * (_DP_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(s), np.abs(s5))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        k2 = rhs([y + h * (_A21 * a) for y, a in zip(s, k1)])
+        k3 = rhs([y + h * (_A31 * a + _A32 * b) for y, a, b in zip(s, k1, k2)])
+        k4 = rhs([y + h * (_A41 * a + _A42 * b + _A43 * c)
+                  for y, a, b, c in zip(s, k1, k2, k3)])
+        k5 = rhs([y + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                  for y, a, b, c, d in zip(s, k1, k2, k3, k4)])
+        k6 = rhs([y + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                  for y, a, b, c, d, e in zip(s, k1, k2, k3, k4, k5)])
+        s5 = [y + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+              for y, a, c, d, e, f in zip(s, k1, k3, k4, k5, k6)]
+        k7 = rhs(s5)
+        sq = 0.0
+        for y, z, a, c, d, e, f, g in zip(s, s5, k1, k3, k4, k5, k6, k7):
+            err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+            sq += (err / (atol + rtol * max(abs(y), abs(z)))) ** 2
+        enorm = math.sqrt(sq / n)
         if enorm <= 1.0:
             tau += h
-            s = s5  # a fresh array each step, so the recorded states never alias
+            s, k1 = s5, k7  # a fresh list each step, so the recorded states never alias
             nsteps += 1
             taus.append(tau)
             states.append(s)
             if stop is not None:
-                why = stop(tau, s)
+                why = stop(s)
                 if why is not None:
                     reason = why
                     break
-        factor = 0.9 * enorm**-0.2 if enorm > 0.0 else 5.0
+        if enorm > 0.0:
+            factor = 0.9 * enorm**-0.2
+        else:  # zero error grows the step, a NaN norm shrinks it
+            factor = 5.0 if enorm == 0.0 else 0.2
         h *= min(5.0, max(0.2, factor))
     return np.asarray(taus), np.asarray(states), reason, nsteps
+
+
+def _float_field(c: float, kappa: float, eps: float, direction: float):
+    """direction * vector_field as a function of a list of Python floats.
+
+    Three-dimensional for eps = 0, four-dimensional otherwise.  The ignition
+    rate is math.exp(-1/phi1) for phi1 > 0 and 0 otherwise, the cutoff of
+    model.eval_g; math.exp may round the last bit differently from numpy's
+    exp, and the rest of the arithmetic is vector_field's.
+    """
+    # numpy scalars (the bisection's speeds) would slow every operation
+    c, kappa, eps, d = float(c), float(kappa), float(eps), float(direction)
+    nd = -d
+    exp = math.exp
+    if eps == 0.0:
+        q = d * (kappa / c)
+
+        def reduced(s):
+            p1, p2, p3 = s
+            r = p2 * (exp(-1.0 / p1) if p1 > 0.0 else 0.0)
+            return (d * p3, q * r, nd * (c * p3 + r))
+
+        return reduced
+
+    def full(s):
+        p1, p2, p3, p4 = s
+        r = p2 * (exp(-1.0 / p1) if p1 > 0.0 else 0.0)
+        return (d * p3, d * p4, nd * (c * p3 + r), nd * (c * p4 - kappa * r) / eps)
+
+    return full
 
 
 def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> OrbitResult:
@@ -253,7 +321,8 @@ def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> Orbi
 
     Adaptive RK45 with absolute and relative tolerance tol; the reported
     k_drift is the max deviation of the first integral from its initial
-    value, expected below 10 * tol * |span| for eps > 0.
+    value, expected below 10 * tol * |span| for eps > 0.  s0 and z_span
+    must be finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -261,13 +330,14 @@ def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> Orbi
     dim = 4 if params.epsilon > 0.0 else 3
     if s0.shape != (dim,):
         raise ValueError(f"state must have length {dim} for eps = {params.epsilon}")
+    if not np.all(np.isfinite(s0)):
+        raise ValueError(f"s0 must be finite, got {s0.tolist()}")
     z0, z1 = float(z_span[0]), float(z_span[1])
+    if not (math.isfinite(z0) and math.isfinite(z1)):
+        raise ValueError(f"z_span must be finite, got ({z0}, {z1})")
     direction = 1.0 if z1 >= z0 else -1.0
     span = abs(z1 - z0)
-
-    def rhs(_tau, s):
-        return direction * vector_field(params, s)
-
+    rhs = _float_field(params.c, params.kappa, params.epsilon, direction)
     try:
         taus, states, _reason, nsteps = _rk45(rhs, s0, span, rtol=tol, atol=tol)
     except StepUnderflowError as exc:
@@ -296,17 +366,6 @@ def _unstable_direction(c: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _reduced_rhs_leftward(c: float, kappa: float):
-    """Leftward (zeta = -z) right-hand side of the reduced eps = 0 field."""
-
-    def rhs(_tau, s):
-        p1, p2, p3 = s
-        r = p2 * eval_g(p1)
-        return np.array([-p3, -(kappa / c) * r, c * p3 + r])
-
-    return rhs
-
-
 def _shot(kappa: float, c: float, tol: float):
     """One leftward shot from the offset start; return (sign, tau, states).
 
@@ -316,16 +375,17 @@ def _shot(kappa: float, c: float, tol: float):
     accepted step (relative tolerance tol, absolute tol * 1e-2).
     """
     s0 = np.array([0.0, 1.0, 0.0]) + DELTA * _unstable_direction(c)
+    up, down = 1.5 / kappa, -1e-6 / kappa
 
-    def stop(_tau, s):
-        if s[0] > 1.5 / kappa:
+    def stop(s):
+        if s[0] > up:
             return "up"
-        if s[0] < -1e-6 / kappa:
+        if s[0] < down:
             return "down"
         return None
 
     try:
-        taus, states, reason, _n = _rk45(_reduced_rhs_leftward(c, kappa), s0, ZETA_MAX,
+        taus, states, reason, _n = _rk45(_float_field(c, kappa, 0.0, -1.0), s0, ZETA_MAX,
                                          rtol=tol, atol=tol * 1e-2, stop=stop)
     except StepUnderflowError as exc:
         raise StepUnderflowError(-exc.z) from None  # zeta = -z
@@ -340,7 +400,8 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
     to floating-point resolution.  The profile is the last escaping shot,
     the one at c* = hi, trimmed at its closest approach to the burned state
     and returned with z ascending.  The first-integral identity
-    k = c/kappa is the convergence certificate.
+    k = c/kappa is the convergence certificate.  Every shot is recorded in
+    profile.shots (or in the ShootingError's shots).
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -350,9 +411,17 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
     if not 0.0 < c_lo < c_hi:
         raise ValueError("c_bracket must satisfy 0 < c_lo < c_hi")
 
+    shots = []
+
+    def shoot(c, shot_tol):
+        sign, taus, states = _shot(kappa, c, shot_tol)
+        shots.append(ShotRecord(float(c), shot_tol, sign,
+                                {1: "up", -1: "down"}.get(sign, "span"), len(taus) - 1))
+        return sign, taus, states
+
     # bracket scan: coarse signs only, so a loose tolerance suffices
     grid = np.linspace(c_lo, c_hi, SCAN_POINTS)
-    signs = [_shot(kappa, c, max(tol, 1e-8))[0] for c in grid]
+    signs = [shoot(c, max(tol, 1e-8))[0] for c in grid]
     pair = None
     for i in range(len(grid) - 1):
         if signs[i] == -1 and signs[i + 1] == +1:
@@ -362,7 +431,8 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
         raise ShootingError(
             "no sign change of the shooting functional in the bracket "
             f"[{c_lo}, {c_hi}]: endpoint signs {signs[0]} and {signs[-1]} "
-            f"(grid signs {signs})"
+            f"(grid signs {signs})",
+            shots,
         )
 
     lo, hi = pair
@@ -372,7 +442,7 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        sgn, taus, states = _shot(kappa, mid, tol)
+        sgn, taus, states = shoot(mid, tol)
         iterations += 1
         if sgn >= 0:
             hi, escaped = mid, (taus, states)
@@ -380,7 +450,7 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
             lo = mid
     c_star = hi
     if escaped is None:  # hi never moved: its scan shot ran at the loose tolerance
-        escaped = _shot(kappa, c_star, tol)[1:]
+        escaped = shoot(c_star, tol)[1:]
     taus, states = escaped
 
     # trim at the closest approach to the burned equilibrium (1/kappa, 0, 0):
@@ -403,6 +473,7 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
         residual_right=float(np.max(np.abs(full[-1] - np.array([0.0, 1.0, 0.0, 0.0])))),
         phi2_monotone=bool(np.all(np.diff(full[:, 1]) >= -1e-12)),
         bisection_iterations=iterations,
+        shots=shots,
     )
     return c_star, profile
 
@@ -418,3 +489,11 @@ def write_profile_csv(path, z, states, k_drift) -> None:
         for zi, s, dk in zip(z, states, k_drift):
             row = [zi, s[0], s[1], s[2], s[3] if s.size == 4 else 0.0, dk]
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def write_shots_csv(path, shots) -> None:
+    """One row per ShotRecord: c, tol, sign, reason, steps."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(ShotRecord._fields) + "\n")
+        for shot in shots:
+            fh.write(f"{shot.c:.17g},{shot.tol:.17g},{shot.sign},{shot.reason},{shot.steps}\n")

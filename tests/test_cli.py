@@ -1,4 +1,5 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,25 @@ class TestFrontCommand:
         out = tmp_path / "out"
         assert main(["front", "--config", cfg, "--out", str(out)]) == 1
         assert "error" in (out / "summary.txt").read_text()
+        # the failed scan's shots are on disk: all 17 escape upward
+        rows = (out / "shots.csv").read_text().splitlines()[1:]
+        assert len(rows) == 17 and all(r.split(",")[3] == "up" for r in rows)
+
+    def test_shots_csv_records_every_shot(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "scenarios" / "front_shoot.ini"
+        out = tmp_path / "out"
+        assert main(["front", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = dict(ln.split(": ", 1)
+                       for ln in (out / "summary.txt").read_text().splitlines())
+        lines = (out / "shots.csv").read_text().splitlines()
+        assert lines[0] == "c,tol,sign,reason,steps"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert len(rows) == 17 + int(summary["bisection_iterations"]) == int(summary["shots"])
+        assert [float(r[1]) for r in rows[:17]] == [1e-8] * 17
+        assert all(float(r[1]) == 1e-12 for r in rows[17:])
+        assert all(int(r[4]) > 0 for r in rows)
+        last_escape = [r for r in rows if int(r[2]) >= 0][-1]
+        assert float(last_escape[0]) == float(summary["c_star"])
 
     def test_orbit_conservation(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -449,7 +469,11 @@ class TestExitCodes:
         ("spectrum", "spectrum", "r = -1", "[spectrum] r"),
         ("front", "front", "mode = orbit\nspan = 0, 1, 2", "[front] span"),
         ("front", "front", "c_min = 2\nc_max = 1", "c_bracket"),
-    ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed"])
+        ("front", "front", "mode = orbit\ns0 = nan, 0.9, 0.0", "s0"),
+        ("front", "front", "mode = orbit\nspan = 0, nan", "span"),
+        ("front", "front", "mode = orbit\nspan = 0, inf", "span"),
+    ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
+            "s0_nan", "span_nan", "span_inf"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         cfg = write_config(tmp_path, f"[model]\nkind = combustion\n\n[{section}]\n{setting}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -3,6 +3,9 @@ import pytest
 
 from frontlab.front import (
     ShootingError,
+    StepUnderflowError,
+    _float_field,
+    _rk45,
     _shot,
     conserved_k,
     integrate_orbit,
@@ -12,7 +15,7 @@ from frontlab.front import (
     vector_field,
     write_profile_csv,
 )
-from frontlab.model import ModelParams
+from frontlab.model import ModelParams, eval_g
 
 
 def params(eps=0.5, kappa=1.0, c=1.0):
@@ -45,6 +48,35 @@ class TestVectorField:
         p = ModelParams(epsilon=0.0, kappa=1.0, c=1.0)
         with pytest.raises(ValueError):
             vector_field(p, np.zeros(4))
+
+
+class TestFloatField:
+    @pytest.mark.parametrize("eps, dim", [(0.0, 3), (0.3, 4)])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_matches_vector_field(self, eps, dim, direction):
+        # the integrators' float field against the numpy reference.  math.exp
+        # and numpy's exp may round g one ulp apart; with the at most four
+        # roundings after it, a component moves by at most 5 ulp of the sum
+        # of its terms' sizes.  Where g is cut off both agree bit for bit.
+        p = params(eps=eps, kappa=1.7, c=0.8)
+        rng = np.random.default_rng(11)
+        states = rng.normal(size=(2000, dim))
+        states[:50, 0] = -np.abs(states[:50, 0])
+        states[50:60, 0] = 0.0
+        states[60:110, 0] = rng.uniform(1e-3, 1e-1, 50)
+        states[110:120, 0] = np.nextafter(0.0, 1.0) * np.arange(1, 11)
+        field = _float_field(p.c, p.kappa, p.epsilon, direction)
+        for s in states:
+            got = np.array(field(s.tolist()))
+            with np.errstate(over="ignore"):  # -1/phi1 overflows for subnormal phi1
+                ref = direction * vector_field(p, s)
+                r = abs(s[1]) * eval_g(s[0])
+            terms = ([abs(s[2]), abs(s[3]), p.c * abs(s[2]) + r,
+                      (p.c * abs(s[3]) + p.kappa * r) / eps] if dim == 4
+                     else [abs(s[2]), p.kappa / p.c * r, p.c * abs(s[2]) + r])
+            assert np.all(np.abs(got - ref) <= 5 * np.finfo(float).eps * np.array(terms))
+            if s[0] <= 0.0:
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestConservedQuantity:
@@ -112,6 +144,22 @@ class TestOrbitIntegration:
             errs.append(np.max(np.abs(end - ref)))
         assert errs[1] <= errs[0] / 10.0
         assert errs[2] <= errs[1] / 10.0
+
+    @pytest.mark.parametrize("s0, span", [
+        ((np.nan, 0.9, 0.0, 0.05), (0.0, 8.0)),
+        ((0.1, 0.9, np.inf, 0.05), (0.0, 8.0)),
+        ((0.1, 0.9, 0.0, 0.05), (0.0, np.nan)),
+        ((0.1, 0.9, 0.0, 0.05), (0.0, np.inf)),
+        ((0.1, 0.9, 0.0, 0.05), (-np.inf, 0.0)),
+    ], ids=["s0_nan", "s0_inf", "span_nan", "span_inf", "span_minus_inf"])
+    def test_rejects_non_finite_input(self, s0, span):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_orbit(params(), np.array(s0), span)
+
+    def test_nan_error_norm_ends_in_step_underflow(self):
+        # a NaN field gives a NaN error norm: the step is rejected and shrinks
+        with pytest.raises(StepUnderflowError):
+            _rk45(lambda s: [np.nan] * len(s), [0.1, 0.9, 0.0], 1.0, rtol=1e-8, atol=1e-8)
 
     def test_dimension_validation(self):
         p = params()  # eps > 0 wants 4 components
