@@ -322,9 +322,9 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState,
                     grid: _sim.Grid, model_desc: dict) -> None:
     for comp in range(state.data.shape[0]):
         path = outdir / f"snapshot_{tag}_c{comp}.csv"
+        values = state.data[comp].ravel().tolist()
         with open(path, "w", newline="") as fh:
-            for val in state.data[comp].ravel():
-                fh.write(f"{val:.17g}\n")
+            fh.write("\n".join(map("{:.17g}".format, values)) + "\n")
     meta = {
         "t": state.t,
         "components": int(state.data.shape[0]),
@@ -360,7 +360,7 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     model, alpha = _build_model(scenario)
     try:
         result = _run_simulation(scenario, outdir, model, alpha)
-    except _sim.SimulationBlowupError as exc:
+    except _sim.SimulationError as exc:
         metrics = {"error": str(exc)}
         _write_summary(outdir, "summary.txt", scenario, metrics)
         return 1, metrics
@@ -398,7 +398,7 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     nu_expected, rho_expected = _expected_rates(model, alpha)
     try:
         result = _run_simulation(scenario, outdir, model, alpha)
-    except _sim.SimulationBlowupError as exc:
+    except _sim.SimulationError as exc:
         metrics = {"error": str(exc), "overall_pass": False}
         _write_summary(outdir, "summary.txt", scenario, metrics)
         return 1, metrics

@@ -208,7 +208,8 @@ def eval_g(u1):
     u = np.asarray(u1, dtype=float)
     out = np.zeros_like(u)
     pos = u > 0.0
-    np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
+    with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
+        np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
     if np.ndim(u1) == 0:
         return float(out)
     return out
@@ -219,8 +220,10 @@ def eval_g_prime(u1):
     u = np.asarray(u1, dtype=float)
     out = np.zeros_like(u)
     pos = u > 0.0
-    np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
-    np.divide(out, u * u, out=out, where=pos)
+    with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
+        np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
+    # where exp(-1/u) is 0, u * u may underflow to 0 as well: skip 0 / 0
+    np.divide(out, u * u, out=out, where=out > 0.0)
     if np.ndim(u1) == 0:
         return float(out)
     return out

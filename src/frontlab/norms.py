@@ -49,17 +49,19 @@ def _component_view(data: np.ndarray, grid) -> np.ndarray:
 def _gradient_sq_sum(grid, comps: np.ndarray) -> float:
     """Sum of squared spectral derivatives over all axes and components."""
     d = len(grid.shape)
-    axes = tuple(range(1, d + 1))
-    vh = np.fft.fftn(comps, axes=axes)
+    vh = np.fft.rfftn(comps, axes=tuple(range(1, d + 1)))
+    # discrete Parseval on the half spectrum: sum |dv|^2 = sum w |dvh|^2 / npoints,
+    # w = 2 on the halved axis except its DC and Nyquist bins, which have no mirror
+    weight = np.full(vh.shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    power = (vh.real**2 + vh.imag**2) * weight
     npoints = float(np.prod(grid.shape))
     total = 0.0
     for ax in range(d):
-        xi = grid.xi(ax)
+        xi = grid.rxi(ax)
         shape = [1] * (d + 1)
         shape[ax + 1] = xi.size
-        dvh = 1j * xi.reshape(shape) * vh
-        # discrete Parseval: sum |dv|^2 = sum |dvh|^2 / npoints
-        total += float(np.sum(np.abs(dvh) ** 2)) / npoints
+        total += float(np.sum(xi.reshape(shape) ** 2 * power)) / npoints
     return total
 
 

@@ -6,14 +6,21 @@ first, and the linear part of
     v_t = D lap(v) + c dz(v) + B v + H(v)
 
 is advanced exactly per discrete Fourier mode with
-:func:`frontlab.spectral.exact_propagator`, built once per run.  The model
-is a ModelParams or a BlockSystem; both supply the same interface.  The
-nonlinearity is applied pointwise in physical space with an
-explicit midpoint stage, composed in Strang order
+:func:`frontlab.spectral.exact_propagator`, built once per run on the half
+spectrum of the real transform (``rfftn`` over the grid axes, the last axis
+halved).  The model is a ModelParams or a BlockSystem; both supply the same
+interface.  The nonlinearity N is applied pointwise in physical space with
+an explicit midpoint stage, composed in Strang order
 
-    half linear  ->  full nonlinear  ->  half linear,
+    L(h) N(dt) L(h),   h = dt / 2,
 
 which is second order in dt and preserves the zero steady state exactly.
+Between two records the adjacent half-steps meet in Fourier space,
+
+    L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
+
+so each step costs one rfftn/irfftn round trip, and a linear run
+(nonlinear=False) stays in Fourier space from one record to the next.
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -39,6 +46,7 @@ __all__ = [
     "FieldState",
     "Perturbation",
     "RunResult",
+    "SimulationError",
     "SimulationBlowupError",
     "build_perturbation",
     "linear_propagator",
@@ -53,7 +61,11 @@ BOUNDARY_BAND_FRACTION = 0.05
 BOUNDARY_MASS_LIMIT = 1e-8
 
 
-class SimulationBlowupError(RuntimeError):
+class SimulationError(RuntimeError):
+    """A guard tripped mid-run, after the initial field passed every check."""
+
+
+class SimulationBlowupError(SimulationError):
     """NaN/Inf appeared in the evolving field; carries the offending time."""
 
     def __init__(self, t: float):
@@ -105,6 +117,12 @@ class Grid:
 
     def xi(self, axis: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.N[axis], d=self.h(axis))
+
+    def rxi(self, axis: int) -> np.ndarray:
+        """Angular frequencies of axis in the rfftn layout: the last axis is halved."""
+        if axis == self.d - 1:
+            return 2.0 * np.pi * np.fft.rfftfreq(self.N[axis], d=self.h(axis))
+        return self.xi(axis)
 
 
 @dataclass
@@ -222,25 +240,28 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
 
 
 def _frequency_grids(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(|xi|^2, xi_1) broadcast to the grid shape."""
-    xi_axes = [grid.xi(ax) for ax in range(grid.d)]
-    xi2 = np.zeros(grid.shape)
+    """(|xi|^2, xi_1) broadcast to the half-spectrum shape of rfftn."""
+    xi_axes = [grid.rxi(ax) for ax in range(grid.d)]
+    spectrum_shape = tuple(xi.size for xi in xi_axes)
+    xi2 = np.zeros(spectrum_shape)
     for ax, xi in enumerate(xi_axes):
         shape = [1] * grid.d
         shape[ax] = xi.size
         xi2 = xi2 + (xi.reshape(shape)) ** 2
     shape = [1] * grid.d
     shape[0] = xi_axes[0].size
-    xi1 = np.broadcast_to(xi_axes[0].reshape(shape), grid.shape)
+    xi1 = np.broadcast_to(xi_axes[0].reshape(shape), spectrum_shape)
     return xi2, xi1
 
 
 def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
-    """exp(dt S(xi)) of the unweighted symbol on every mode of the grid.
+    """exp(dt S(xi)) of the unweighted symbol on every mode of the half spectrum.
 
     The z-axis Nyquist plane is its own mirror mode, so the advection phase
     would break the conjugate symmetry real fields need; it is projected to
-    zero (its content is below rounding for resolved fields).
+    zero (its content is below rounding for resolved fields).  Its index
+    N_z / 2 is the same in 1D, where z is the halved axis, and in 2D, where
+    z is the full first axis.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -252,6 +273,16 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     return prop
 
 
+def _propagate(prop: Propagator, vh: np.ndarray) -> np.ndarray:
+    """prop applied to the half spectrum vh of shape (ncomp, *spectrum shape)."""
+    out = np.empty_like(vh)
+    for i, ((j, e), *rest) in enumerate(prop.rows):
+        np.multiply(e, vh[j], out=out[i])
+        for j, e in rest:
+            out[i] += e * vh[j]
+    return out
+
+
 def apply_linear_exact(grid: Grid, state: FieldState, prop: Propagator) -> FieldState:
     """Advance the linear flow exactly by prop.dt, mode by mode.
 
@@ -260,13 +291,8 @@ def apply_linear_exact(grid: Grid, state: FieldState, prop: Propagator) -> Field
     out to keep the map real and a semigroup.
     """
     axes = tuple(range(1, grid.d + 1))
-    vh = np.fft.fftn(state.data, axes=axes)
-    out = np.empty_like(vh)
-    for i, ((j, e), *rest) in enumerate(prop.rows):
-        np.multiply(e, vh[j], out=out[i])
-        for j, e in rest:
-            out[i] += e * vh[j]
-    data = np.fft.ifftn(out, axes=axes).real
+    vh = _propagate(prop, np.fft.rfftn(state.data, axes=axes))
+    data = np.fft.irfftn(vh, s=grid.shape, axes=axes)
     return FieldState(t=state.t + prop.dt, data=data, n1=state.n1)
 
 
@@ -282,30 +308,46 @@ def dt_max(model: Model, state: FieldState) -> float:
     return 0.5 / est
 
 
-def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
-              nonlinear: bool = True) -> FieldState:
-    """One Strang step of dt = 2 half.dt: exact half linear, explicit midpoint
-    nonlinear, half linear.
+def _check_stage_bound(model: Model, state: FieldState, dt: float) -> None:
+    bound = dt_max(model, state)
+    if dt > bound:
+        raise ValueError(f"dt = {dt} exceeds the explicit-stage stability bound "
+                         f"{bound:.3e} at t = {state.t:.6g}")
 
-    half is linear_propagator(model, grid, dt / 2).  Second order in dt on
-    smooth data; the zero state is preserved exactly.  Non-finite values
-    abort with the offending time.
+
+def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
+              nonlinear: bool = True, steps: int = 1) -> FieldState:
+    """`steps` Strang steps of dt = 2 half.dt: exact half linear, explicit
+    midpoint nonlinear, half linear.
+
+    half is linear_propagator(model, grid, dt / 2).  Between two explicit
+    stages half is applied twice in Fourier space, so each step costs one
+    rfftn/irfftn round trip; with nonlinear=False the field stays in Fourier
+    space for all the steps.  Second order in dt on smooth data; the zero
+    state is preserved exactly.  dt is checked against dt_max on the field
+    each explicit stage acts on (ValueError), and a non-finite field aborts
+    with the time of the step it appeared in.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
-    if nonlinear and dt > dt_max(model, state):
-        raise ValueError(
-            f"dt = {dt} exceeds the explicit-stage stability bound "
-            f"{dt_max(model, state):.3e}"
-        )
-    out = apply_linear_exact(grid, state, half)
-    if nonlinear:
-        mid = out.data + 0.5 * dt * model.nonlinearity(out.data)
-        out.data = out.data + dt * model.nonlinearity(mid)
-    out = apply_linear_exact(grid, out, half)
-    out.t = state.t + dt
-    if not np.all(np.isfinite(out.data)):
-        raise SimulationBlowupError(out.t)
-    return out
+    axes = tuple(range(1, grid.d + 1))
+    t = state.t
+    vh = np.fft.rfftn(state.data, axes=axes)
+    for _ in range(steps):
+        vh = _propagate(half, vh)
+        if nonlinear:
+            u = np.fft.irfftn(vh, s=grid.shape, axes=axes)
+            _check_stage_bound(model, FieldState(t=t, data=u, n1=state.n1), dt)
+            mid = u + 0.5 * dt * model.nonlinearity(u)
+            u = u + dt * model.nonlinearity(mid)
+            vh = np.fft.rfftn(u, axes=axes)
+        vh = _propagate(half, vh)
+        t = t + dt
+        if not np.all(np.isfinite(vh)):
+            raise SimulationBlowupError(t)
+    data = np.fft.irfftn(vh, s=grid.shape, axes=axes)
+    return FieldState(t=t, data=data, n1=state.n1)
 
 
 def _norm_record(grid: Grid, state: FieldState, alpha: float) -> dict:
@@ -360,7 +402,10 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     for fixed inputs.  Snapshots hold the initial and final states.  A
     boundary-contamination warning is recorded (and issued once via
     warnings.warn) when the weighted mass within 5% of the z boundary
-    exceeds 1e-8 of the total.
+    exceeds 1e-8 of the total.  The steps between two records run as one
+    step_imex call.  Inputs the initial field already fails (dt above
+    dt_max, a weighted-norm overflow) raise ValueError; a guard that trips
+    later raises SimulationError.
     """
     if not T > 0.0 or not dt > 0.0:
         raise ValueError("T and dt must be positive")
@@ -387,12 +432,22 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             _warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     check_boundary(state)
-    for step in range(1, nsteps + 1):
-        state = step_imex(model, grid, state, half, nonlinear=nonlinear)
-        if step % record_every == 0 or step == nsteps:
-            times.append(state.t)
+    if nonlinear:
+        _check_stage_bound(model, state, dt_eff)
+    step = 0
+    while step < nsteps:
+        steps = min(record_every, nsteps - step)
+        try:
+            state = step_imex(model, grid, state, half, nonlinear=nonlinear, steps=steps)
+        except ValueError as exc:
+            raise SimulationError(str(exc)) from exc
+        step += steps
+        try:
             records.append(_norm_record(grid, state, alpha))
-            check_boundary(state)
+        except ValueError as exc:
+            raise SimulationError(f"{exc} at t = {state.t:.6g}") from exc
+        times.append(state.t)
+        check_boundary(state)
     series = _norms.NormSeries.from_records(times, records)
     return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
                      dt=dt_eff, nsteps=nsteps)
@@ -413,7 +468,7 @@ def instability_scan(model: Model, grid: Grid, pert: Perturbation, alpha: float,
         try:
             res = run(model, grid, p, alpha, T, dt, record_every=record_every)
             sup_E = float(np.max(res.series.column("normE_v", 0)))
-        except (SimulationBlowupError, ValueError):
+        except (SimulationError, ValueError):
             history.append((eta, math.inf))
             return eta, history
         history.append((eta, sup_E))

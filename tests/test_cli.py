@@ -243,6 +243,54 @@ class TestSimulateCommand:
                             .replace("dt = 0.05", "dt = 0.9"), name="big.ini")
         code = main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "exceeds the explicit-stage stability bound" in capsys.readouterr().err
+
+    def test_stage_bound_tripping_mid_run_exits_1(self, tmp_path, capsys):
+        # the initial field admits dt = 0.04 (bound 0.0467); at kappa = 6 the
+        # fed v1 lowers the bound below dt at t = 0.16, inside the first record segment
+        cfg = write_config(tmp_path, BASE_SIM.replace("kappa = 1.0", "kappa = 6.0")
+                           .replace("eta = 1e-3", "amplitude = 20")
+                           .replace("dt = 0.05", "dt = 0.04")
+                           .replace("t = 2.0", "t = 1.0")
+                           .replace("record_every = 5", "record_every = 10"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        assert ("error: dt = 0.04 exceeds the explicit-stage stability bound 3.968e-02 "
+                "at t = 0.16") in (out / "summary.txt").read_text()
+
+    def test_weighted_norm_overflow_mid_run_exits_1(self, tmp_path, capsys):
+        # a centred field in a 2 L = 4096 box: after one step round-off fills
+        # the box, and alpha z reaches 818.8 on its support
+        shipped = Path(__file__).resolve().parents[1] / "scenarios" / "verify_theorem.ini"
+        text = shipped.read_text()
+        for old, new in (("l = 50", "l = 2048"), ("n = 1024", "n = 4096"),
+                         ("center = 40.0", "center = 0.0"), ("t = 40.0", "t = 1.0"),
+                         ("record_every = 25", "record_every = 1"),
+                         ("window = 3.0, 38.0", "window = 0.0, 1.0")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        summary = (out / "summary.txt").read_text()
+        assert ("error: weighted norm overflow: alpha * z reaches 818.8 > 700 on the field "
+                "support (field is boundary-contaminated) at t = 0.02") in summary
+        assert "overall_pass: false" in summary
+
+    def test_snapshot_bytes_match_per_value_format(self, tmp_path):
+        from frontlab.cli import _write_snapshot
+        from frontlab.sim import FieldState, Grid
+
+        rng = np.random.default_rng(5)
+        data = rng.normal(scale=1e3, size=(2, 16)) ** 3
+        data[0, :5] = [-0.0, 5e-324, 1e300, 1.0, -1.0]
+        state = FieldState(t=0.5, data=data)
+        _write_snapshot(tmp_path, "x", state, Grid(L=1.0, N=16), {"kind": "test"})
+        for comp in range(2):
+            expect = "".join(f"{v:.17g}\n" for v in data[comp])
+            assert (tmp_path / f"snapshot_x_c{comp}.csv").read_bytes() == expect.encode()
 
 
 class TestVerifyCommand:
@@ -774,8 +822,9 @@ class TestCommandLine:
             f"                 ('spectrum', {exo!r}), ('simulate', {exo!r}),\n"
             f"                 ('verify', {sim_cfg!r})):\n"
             f"    print(main([cmd, '--config', cfg, '--out', {str(tmp_path / 'o')!r}]))\n"
-            "print('scipy.linalg' in sys.modules)\n")
+            "print('scipy.linalg' in sys.modules)\n"
+            "print('scipy.fft' in sys.modules)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={"PYTHONPATH": src, "PATH": ""}, check=True)
-        assert out.stdout.split() == ["0"] * 5 + ["False"]
+        assert out.stdout.split() == ["0"] * 5 + ["False", "False"]

@@ -12,6 +12,7 @@ from frontlab.model import (
     eval_N_times_v_exact,
     eval_f_combustion,
     eval_g,
+    eval_g_prime,
     jacobian_at_minus,
     jacobian_combustion,
     lipschitz_probe,
@@ -64,6 +65,16 @@ class TestIgnitionRate:
         assert out[0] == 0.0 and out[1] == 0.0
         assert out[2] == pytest.approx(np.exp(-1.0))
         assert out[3] == pytest.approx(np.exp(-0.5))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [eval_g, eval_g_prime])
+    def test_tiny_positive_argument_is_exactly_zero(self, fn):
+        # -1/u overflows for subnormal u, and u * u underflows to 0 for u
+        # below ~2e-162: neither may warn or turn g' into 0 / 0 = NaN
+        tiny = [5e-324, 1e-310, 2e-308, 1e-200, 1e-3]
+        for u in tiny:
+            assert fn(u) == 0.0
+        assert np.all(fn(np.array(tiny)) == 0.0)
 
     def test_flat_contact(self):
         # divided differences of orders 1..4 decay monotonically to 0 as the

@@ -5,6 +5,7 @@ import pytest
 
 from frontlab.norms import (
     NormSeries,
+    _gradient_sq_sum,
     fit_decay,
     norm_E,
     norm_unweighted,
@@ -43,6 +44,21 @@ class TestUnweighted:
         expect1 = a * math.sqrt(V / 2.0 * (1.0 + xi**2))
         assert norm_unweighted(g, field, 0) == pytest.approx(expect0, rel=1e-12)
         assert norm_unweighted(g, field, 1) == pytest.approx(expect1, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [Grid(L=10.0, N=64), Grid(L=(10.0, 6.0), N=(64, 32))],
+                             ids=["1d", "2d"])
+    def test_half_spectrum_gradient_matches_full_spectrum(self, g):
+        # reference: Parseval over the full complex spectrum
+        comps = np.random.default_rng(8).normal(size=(2,) + g.shape)
+        axes = tuple(range(1, g.d + 1))
+        vh = np.fft.fftn(comps, axes=axes)
+        expect = 0.0
+        for ax in range(g.d):
+            shape = [1] * (g.d + 1)
+            shape[ax + 1] = g.N[ax]
+            expect += float(np.sum(np.abs(1j * g.xi(ax).reshape(shape) * vh) ** 2))
+        expect /= float(np.prod(g.shape))
+        assert _gradient_sq_sum(g, comps) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_rejects_bad_k(self):
         g = Grid(L=10.0, N=64)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from frontlab.sim import (
     Grid,
     Perturbation,
     SimulationBlowupError,
+    SimulationError,
     apply_linear_exact,
     build_perturbation,
     dt_max,
@@ -300,6 +303,41 @@ class TestStepImex:
         with pytest.raises(ValueError):
             step_imex(p, g, state, linear_propagator(p, g, 0.5 * 10.0 * bound))
 
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("grid", [Grid(L=15.0, N=128), Grid(L=(15.0, 8.0), N=(64, 32))],
+                             ids=["1d", "2d"])
+    def test_merged_steps_equal_single_steps(self, grid, nonlinear):
+        p = params()
+        state, _ = build_perturbation(
+            grid, Perturbation(amplitude=0.3, center=(0.0,) * grid.d,
+                               widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
+        half = linear_propagator(p, grid, 0.05)
+        single = state
+        for _ in range(7):
+            single = step_imex(p, grid, single, half, nonlinear=nonlinear)
+        merged = step_imex(p, grid, state, half, nonlinear=nonlinear, steps=7)
+        assert merged.t == single.t
+        assert np.max(np.abs(merged.data - single.data)) <= 1e-13
+
+    def test_dt_stability_bound_trips_mid_segment(self):
+        # kappa = 6 puts 1/kappa below the peak of g', so the fed v1 raises
+        # |DH| and the bound falls from 0.0467 at t = 0 to below dt = 0.04
+        g = Grid(L=20.0, N=128)
+        p = params(kappa=6.0)
+        state, _ = build_perturbation(
+            g, Perturbation(amplitude=20.0, center=(5.0,), widths=(2.0,), mask=(0, 1)),
+            p, ALPHA)
+        assert dt_max(p, state) > 0.04
+        half = linear_propagator(p, g, 0.02)
+        step_imex(p, g, state, half, steps=4)
+        with pytest.raises(ValueError, match=r"bound 3\.968e-02 at t = 0\.16$"):
+            step_imex(p, g, state, half, steps=25)
+        # inside run the same trip is a mid-run failure, not a bad input
+        with pytest.raises(SimulationError, match=r"at t = 0\.16$"):
+            run(p, g, state, ALPHA, T=1.0, dt=0.04, record_every=10)
+        with pytest.raises(ValueError, match=r"at t = 0$"):
+            run(p, g, state, ALPHA, T=1.0, dt=0.05, record_every=10)
+
     def test_splitting_order(self):
         # Richardson: observed order of Strang splitting >= 1.9 on smooth data
         g = Grid(L=15.0, N=128)
@@ -321,6 +359,30 @@ class TestStepImex:
 
 
 class TestRun:
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_one_forward_transform_per_step(self, monkeypatch, nonlinear):
+        # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps
+        rfftn = np.fft.rfftn
+        calls = []
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+                calls.append(1)
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counting)
+        res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
+                  T=1.0, dt=0.1, record_every=3, nonlinear=nonlinear)
+        segments = 4
+        assert res.nsteps == 10
+        assert len(calls) == (res.nsteps + segments if nonlinear else segments)
+        t, expect = 0.0, [0.0]
+        for step in range(1, 11):
+            t = t + res.dt
+            if step % 3 == 0 or step == 10:
+                expect.append(t)
+        assert res.series.times.tolist() == expect
+
     def test_zero_perturbation_all_norms_zero(self):
         g = Grid(L=10.0, N=64)
         res = run(params(), g, Perturbation(amplitude=0.0), ALPHA, T=1.0, dt=0.1)
