@@ -58,8 +58,8 @@ class ModelParams:
     c       : wave speed, c > 0
 
     Shares the model interface of :class:`BlockSystem` (c, diffusion,
-    linearization, n, n1, nonlinearity, stage_rate, describe) for the
-    perturbation equation about u_minus.
+    linearization, n, n1, nonlinearity, stage_rate, midpoint_stage,
+    describe) for the perturbation equation about u_minus.
     """
 
     epsilon: float
@@ -102,6 +102,40 @@ class ModelParams:
         gp = eval_g_prime(1.0 / self.kappa + v[0])
         m = eval_g(1.0 / self.kappa + v[0]) - np.exp(-self.kappa)
         return max(1.0, self.kappa) * float(np.max(np.abs(v[1] * gp) + np.abs(m)))
+
+    def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
+        """(u + dt H(u + dt/2 H(u)), stage_rate(u)) from one g evaluation per point.
+
+        u is a field of shape (2, *grid shape).  g(x) at x = 1/kappa + u1
+        gives g' = g / x^2, the rate and H(u); g at the midpoint gives the
+        step.  Every operation of nonlinearity and stage_rate is kept, in
+        their order, written in place: the result is theirs bit for bit.
+        """
+        kappa = self.kappa
+        ek = np.exp(-kappa)
+        x = 1.0 / kappa + u[0]
+        m = eval_g(x)
+        np.multiply(x, x, out=x)
+        gp = np.divide(m, x, out=np.zeros_like(m), where=m > 0.0)
+        m -= ek
+        np.multiply(u[1], gp, out=gp)
+        np.abs(gp, out=gp)
+        gp += np.abs(m, out=x)
+        rate = max(1.0, kappa) * float(np.max(gp))
+        out = np.empty_like(u)
+
+        def advance(h, r):  # out = u + h H, H = (r, -kappa r)
+            np.multiply(r, h, out=out[0])
+            out[0] += u[0]
+            np.multiply(r, -kappa, out=out[1])
+            out[1] *= h
+            out[1] += u[1]
+
+        advance(0.5 * dt, np.multiply(m, u[1], out=m))
+        m = eval_g(np.add(out[0], 1.0 / kappa, out=x))
+        m -= ek
+        advance(dt, np.multiply(m, out[1], out=m))
+        return out, rate
 
     def describe(self) -> dict:
         return {"kind": "combustion", "epsilon": self.epsilon, "kappa": self.kappa,
@@ -191,10 +225,20 @@ class BlockSystem:
 
     def stage_rate(self, v) -> float:
         """Row-sum norm of Df(v) - Df(0) at the field's largest state."""
+        return self._stage_rate(v, self.linearization)
+
+    def _stage_rate(self, v, B: np.ndarray) -> float:
         flat = np.reshape(v, (self.n, -1))
         peak = flat[:, int(np.argmax(np.sum(flat**2, axis=0)))]
-        J = self.jac(peak) - self.linearization
+        J = self.jac(peak) - B
         return float(np.max(np.sum(np.abs(J), axis=1)))
+
+    def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
+        """(u + dt N(u + dt/2 N(u)), stage_rate(u)), with Df(0) and f(0) taken once."""
+        B = self.linearization
+        f0 = self.f(np.zeros(self.n))
+        mid = u + 0.5 * dt * _n_times_v(self, u, B, f0)
+        return u + dt * _n_times_v(self, mid, B, f0), self._stage_rate(u, B)
 
     def describe(self) -> dict:
         return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
@@ -206,10 +250,10 @@ def eval_g(u1):
     Accepts scalars or arrays; smooth with flat contact at the cutoff.
     """
     u = np.asarray(u1, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0.0
+    out = np.full_like(u, -np.inf)
     with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
-        np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
+        np.divide(-1.0, u, out=out, where=u > 0.0)
+    np.exp(out, out=out)  # exp(-inf) = 0 off the support
     if np.ndim(u1) == 0:
         return float(out)
     return out
@@ -218,10 +262,10 @@ def eval_g(u1):
 def eval_g_prime(u1):
     """Derivative g'(u1) = exp(-1/u1)/u1^2 for u1 > 0, 0 otherwise."""
     u = np.asarray(u1, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0.0
+    out = np.full_like(u, -np.inf)
     with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
-        np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
+        np.divide(-1.0, u, out=out, where=u > 0.0)
+    np.exp(out, out=out)
     # where exp(-1/u) is 0, u * u may underflow to 0 as well: skip 0 / 0
     np.divide(out, u * u, out=out, where=out > 0.0)
     if np.ndim(u1) == 0:
@@ -301,12 +345,14 @@ def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:
     Used where exactness matters more than exercising the integral form
     (simulation right-hand sides, Lipschitz probing).
     """
-    v = np.asarray(v, dtype=float)
-    zero = np.zeros(sys.n)
-    B = sys.linearization
-    fv = sys.f(v)
+    return _n_times_v(sys, np.asarray(v, dtype=float), sys.linearization,
+                      sys.f(np.zeros(sys.n)))
+
+
+def _n_times_v(sys: BlockSystem, v: np.ndarray, B: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """f(v) - f0 - B v with B = Df(0) and f0 = f(0) supplied by the caller."""
     lin = np.tensordot(B, v, axes=(1, 0))
-    return fv - sys.f(zero).reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
+    return sys.f(v) - f0.reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
 
 
 def make_combustion_system(params: ModelParams) -> BlockSystem:

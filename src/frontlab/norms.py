@@ -84,7 +84,8 @@ def norm_weighted(grid, data, alpha: float, k: int = 0) -> float:
     """Weighted norm |exp(alpha z) v|_{H^k} along the first grid axis.
 
     Rejects fields whose support reaches weights beyond exp(700): such a
-    field is boundary-contaminated and the measurement meaningless.
+    field is boundary-contaminated and the measurement meaningless.  An
+    exact zero contributes 0 even where its weight overflows to inf.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
@@ -104,8 +105,10 @@ def norm_weighted(grid, data, alpha: float, k: int = 0) -> float:
                 )
     shape = [1] * comps.ndim
     shape[1] = z.size
-    gamma = np.exp(alpha * z).reshape(shape)
-    return norm_unweighted(grid, comps * gamma, k)
+    with np.errstate(over="ignore"):
+        gamma = np.exp(alpha * z).reshape(shape)
+    weighted = np.multiply(comps, gamma, out=np.zeros_like(comps), where=comps != 0.0)
+    return norm_unweighted(grid, weighted, k)
 
 
 def norm_E(grid, data, alpha: float, k: int = 0) -> float:

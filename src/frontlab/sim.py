@@ -19,8 +19,9 @@ Between two records the adjacent half-steps meet in Fourier space,
 
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
-so each step costs one rfftn/irfftn round trip, and a linear run
-(nonlinear=False) stays in Fourier space from one record to the next.
+so each step costs one rfftn/irfftn round trip, into buffers allocated once
+per step_imex call, and a linear run (nonlinear=False) stays in Fourier
+space from one record to the next.
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -273,9 +274,11 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     return prop
 
 
-def _propagate(prop: Propagator, vh: np.ndarray) -> np.ndarray:
-    """prop applied to the half spectrum vh of shape (ncomp, *spectrum shape)."""
-    out = np.empty_like(vh)
+def _propagate(prop: Propagator, vh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """prop applied to the half spectrum vh of shape (ncomp, *spectrum shape).
+
+    The result is written to out, which must not share memory with vh.
+    """
     for i, ((j, e), *rest) in enumerate(prop.rows):
         np.multiply(e, vh[j], out=out[i])
         for j, e in rest:
@@ -291,7 +294,8 @@ def apply_linear_exact(grid: Grid, state: FieldState, prop: Propagator) -> Field
     out to keep the map real and a semigroup.
     """
     axes = tuple(range(1, grid.d + 1))
-    vh = _propagate(prop, np.fft.rfftn(state.data, axes=axes))
+    vh = np.fft.rfftn(state.data, axes=axes)
+    vh = _propagate(prop, vh, np.empty_like(vh))
     data = np.fft.irfftn(vh, s=grid.shape, axes=axes)
     return FieldState(t=state.t + prop.dt, data=data, n1=state.n1)
 
@@ -302,17 +306,17 @@ def dt_max(model: Model, state: FieldState) -> float:
     The bound is estimated on the current field values; linear stiffness is
     irrelevant because the linear stage is exact.
     """
-    est = model.stage_rate(state.data)
-    if est == 0.0:
-        return math.inf
-    return 0.5 / est
+    return _stage_bound(model.stage_rate(state.data))
 
 
-def _check_stage_bound(model: Model, state: FieldState, dt: float) -> None:
-    bound = dt_max(model, state)
+def _stage_bound(rate: float) -> float:
+    return math.inf if rate == 0.0 else 0.5 / rate
+
+
+def _check_stage_bound(bound: float, dt: float, t: float) -> None:
     if dt > bound:
         raise ValueError(f"dt = {dt} exceeds the explicit-stage stability bound "
-                         f"{bound:.3e} at t = {state.t:.6g}")
+                         f"{bound:.3e} at t = {t:.6g}")
 
 
 def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
@@ -323,10 +327,14 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     half is linear_propagator(model, grid, dt / 2).  Between two explicit
     stages half is applied twice in Fourier space, so each step costs one
     rfftn/irfftn round trip; with nonlinear=False the field stays in Fourier
-    space for all the steps.  Second order in dt on smooth data; the zero
-    state is preserved exactly.  dt is checked against dt_max on the field
-    each explicit stage acts on (ValueError), and a non-finite field aborts
-    with the time of the step it appeared in.
+    space for all the steps.  The two spectra and the real field the
+    transforms write to are allocated once per call and reused by every
+    step; the returned field is that real buffer, so state.data is never
+    written to.  Second order in dt on smooth data; the zero state is
+    preserved exactly.  dt is checked against the dt_max bound of the field
+    each explicit stage acts on, from the rate model.midpoint_stage returns
+    (ValueError), and a non-finite field aborts with the time of the step it
+    appeared in.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -334,19 +342,20 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     axes = tuple(range(1, grid.d + 1))
     t = state.t
     vh = np.fft.rfftn(state.data, axes=axes)
+    spare = np.empty_like(vh)
+    u = np.empty(state.data.shape)
     for _ in range(steps):
-        vh = _propagate(half, vh)
+        vh, spare = _propagate(half, vh, spare), vh
         if nonlinear:
-            u = np.fft.irfftn(vh, s=grid.shape, axes=axes)
-            _check_stage_bound(model, FieldState(t=t, data=u, n1=state.n1), dt)
-            mid = u + 0.5 * dt * model.nonlinearity(u)
-            u = u + dt * model.nonlinearity(mid)
-            vh = np.fft.rfftn(u, axes=axes)
-        vh = _propagate(half, vh)
+            np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+            stepped, rate = model.midpoint_stage(u, dt)
+            _check_stage_bound(_stage_bound(rate), dt, t)
+            np.fft.rfftn(stepped, axes=axes, out=vh)
+        vh, spare = _propagate(half, vh, spare), vh
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)
-    data = np.fft.irfftn(vh, s=grid.shape, axes=axes)
+    data = np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
     return FieldState(t=t, data=data, n1=state.n1)
 
 
@@ -367,10 +376,19 @@ def _norm_record(grid: Grid, state: FieldState, alpha: float) -> dict:
 
 
 def _boundary_mass_fraction(grid: Grid, state: FieldState, alpha: float) -> float:
-    """Weighted-mass fraction in the outer 5% bands of the z axis."""
+    """Weighted-mass fraction in the outer 5% bands of the z axis.
+
+    The weights exp(2 alpha z) are scaled by exp(-2 alpha z_ref), z_ref the
+    largest z where the field is nonzero, so none of them overflows on a
+    long box; beyond z_ref the field is zero and its weight is capped at 1.
+    """
     z = grid.coords(0)
     band = np.abs(z) >= (1.0 - BOUNDARY_BAND_FRACTION) * grid.L[0]
-    gamma2 = np.exp(2.0 * alpha * z)
+    nonzero = np.any(state.data != 0.0, axis=tuple(ax for ax in range(1 + grid.d) if ax != 1))
+    if not np.any(nonzero):
+        return 0.0
+    z_ref = z[nonzero][-1]
+    gamma2 = np.exp(2.0 * alpha * np.minimum(z - z_ref, 0.0))
     shape = [1] * (1 + grid.d)
     shape[1] = z.size
     w = (state.data**2) * gamma2.reshape(shape)
@@ -433,7 +451,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
 
     check_boundary(state)
     if nonlinear:
-        _check_stage_bound(model, state, dt_eff)
+        _check_stage_bound(dt_max(model, state), dt_eff, state.t)
     step = 0
     while step < nsteps:
         steps = min(record_every, nsteps - step)

@@ -329,3 +329,76 @@ class TestEndStates:
             pair = combustion_end_states(p)
             r_minus, r_plus = pair.residuals(lambda u: eval_f_combustion(p, u))
             assert r_minus <= 1e-14 and r_plus <= 1e-14
+
+
+def _rotation_toy() -> BlockSystem:
+    # non-triangular B plus quadratic terms that vanish with the second block
+    B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
+
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        q = np.stack([v[0] * v[2], -v[1] * v[2], 0.3 * v[2] ** 2])
+        return np.tensordot(B, v, axes=(1, 0)) + q
+
+    def jac(v):
+        v = np.asarray(v, dtype=float)
+        return B + np.array([[v[2], 0.0, v[0]], [0.0, -v[2], -v[1]],
+                             [0.0, 0.0, 0.6 * v[2]]])
+
+    return BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+                       f=f, jac=jac, name="rotation-toy")
+
+
+class TestMidpointStage:
+    """midpoint_stage is bit for bit the composition of nonlinearity and stage_rate."""
+
+    @staticmethod
+    def assert_composition(model, u, dt):
+        with np.errstate(all="ignore"):
+            stepped, rate = model.midpoint_stage(u, dt)
+            mid = u + 0.5 * dt * model.nonlinearity(u)
+            expect = u + dt * model.nonlinearity(mid)
+            expect_rate = model.stage_rate(u)
+        assert np.array_equal(stepped, expect, equal_nan=True)
+        assert np.array_equal(rate, expect_rate, equal_nan=True)
+        assert not np.shares_memory(stepped, u)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 6.0])
+    def test_combustion_random_fields(self, kappa):
+        rng = np.random.default_rng(21)
+        u = rng.normal(scale=0.8, size=(2, 16, 8))
+        self.assert_composition(params(kappa=kappa), u, 0.05)
+
+    def test_combustion_edge_values(self):
+        p = params(kappa=1.0)
+        # x = 1/kappa + u1: below the cutoff, exactly 0, tiny, +-inf, NaN
+        u1 = np.array([-3.0, -1.0 - 1e-9, -1.0, -1.0 + 1e-300, -1.0 + 2.0**-52,
+                       0.0, 0.25, np.inf, -np.inf, np.nan, 2.0, 1e200])
+        for u2 in (0.0, 1.0, -0.4, np.inf, np.nan):
+            u = np.stack([u1, np.full_like(u1, u2)])
+            self.assert_composition(p, u, 0.02)
+            self.assert_composition(p, u[:, 3:7], 0.02)  # finite rate
+
+    def test_combustion_subnormal_argument(self):
+        # 1/kappa = 2^-1021, so x = 1/kappa + u1 is exactly 2^-1074
+        p = ModelParams(epsilon=0.0, kappa=2.0**1021, c=1.0)
+        u1 = np.array([-(2.0**-1021 - 2.0**-1074), -(2.0**-1021 - 2.0**-1073), 0.0, 1e-3])
+        assert 1.0 / p.kappa + u1[0] == 2.0**-1074
+        u = np.stack([u1, np.full_like(u1, 1e-310)])
+        self.assert_composition(p, u, 0.01)
+
+    def test_gasless(self):
+        sys = make_gasless_system(1.3)
+        rng = np.random.default_rng(22)
+        u = rng.normal(scale=0.8, size=(2, 32))
+        u[0, :4] = -1.0 / 1.3   # the ignition cutoff
+        self.assert_composition(sys, u, 0.05)
+
+    def test_exo_endo(self):
+        sys = make_exo_endo_system(0.8, 0.6, 1.2, 0.9, (1.0, 1.5), (1.0, 2.0))
+        rng = np.random.default_rng(23)
+        self.assert_composition(sys, rng.normal(scale=0.7, size=(3, 8, 4)), 0.05)
+
+    def test_non_triangular_block_system(self):
+        rng = np.random.default_rng(24)
+        self.assert_composition(_rotation_toy(), rng.normal(size=(3, 24)), 0.1)

@@ -105,6 +105,28 @@ class TestWeighted:
         with pytest.raises(ValueError, match="overflow"):
             norm_weighted(g, f, 40.0, 0)
 
+    def test_exact_zeros_where_the_weight_overflows(self):
+        # alpha L = 819 > 709 on the long box: exp(alpha z) is inf where the
+        # field is exactly 0; same spacing, same perturbation, same norm
+        import warnings
+
+        from frontlab.model import ModelParams
+        from frontlab.sim import Perturbation, build_perturbation
+
+        p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
+        for pert in (Perturbation(amplitude=1e-3, center=(5.0,), widths=(2.0,)),
+                     Perturbation(eta=1e-3, center=(5.0,), widths=(2.0,))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                long_box, long_rep = build_perturbation(Grid(L=2048.0, N=4096), pert, p, 0.4)
+                short_box, short_rep = build_perturbation(Grid(L=512.0, N=1024), pert, p, 0.4)
+                long_h1 = norm_weighted(Grid(L=2048.0, N=4096), long_box.data, 0.4, 1)
+            assert math.isfinite(long_rep["normalpha"])
+            assert long_rep["normalpha"] == pytest.approx(short_rep["normalpha"], rel=1e-12)
+            assert long_rep["normE"] == pytest.approx(short_rep["normE"], rel=1e-12)
+            short_h1 = norm_weighted(Grid(L=512.0, N=1024), short_box.data, 0.4, 1)
+            assert long_h1 == pytest.approx(short_h1, rel=1e-12)
+
     def test_rejects_negative_alpha(self):
         g = Grid(L=10.0, N=64)
         with pytest.raises(ValueError):

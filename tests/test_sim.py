@@ -338,6 +338,25 @@ class TestStepImex:
         with pytest.raises(ValueError, match=r"at t = 0$"):
             run(p, g, state, ALPHA, T=1.0, dt=0.05, record_every=10)
 
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("grid", [Grid(L=15.0, N=64), Grid(L=(15.0, 8.0), N=(32, 16))],
+                             ids=["1d", "2d"])
+    def test_calls_share_no_buffers(self, grid, nonlinear):
+        # the spectra and the real field are reused within a call, never across
+        p = params()
+        state, _ = build_perturbation(
+            grid, Perturbation(amplitude=0.3, center=(0.0,) * grid.d,
+                               widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
+        before = state.data.copy()
+        half = linear_propagator(p, grid, 0.05)
+        first = step_imex(p, grid, state, half, nonlinear=nonlinear, steps=3)
+        kept = first.data.copy()
+        second = step_imex(p, grid, first, half, nonlinear=nonlinear, steps=3)
+        assert np.array_equal(state.data, before)
+        assert np.array_equal(first.data, kept)
+        assert not np.shares_memory(second.data, first.data)
+        assert not np.array_equal(second.data, first.data)
+
     def test_splitting_order(self):
         # Richardson: observed order of Strang splitting >= 1.9 on smooth data
         g = Grid(L=15.0, N=128)
@@ -439,6 +458,34 @@ class TestRun:
         with pytest.warns(RuntimeWarning, match="boundary contamination"):
             res = run(p, g, pert, ALPHA, T=0.2, dt=0.05)
         assert res.warnings
+
+    def test_boundary_warning_past_the_weight_range(self):
+        # 2 alpha L = 800 > 709: exp(2 alpha z) overflows at the right end;
+        # exp(alpha z) reaches e^400, so a tiny amplitude keeps |v|_alpha finite
+        p = params()
+        g = Grid(L=1000.0, N=4096)
+        pert = Perturbation(amplitude=1e-150, center=(970.0,), widths=(5.0,), mask=(1, 1))
+        state, report = build_perturbation(g, pert, p, ALPHA)
+        assert np.isfinite(report["normalpha"])
+        assert sim._boundary_mass_fraction(g, state, ALPHA) > 0.5
+        with pytest.warns(RuntimeWarning) as caught:
+            res = run(p, g, pert, ALPHA, T=0.05, dt=0.05)
+        assert [str(w.message).split(" at ")[0] for w in caught] == ["boundary contamination"]
+        assert res.warnings
+
+    def test_boundary_fraction_ignores_zero_tail(self):
+        # weights past the field's support are capped: a field left of the
+        # band gives a fraction of 0 however long the box
+        g = Grid(L=1000.0, N=4096)
+        state, _ = build_perturbation(
+            g, Perturbation(amplitude=1e-3, center=(0.0,), widths=(5.0,)), params(), ALPHA)
+        assert sim._boundary_mass_fraction(g, state, ALPHA) == 0.0
+        # exp(2 alpha z) underflows to 0 in the left band of this box
+        state, _ = build_perturbation(
+            g, Perturbation(amplitude=1e-3, center=(-970.0,), widths=(5.0,)), params(), ALPHA)
+        assert sim._boundary_mass_fraction(g, state, ALPHA) > 0.5
+        zero = FieldState(t=0.0, data=np.zeros((2, 4096)))
+        assert sim._boundary_mass_fraction(g, zero, ALPHA) == 0.0
 
     def test_snapshots_bracket_run(self):
         g = Grid(L=10.0, N=64)
