@@ -20,7 +20,7 @@ the matrix-valued N(v) = int_0^1 (Df(t v) - Df(0)) dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,7 +160,7 @@ def combustion_end_states(params: ModelParams) -> EndStatePair:
     return EndStatePair(u_minus=params.u_minus, u_plus=params.u_plus)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockSystem:
     """General block-triangular reaction-diffusion system in shifted coordinates.
 
@@ -175,6 +175,9 @@ class BlockSystem:
     d1, d2 hold the diagonals of the nonnegative diffusion blocks.  A zero
     entry in d2 (e.g. gasless combustion) is allowed and flagged via
     :attr:`zero_diffusion` rather than rejected.
+
+    B = Df(0) and f0 = f(0) are evaluated once, at construction, and stored
+    read-only.
     """
 
     n1: int
@@ -186,11 +189,13 @@ class BlockSystem:
     jac: Callable[[np.ndarray], np.ndarray]
     c: float = 1.0
     name: str = "block-system"
+    B: np.ndarray = field(init=False, repr=False)
+    f0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.d1 = np.atleast_1d(np.asarray(self.d1, dtype=float))
-        self.d2 = np.atleast_1d(np.asarray(self.d2, dtype=float))
-        self.A1 = np.atleast_2d(np.asarray(self.A1, dtype=float))
+        object.__setattr__(self, "d1", np.atleast_1d(np.asarray(self.d1, dtype=float)))
+        object.__setattr__(self, "d2", np.atleast_1d(np.asarray(self.d2, dtype=float)))
+        object.__setattr__(self, "A1", np.atleast_2d(np.asarray(self.A1, dtype=float)))
         if self.d1.shape != (self.n1,) or self.d2.shape != (self.n2,):
             raise ValueError("diffusion diagonals must match the block sizes")
         if np.any(self.d1 < 0.0) or np.any(self.d2 < 0.0):
@@ -199,6 +204,11 @@ class BlockSystem:
             raise ValueError("A1 must be n1 x n1")
         if not self.c > 0.0:
             raise ValueError("wave speed c must be positive")
+        zero = np.zeros(self.n)
+        for name, value in (("B", self.jac(zero)), ("f0", self.f(zero))):
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -216,8 +226,8 @@ class BlockSystem:
 
     @property
     def linearization(self) -> np.ndarray:
-        """Jacobian of f at the steady state v = 0."""
-        return self.jac(np.zeros(self.n))
+        """Jacobian of f at the steady state v = 0 (read-only)."""
+        return self.B
 
     def nonlinearity(self, v) -> np.ndarray:
         """N(v) v = f(v) - Df(0) v, pointwise over v of shape (n, ...)."""
@@ -225,23 +235,33 @@ class BlockSystem:
 
     def stage_rate(self, v) -> float:
         """Row-sum norm of Df(v) - Df(0) at the field's largest state."""
-        return self._stage_rate(v, self.linearization)
-
-    def _stage_rate(self, v, B: np.ndarray) -> float:
         flat = np.reshape(v, (self.n, -1))
         peak = flat[:, int(np.argmax(np.sum(flat**2, axis=0)))]
-        J = self.jac(peak) - B
+        J = self.jac(peak) - self.B
         return float(np.max(np.sum(np.abs(J), axis=1)))
 
     def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
-        """(u + dt N(u + dt/2 N(u)), stage_rate(u)), with Df(0) and f(0) taken once."""
-        B = self.linearization
-        f0 = self.f(np.zeros(self.n))
-        mid = u + 0.5 * dt * _n_times_v(self, u, B, f0)
-        return u + dt * _n_times_v(self, mid, B, f0), self._stage_rate(u, B)
+        """(u + dt N(u + dt/2 N(u)), stage_rate(u))."""
+        mid = u + 0.5 * dt * eval_N_times_v_exact(self, u)
+        return u + dt * eval_N_times_v_exact(self, mid), self.stage_rate(u)
 
     def describe(self) -> dict:
         return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
+
+
+def _exp_minus(b: float, u: np.ndarray) -> np.ndarray:
+    """exp(-b/u) for u > 0, exactly 0 for u <= 0, as a new array."""
+    out = np.full_like(u, -np.inf)
+    with np.errstate(over="ignore"):  # -b/u is -inf for tiny u; exp gives the right 0
+        np.divide(-b, u, out=out, where=u > 0.0)
+    return np.exp(out, out=out)  # exp(-inf) = 0 off the support
+
+
+def _exp_minus_prime(b: float, u: np.ndarray) -> np.ndarray:
+    """d/du exp(-b/u) = b exp(-b/u) / u^2 for u > 0, exactly 0 for u <= 0."""
+    out = _exp_minus(b, u)
+    # where exp(-b/u) is 0, u * u may underflow to 0 as well: skip 0 / 0
+    return np.divide(out * b, u * u, out=out, where=out > 0.0)
 
 
 def eval_g(u1):
@@ -249,11 +269,7 @@ def eval_g(u1):
 
     Accepts scalars or arrays; smooth with flat contact at the cutoff.
     """
-    u = np.asarray(u1, dtype=float)
-    out = np.full_like(u, -np.inf)
-    with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
-        np.divide(-1.0, u, out=out, where=u > 0.0)
-    np.exp(out, out=out)  # exp(-inf) = 0 off the support
+    out = _exp_minus(1.0, np.asarray(u1, dtype=float))
     if np.ndim(u1) == 0:
         return float(out)
     return out
@@ -261,13 +277,7 @@ def eval_g(u1):
 
 def eval_g_prime(u1):
     """Derivative g'(u1) = exp(-1/u1)/u1^2 for u1 > 0, 0 otherwise."""
-    u = np.asarray(u1, dtype=float)
-    out = np.full_like(u, -np.inf)
-    with np.errstate(over="ignore"):  # -1/u is -inf for subnormal u; exp gives the right 0
-        np.divide(-1.0, u, out=out, where=u > 0.0)
-    np.exp(out, out=out)
-    # where exp(-1/u) is 0, u * u may underflow to 0 as well: skip 0 / 0
-    np.divide(out, u * u, out=out, where=out > 0.0)
+    out = _exp_minus_prime(1.0, np.asarray(u1, dtype=float))
     if np.ndim(u1) == 0:
         return float(out)
     return out
@@ -345,14 +355,9 @@ def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:
     Used where exactness matters more than exercising the integral form
     (simulation right-hand sides, Lipschitz probing).
     """
-    return _n_times_v(sys, np.asarray(v, dtype=float), sys.linearization,
-                      sys.f(np.zeros(sys.n)))
-
-
-def _n_times_v(sys: BlockSystem, v: np.ndarray, B: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """f(v) - f0 - B v with B = Df(0) and f0 = f(0) supplied by the caller."""
-    lin = np.tensordot(B, v, axes=(1, 0))
-    return sys.f(v) - f0.reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
+    v = np.asarray(v, dtype=float)
+    lin = np.dot(sys.B, v.reshape(sys.n, -1)).reshape(v.shape)
+    return sys.f(v) - sys.f0.reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
 
 
 def make_combustion_system(params: ModelParams) -> BlockSystem:
@@ -384,20 +389,12 @@ def make_combustion_system(params: ModelParams) -> BlockSystem:
 
 
 def _arrhenius(a: float, b: float):
+    """Rate a exp(-b/u) and its derivative, zero for u <= 0."""
     def fi(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        pos = u > 0.0
-        np.exp(np.divide(-b, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
-        return a * out
+        return a * _exp_minus(b, np.asarray(u, dtype=float))
 
     def fip(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        pos = u > 0.0
-        np.exp(np.divide(-b, u, out=np.full_like(u, -np.inf), where=pos), out=out, where=pos)
-        np.divide(out * b, u * u, out=out, where=pos)
-        return a * out
+        return a * _exp_minus_prime(b, np.asarray(u, dtype=float))
 
     return fi, fip
 
@@ -511,13 +508,13 @@ def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
     Returns the largest residual found; raises if it exceeds tol.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v1 = rng.normal(scale=2.0, size=sys.n1)
-        v = np.concatenate([v1, np.zeros(sys.n2)])
-        expect = np.concatenate([sys.A1 @ v1, np.zeros(sys.n2)])
-        worst = max(worst, float(np.max(np.abs(sys.f(v) - expect))))
-    if worst > tol:
+    v1 = rng.normal(scale=2.0, size=(trials, sys.n1)).T  # draw t is column t
+    v = np.zeros((sys.n, trials))
+    v[:sys.n1] = v1
+    expect = np.zeros((sys.n, trials))
+    expect[:sys.n1] = sys.A1 @ v1
+    worst = float(np.max(np.abs(sys.f(v) - expect)))  # one vectorised f call
+    if not worst <= tol:
         raise ValueError(
             f"block structure violated: f(v1, 0) differs from (A1 v1, 0) "
             f"by {worst:.3e} > {tol:.1e}"

@@ -10,6 +10,9 @@ measuring, and the intersection norm is the max of the two:
 
 Weighting is a measurement device only: the evolution itself is always the
 unweighted equation, and these functions are applied in post-processing.
+
+NormRecorder measures a whole record in one pass on the kernels of the
+single-norm functions, with the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "norm_unweighted",
     "norm_weighted",
     "norm_E",
+    "NormRecorder",
     "fit_decay",
     "verify_stability_theorem",
     "write_norms_csv",
@@ -46,23 +50,93 @@ def _component_view(data: np.ndarray, grid) -> np.ndarray:
     raise ValueError(f"field shape {data.shape} does not match grid shape {grid.shape}")
 
 
+class _Parseval:
+    """sum |dv/dx|^2 = sum w xi^2 |vh|^2 / npoints on the rfftn half spectrum;
+    w = 2 on the halved axis except its DC and Nyquist bins (no mirror)."""
+
+    def __init__(self, grid):
+        d = len(grid.shape)
+        self.axes = tuple(range(1, d + 1))
+        self.npoints = float(np.prod(grid.shape))
+        self.weight = np.full(grid.shape[-1] // 2 + 1, 2.0)
+        self.weight[0] = self.weight[-1] = 1.0
+        self.xi2 = []
+        for ax in range(d):
+            xi = grid.rxi(ax)
+            shape = [1] * (d + 1)
+            shape[ax + 1] = xi.size
+            self.xi2.append(xi.reshape(shape) ** 2)
+
+    def gradient_sums(self, vh: np.ndarray, blocks: Sequence[slice]) -> list:
+        """Squared spectral gradient per block of rows of vh, which is used up."""
+        power, scratch = vh.real, vh.imag
+        np.multiply(power, power, out=power)
+        power += np.multiply(scratch, scratch, out=scratch)
+        power *= self.weight
+        totals = [0.0] * len(blocks)
+        for xi2 in self.xi2:
+            np.multiply(xi2, power, out=scratch)
+            for i, rows in enumerate(blocks):
+                totals[i] += float(np.sum(scratch[rows])) / self.npoints
+        return totals
+
+
 def _gradient_sq_sum(grid, comps: np.ndarray) -> float:
     """Sum of squared spectral derivatives over all axes and components."""
-    d = len(grid.shape)
-    vh = np.fft.rfftn(comps, axes=tuple(range(1, d + 1)))
-    # discrete Parseval on the half spectrum: sum |dv|^2 = sum w |dvh|^2 / npoints,
-    # w = 2 on the halved axis except its DC and Nyquist bins, which have no mirror
-    weight = np.full(vh.shape[-1], 2.0)
-    weight[0] = weight[-1] = 1.0
-    power = (vh.real**2 + vh.imag**2) * weight
-    npoints = float(np.prod(grid.shape))
-    total = 0.0
-    for ax in range(d):
-        xi = grid.rxi(ax)
-        shape = [1] * (d + 1)
-        shape[ax + 1] = xi.size
-        total += float(np.sum(xi.reshape(shape) ** 2 * power)) / npoints
+    parseval = _Parseval(grid)
+    vh = np.fft.rfftn(comps, axes=parseval.axes)
+    return parseval.gradient_sums(vh, (slice(None),))[0]
+
+
+def _sq_total(grid, comps: np.ndarray, k: int) -> float:
+    """Sum of squares of comps, plus the squared gradient for k = 1 (overflow: inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(comps**2))
+        if k == 1:
+            total += _gradient_sq_sum(grid, comps)
     return total
+
+
+def _finish(grid, comps: np.ndarray, k: int, total: float) -> float:
+    """sqrt(cell volume * total); an overflowed total is taken again on comps
+    scaled by a power of two (finite totals are never rescaled)."""
+    if not math.isfinite(total):
+        peak = float(np.max(np.abs(comps)))
+        if 0.0 < peak < math.inf:
+            e = math.frexp(peak)[1]
+            scaled = _sq_total(grid, np.ldexp(comps, -e), k)
+            return math.ldexp(math.sqrt(grid.cell_volume * scaled), e)
+    return math.sqrt(grid.cell_volume * total)
+
+
+def _weight(grid, alpha: float) -> np.ndarray:
+    """exp(alpha z) along the first grid axis; entries past exp(709) are inf."""
+    with np.errstate(over="ignore"):
+        return np.exp(alpha * grid.coords(0))
+
+
+def _check_support(comps: np.ndarray, alpha: float, z: np.ndarray,
+                   beyond: np.ndarray) -> None:
+    """Reject a field with support where alpha z > WEIGHT_OVERFLOW_LIMIT (beyond)."""
+    if not np.any(beyond) or not np.any(np.abs(comps[:, beyond]) > SUPPORT_CUTOFF):
+        return
+    support = np.any(np.abs(comps) > SUPPORT_CUTOFF, axis=0)
+    axes = tuple(range(1, support.ndim))
+    support_z = np.any(support, axis=axes) if axes else support
+    max_az = alpha * float(np.max(z[support_z]))
+    raise ValueError(
+        f"weighted norm overflow: alpha * z reaches {max_az:.1f} > "
+        f"{WEIGHT_OVERFLOW_LIMIT:g} on the field support "
+        "(field is boundary-contaminated)"
+    )
+
+
+def _weigh(comps: np.ndarray, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """comps * gamma into out, gamma broadcast along axis 1; exact zeros stay 0."""
+    out[...] = 0.0
+    shape = [1] * comps.ndim
+    shape[1] = gamma.size
+    return np.multiply(comps, gamma.reshape(shape), out=out, where=comps != 0.0)
 
 
 def norm_unweighted(grid, data, k: int = 0) -> float:
@@ -74,10 +148,7 @@ def norm_unweighted(grid, data, k: int = 0) -> float:
     if k not in (0, 1):
         raise ValueError(f"Sobolev index k must be 0 or 1, got {k}")
     comps = _component_view(data, grid)
-    total = float(np.sum(comps**2))
-    if k == 1:
-        total += _gradient_sq_sum(grid, comps)
-    return math.sqrt(grid.cell_volume * total)
+    return _finish(grid, comps, k, _sq_total(grid, comps, k))
 
 
 def norm_weighted(grid, data, alpha: float, k: int = 0) -> float:
@@ -91,29 +162,70 @@ def norm_weighted(grid, data, alpha: float, k: int = 0) -> float:
         raise ValueError("alpha must be nonnegative")
     comps = _component_view(data, grid)
     z = grid.coords(0)
-    if alpha > 0.0:
-        support = np.any(np.abs(comps) > SUPPORT_CUTOFF, axis=0)
-        if np.any(support):
-            axes = tuple(range(1, len(grid.shape)))
-            support_z = np.any(support, axis=axes) if axes else support
-            max_az = alpha * float(np.max(z[support_z]))
-            if max_az > WEIGHT_OVERFLOW_LIMIT:
-                raise ValueError(
-                    f"weighted norm overflow: alpha * z reaches {max_az:.1f} > "
-                    f"{WEIGHT_OVERFLOW_LIMIT:g} on the field support "
-                    "(field is boundary-contaminated)"
-                )
-    shape = [1] * comps.ndim
-    shape[1] = z.size
-    with np.errstate(over="ignore"):
-        gamma = np.exp(alpha * z).reshape(shape)
-    weighted = np.multiply(comps, gamma, out=np.zeros_like(comps), where=comps != 0.0)
+    _check_support(comps, alpha, z, alpha * z > WEIGHT_OVERFLOW_LIMIT)
+    weighted = _weigh(comps, _weight(grid, alpha), np.empty_like(comps))
     return norm_unweighted(grid, weighted, k)
 
 
 def norm_E(grid, data, alpha: float, k: int = 0) -> float:
     """Intersection-space norm max(|v|_0, |v|_alpha)."""
     return max(norm_unweighted(grid, data, k), norm_weighted(grid, data, alpha, k))
+
+
+class NormRecorder:
+    """The NormSeries columns of one run's records, one pass per record.
+
+    The weight, support bound, Parseval weights and the buffers for the
+    stack (v, exp(alpha z) v) and its spectrum are built once; one rfftn of
+    the stack gives every gradient sum.  Values equal norm_unweighted /
+    norm_weighted bit for bit.
+    """
+
+    def __init__(self, grid, alpha: float, ncomp: int, n1: int):
+        if alpha < 0.0:
+            raise ValueError("alpha must be nonnegative")
+        self.grid, self.alpha, self.n = grid, alpha, ncomp
+        self.z = grid.coords(0)
+        self.beyond = alpha * self.z > WEIGHT_OVERFLOW_LIMIT
+        self.gamma = _weight(grid, alpha)
+        self.parseval = _Parseval(grid)
+        self.blocks = (slice(0, n1), slice(n1, ncomp), slice(ncomp, 2 * ncomp))
+        self.stack = np.empty((2 * ncomp,) + tuple(grid.shape))
+        spectrum = (2 * ncomp,) + tuple(grid.shape[:-1]) + (grid.shape[-1] // 2 + 1,)
+        self.spectrum = np.empty(spectrum, dtype=complex)
+
+    def record(self, data: np.ndarray) -> dict:
+        """{(name, k): norm} of data for every NormSeries name and k = 0, 1."""
+        n = self.n
+        _check_support(data, self.alpha, self.z, self.beyond)
+        stack = self.stack
+        stack[:n] = data
+        _weigh(data, self.gamma, stack[n:])
+        vh = np.fft.rfftn(stack, axes=self.parseval.axes, out=self.spectrum)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _sq_total
+            grads = self.parseval.gradient_sums(vh, self.blocks)
+            plain = [float(np.sum(np.square(stack[rows], out=stack[rows])))
+                     for rows in self.blocks]
+        norms = {}
+        for k in (0, 1):
+            n_v1, n_v2, n_a = (
+                self._norm(rows, k, s + g if k == 1 else s, data)
+                for rows, s, g in zip(self.blocks, plain, grads))
+            # block orthogonality: |v|^2 = |v1|^2 + |v2|^2 exactly
+            n_v = math.hypot(n_v1, n_v2)
+            norms[("norm0_v1", k)] = n_v1
+            norms[("norm0_v2", k)] = n_v2
+            norms[("norm0_v", k)] = n_v
+            norms[("normalpha_v", k)] = n_a
+            norms[("normE_v", k)] = max(n_v, n_a)
+        return norms
+
+    def _norm(self, rows: slice, k: int, total: float, data: np.ndarray) -> float:
+        comps = None
+        if not math.isfinite(total):  # the stack holds squares now: rebuild the block
+            comps = (data[rows] if rows.stop <= self.n
+                     else _weigh(data, self.gamma, np.empty_like(data)))
+        return _finish(self.grid, comps, k, total)
 
 
 @dataclass

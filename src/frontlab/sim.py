@@ -20,8 +20,12 @@ Between two records the adjacent half-steps meet in Fourier space,
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
 so each step costs one rfftn/irfftn round trip, into buffers allocated once
-per step_imex call, and a linear run (nonlinear=False) stays in Fourier
-space from one record to the next.
+per step_imex call.  A linear run (nonlinear=False) has no explicit stage to
+split around: each segment of k steps between two records is one exact
+propagation by exp(k dt S) through apply_linear_exact, with at most two
+propagators (the full and the last, shorter segment) built per run.  Each
+record measures all its norms in one pass of a norms.NormRecorder built
+once per run.
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -320,14 +324,13 @@ def _check_stage_bound(bound: float, dt: float, t: float) -> None:
 
 
 def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
-              nonlinear: bool = True, steps: int = 1) -> FieldState:
+              steps: int = 1) -> FieldState:
     """`steps` Strang steps of dt = 2 half.dt: exact half linear, explicit
     midpoint nonlinear, half linear.
 
     half is linear_propagator(model, grid, dt / 2).  Between two explicit
     stages half is applied twice in Fourier space, so each step costs one
-    rfftn/irfftn round trip; with nonlinear=False the field stays in Fourier
-    space for all the steps.  The two spectra and the real field the
+    rfftn/irfftn round trip.  The two spectra and the real field the
     transforms write to are allocated once per call and reused by every
     step; the returned field is that real buffer, so state.data is never
     written to.  Second order in dt on smooth data; the zero state is
@@ -346,33 +349,16 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     u = np.empty(state.data.shape)
     for _ in range(steps):
         vh, spare = _propagate(half, vh, spare), vh
-        if nonlinear:
-            np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
-            stepped, rate = model.midpoint_stage(u, dt)
-            _check_stage_bound(_stage_bound(rate), dt, t)
-            np.fft.rfftn(stepped, axes=axes, out=vh)
+        np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+        stepped, rate = model.midpoint_stage(u, dt)
+        _check_stage_bound(_stage_bound(rate), dt, t)
+        np.fft.rfftn(stepped, axes=axes, out=vh)
         vh, spare = _propagate(half, vh, spare), vh
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)
     data = np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
     return FieldState(t=t, data=data, n1=state.n1)
-
-
-def _norm_record(grid: Grid, state: FieldState, alpha: float) -> dict:
-    rec = {}
-    for k in (0, 1):
-        n_v1 = _norms.norm_unweighted(grid, state.v1, k)
-        n_v2 = _norms.norm_unweighted(grid, state.v2, k)
-        # block orthogonality: |v|^2 = |v1|^2 + |v2|^2 exactly
-        n_v = math.hypot(n_v1, n_v2)
-        n_a = _norms.norm_weighted(grid, state.data, alpha, k)
-        rec[("norm0_v1", k)] = n_v1
-        rec[("norm0_v2", k)] = n_v2
-        rec[("norm0_v", k)] = n_v
-        rec[("normalpha_v", k)] = n_a
-        rec[("normE_v", k)] = max(n_v, n_a)
-    return rec
 
 
 def _boundary_mass_fraction(grid: Grid, state: FieldState, alpha: float) -> float:
@@ -420,10 +406,12 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     for fixed inputs.  Snapshots hold the initial and final states.  A
     boundary-contamination warning is recorded (and issued once via
     warnings.warn) when the weighted mass within 5% of the z boundary
-    exceeds 1e-8 of the total.  The steps between two records run as one
-    step_imex call.  Inputs the initial field already fails (dt above
-    dt_max, a weighted-norm overflow) raise ValueError; a guard that trips
-    later raises SimulationError.
+    exceeds 1e-8 of the total.  The k steps between two records run as one
+    step_imex call, or with nonlinear=False as one apply_linear_exact by
+    exp(k dt S); record times are t + dt accumulated step by step either
+    way.  Inputs the initial field already fails (dt above dt_max, a
+    weighted-norm overflow) raise ValueError; a guard that trips later
+    raises SimulationError.
     """
     if not T > 0.0 or not dt > 0.0:
         raise ValueError("T and dt must be positive")
@@ -435,9 +423,9 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
         state, _ = build_perturbation(grid, perturbation, model, alpha)
     nsteps = max(1, math.ceil(T / dt - 1e-12))
     dt_eff = T / nsteps
-    half = linear_propagator(model, grid, 0.5 * dt_eff)
+    recorder = _norms.NormRecorder(grid, alpha, state.data.shape[0], state.n1)
     times = [state.t]
-    records = [_norm_record(grid, state, alpha)]
+    records = [recorder.record(state.data)]
     initial = state.copy()
     warnlog: list[str] = []
 
@@ -447,21 +435,33 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             msg = (f"boundary contamination at t = {st.t:.6g}: weighted mass "
                    f"fraction {frac:.3e} in the outer 5% of the z axis")
             warnlog.append(msg)
-            _warnings.warn(msg, RuntimeWarning, stacklevel=2)
+            _warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
     check_boundary(state)
     if nonlinear:
+        half = linear_propagator(model, grid, 0.5 * dt_eff)
         _check_stage_bound(dt_max(model, state), dt_eff, state.t)
+    segment_props = {}  # linear runs: steps -> exp(steps dt S), one per segment length
     step = 0
     while step < nsteps:
         steps = min(record_every, nsteps - step)
-        try:
-            state = step_imex(model, grid, state, half, nonlinear=nonlinear, steps=steps)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from exc
+        if nonlinear:
+            try:
+                state = step_imex(model, grid, state, half, steps=steps)
+            except ValueError as exc:
+                raise SimulationError(str(exc)) from exc
+        else:
+            if steps not in segment_props:
+                segment_props[steps] = linear_propagator(model, grid, steps * dt_eff)
+            t = state.t
+            for _ in range(steps):
+                t = t + dt_eff
+            state = replace(apply_linear_exact(grid, state, segment_props[steps]), t=t)
+            if not np.all(np.isfinite(state.data)):
+                raise SimulationBlowupError(t)
         step += steps
         try:
-            records.append(_norm_record(grid, state, alpha))
+            records.append(recorder.record(state.data))
         except ValueError as exc:
             raise SimulationError(f"{exc} at t = {state.t:.6g}") from exc
         times.append(state.t)

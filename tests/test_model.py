@@ -262,6 +262,18 @@ class TestExoEndoSystem:
         sys = make_exo_endo_system(0.5, 0.25, 2.0, 1.5, (1.0, 0.5), (0.8, 1.1))
         assert check_block_structure(sys, trials=1000, seed=42) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_temperature_rates_are_exactly_zero(self):
+        # -b/u overflows for subnormal u and u * u underflows below ~1e-162:
+        # neither may warn or turn the rate derivative into 0 / 0 = NaN
+        sys = make_exo_endo_system(0.5, 0.25, 2.0, 1.5, (1.0, 0.5), (0.8, 1.1))
+        for u in (5e-324, 1e-310, 1e-170, 1e-3, 0.0, -1.0):
+            y = np.array([u, 1.0, 1.0])
+            assert np.all(sys.f(y) == 0.0)
+            assert np.all(sys.jac(y) == 0.0)
+        u = np.array([[1e-170, 5e-324, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        assert sys.stage_rate(u) == 0.0
+
     def test_jacobian_matches_difference_quotients(self):
         sys = make_exo_endo_system(0.5, 0.25, 2.0, 1.5, (1.0, 0.5), (0.8, 1.1))
         rng = np.random.default_rng(13)
@@ -269,6 +281,47 @@ class TestExoEndoSystem:
             y = rng.uniform(0.3, 1.5, size=3)
             assert np.allclose(sys.jac(y), central_difference_jacobian(sys.f, y),
                                atol=1e-6)
+
+
+class TestBlockSystemConstants:
+    def test_df0_and_f0_taken_once(self):
+        import dataclasses
+
+        base = make_exo_endo_system(0.8, 0.6, 1.2, 0.9, (1.0, 1.5), (1.0, 2.0))
+        calls = {"f": [], "jac": []}
+
+        def f(v):
+            calls["f"].append(np.shape(v))
+            return base.f(v)
+
+        def jac(v):
+            calls["jac"].append(np.shape(v))
+            return base.jac(v)
+
+        sys = BlockSystem(n1=1, n2=2, d1=base.d1, d2=base.d2, A1=base.A1, f=f, jac=jac)
+        assert calls == {"f": [(3,)], "jac": [(3,)]}
+        check_block_structure(sys, trials=1000)
+        assert calls["f"][1:] == [(3, 1000)]  # one vectorised probe
+        u = np.random.default_rng(31).normal(scale=0.5, size=(3, 16))
+        for _ in range(3):
+            sys.midpoint_stage(u, 0.05)
+        assert calls["jac"][1:] == [(3,)] * 3  # only the rate's peak state
+        assert calls["f"][2:] == [(3, 16)] * 6
+        assert np.array_equal(sys.linearization, base.jac(np.zeros(3)))
+        assert np.array_equal(sys.f0, np.zeros(3))
+        with pytest.raises(ValueError):
+            sys.B[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sys.f0[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.c = 2.0
+
+    def test_n_times_v_matches_tensordot_reference(self):
+        sys = _rotation_toy()
+        v = np.random.default_rng(32).normal(size=(3, 8, 5))
+        B = sys.jac(np.zeros(3))
+        expect = sys.f(v) - sys.f(np.zeros(3)).reshape(3, 1, 1) - np.tensordot(B, v, axes=(1, 0))
+        assert np.array_equal(eval_N_times_v_exact(sys, v), expect)
 
 
 class TestGaslessSystem:

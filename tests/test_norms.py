@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frontlab.norms import (
+    NormRecorder,
     NormSeries,
     _gradient_sq_sum,
     fit_decay,
@@ -131,6 +132,31 @@ class TestWeighted:
         g = Grid(L=10.0, N=64)
         with pytest.raises(ValueError):
             norm_weighted(g, np.zeros(64), -0.1, 0)
+
+
+    def test_overflowing_sum_of_squares_is_rescaled(self):
+        # |e^(alpha z) v| is about 1e165 at z = 970: its squares overflow,
+        # its norm does not; exact scaling by 2^600 must commute with the norm
+        import warnings
+
+        from frontlab.model import ModelParams
+        from frontlab.sim import Perturbation, build_perturbation
+
+        g = Grid(L=1000.0, N=4096)
+        p = ModelParams(epsilon=0.5, kappa=1.0, c=1.0)
+        pert = Perturbation(amplitude=1e-3, center=(970.0,), widths=(5.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state, report = build_perturbation(g, pert, p, 0.4)
+            for k in (0, 1):
+                big = norm_weighted(g, state.data, 0.4, k)
+                small = norm_weighted(g, np.ldexp(state.data, -600), 0.4, k)
+                assert big == pytest.approx(2.0**600 * small, rel=1e-12)
+                assert 1e160 < big < math.inf
+                raw = np.ldexp(state.data, 540)  # ~1e160 unweighted
+                assert norm_unweighted(g, raw, k) == pytest.approx(
+                    2.0**540 * norm_unweighted(g, state.data, k), rel=1e-12)
+        assert report["normalpha"] == norm_weighted(g, state.data, 0.4, 0)
 
 
 class TestIntersection:
@@ -292,3 +318,66 @@ class TestSeriesStructure:
         row = lines[1].split(",")
         assert float(row[0]) == 0.0
         assert float(row[1]) == 1.0
+
+
+class TestNormRecorder:
+    """One pass per record gives the single-norm values bit for bit."""
+
+    @staticmethod
+    def single(g, data, alpha, n1):
+        rec = {}
+        for k in (0, 1):
+            v1 = norm_unweighted(g, data[:n1], k)
+            v2 = norm_unweighted(g, data[n1:], k)
+            va = norm_weighted(g, data, alpha, k)
+            rec.update({("norm0_v1", k): v1, ("norm0_v2", k): v2,
+                        ("norm0_v", k): math.hypot(v1, v2), ("normalpha_v", k): va,
+                        ("normE_v", k): max(math.hypot(v1, v2), va)})
+        return rec
+
+    @pytest.mark.parametrize("n1, ncomp", [(1, 2), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("grid", [Grid(L=20.0, N=256), Grid(L=(20.0, 6.0), N=(64, 32))],
+                             ids=["1d", "2d"])
+    def test_equals_single_norms(self, grid, n1, ncomp):
+        rng = np.random.default_rng(ncomp + 7 * n1 + grid.d)
+        z = grid.coords(0).reshape((-1,) + (1,) * (grid.d - 1))
+        recorder = NormRecorder(grid, 0.4, ncomp, n1)
+        for scale in (1e-3, 1.0, 1e40):
+            data = scale * rng.normal(size=(ncomp,) + grid.shape) * np.exp(-(z / 4.0) ** 2)
+            data[:, z.ravel() > 12.0] = 0.0  # an exact-zero tail
+            got = recorder.record(data)
+            assert list(got) == list(self.single(grid, data, 0.4, n1))
+            assert got == self.single(grid, data, 0.4, n1)
+        zero = recorder.record(np.zeros((ncomp,) + grid.shape))
+        assert all(v == 0.0 for v in zero.values())
+
+    def test_weight_past_exp_709_and_overflowing_sums(self):
+        # alpha L = 819 on L = 2048: exp(alpha z) is inf on the exact-zero tail
+        g = Grid(L=2048.0, N=4096)
+        z = g.coords(0)
+        recorder = NormRecorder(g, 0.4, 2, 1)
+        bump = np.where(np.abs(z - 5.0) < 40.0, np.exp(-((z - 5.0) / 4.0) ** 2), 0.0)
+        for data in (np.stack([bump, -0.5 * bump]), np.stack([0.0 * bump, bump]),
+                     np.stack([np.roll(bump, 1495), 1e-3 * np.roll(bump, 1495)])):
+            with np.errstate(all="raise"):
+                got = recorder.record(data)
+            assert got == self.single(g, data, 0.4, 1)
+            assert all(math.isfinite(v) for v in got.values())
+        # the last field sits at z ~ 1500 where the weight is ~1e260: its
+        # weighted squares overflow and are rescaled, as in norm_weighted
+        assert got[("normalpha_v", 1)] > 1e200
+
+    def test_overflow_error_text(self):
+        g = Grid(L=2048.0, N=4096)
+        z = g.coords(0)
+        data = np.stack([np.exp(-((z - 1800.0) / 4.0) ** 2), np.zeros_like(z)])
+        with pytest.raises(ValueError) as single:
+            norm_weighted(g, data, 0.4, 0)
+        with pytest.raises(ValueError) as recorded:
+            NormRecorder(g, 0.4, 2, 1).record(data)
+        assert str(recorded.value) == str(single.value)
+        assert str(single.value).startswith("weighted norm overflow: alpha * z reaches")
+
+    def test_rejects_negative_alpha(self):
+        with pytest.raises(ValueError):
+            NormRecorder(Grid(L=10.0, N=64), -0.1, 2, 1)

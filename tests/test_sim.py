@@ -218,6 +218,25 @@ class TestPropagatorLifetime:
         assert res.nsteps == 20
         assert built == [0.5 * res.dt]
 
+    def test_linear_run_builds_one_propagator_per_segment_length(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args[-1])
+            return real(*args)
+
+        real = sim.exact_propagator
+        monkeypatch.setattr(sim, "exact_propagator", counting)
+        g = Grid(L=15.0, N=128)
+        pert = Perturbation(eta=1e-3, center=(3.0,), widths=(2.0,))
+        # 20 steps recorded every 6: segments of 6, 6, 6 and 2 steps
+        res = run(params(), g, pert, ALPHA, T=1.0, dt=0.05, record_every=6, nonlinear=False)
+        assert res.nsteps == 20
+        assert built == [6 * res.dt, 2 * res.dt]
+        built.clear()
+        run(params(), g, pert, ALPHA, T=1.0, dt=0.05, record_every=5, nonlinear=False)
+        assert built == [5 * res.dt]
+
     def test_faster_decaying_second_component_runs(self):
         # dt (D_2 - D_1) |xi|^2 far above the exp overflow threshold on the
         # high modes; the v1 profile only advects, v2 feeds it through B12
@@ -261,15 +280,19 @@ class TestStepImex:
             out = step_imex(params(), g, state, linear_propagator(params(), g, 0.5 * dt))
             assert np.all(out.data == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:boundary contamination")
     def test_nonlinear_disabled_equals_linear(self):
+        # a linear run's step is the exact flow, equal to two linear half-steps
         g = Grid(L=10.0, N=64)
         p = params()
         rng = np.random.default_rng(3)
         state = FieldState(t=0.0, data=0.1 * rng.normal(size=(2, 64)))
-        a = step_imex(p, g, state, linear_propagator(p, g, 0.125), nonlinear=False)
-        b = apply_linear_exact(g, state, linear_propagator(p, g, 0.25))
+        a = run(p, g, state, ALPHA, T=0.25, dt=0.25, nonlinear=False).snapshots[-1]
+        half = linear_propagator(p, g, 0.125)
+        b = apply_linear_exact(g, apply_linear_exact(g, state, half), half)
         assert np.max(np.abs(a.data - b.data)) <= 1e-14
 
+    @pytest.mark.filterwarnings("ignore:boundary contamination")
     def test_triangular_decoupling_linear(self):
         # with the nonlinearity disabled the v2 trajectory ignores v1 entirely
         g = Grid(L=10.0, N=64)
@@ -278,11 +301,10 @@ class TestStepImex:
         v2 = 0.3 * rng.normal(size=64)
         s_a = FieldState(t=0.0, data=np.stack([np.zeros(64), v2]))
         s_b = FieldState(t=0.0, data=np.stack([rng.normal(size=64), v2]))
-        half = linear_propagator(p, g, 0.05)
-        for _ in range(5):
-            s_a = step_imex(p, g, s_a, half, nonlinear=False)
-            s_b = step_imex(p, g, s_b, half, nonlinear=False)
-        assert np.max(np.abs(s_a.data[1] - s_b.data[1])) <= 1e-14
+        # five steps in segments of 2, 2 and 1: both segment propagators
+        r_a, r_b = (run(p, g, s, ALPHA, T=0.5, dt=0.1, record_every=2, nonlinear=False)
+                    for s in (s_a, s_b))
+        assert np.max(np.abs(r_a.snapshots[-1].data[1] - r_b.snapshots[-1].data[1])) <= 1e-14
 
     def test_nan_detection(self):
         g = Grid(L=10.0, N=64)
@@ -311,11 +333,15 @@ class TestStepImex:
         state, _ = build_perturbation(
             grid, Perturbation(amplitude=0.3, center=(0.0,) * grid.d,
                                widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
-        half = linear_propagator(p, grid, 0.05)
-        single = state
-        for _ in range(7):
-            single = step_imex(p, grid, single, half, nonlinear=nonlinear)
-        merged = step_imex(p, grid, state, half, nonlinear=nonlinear, steps=7)
+        if nonlinear:
+            half = linear_propagator(p, grid, 0.05)
+            single = state
+            for _ in range(7):
+                single = step_imex(p, grid, single, half)
+            merged = step_imex(p, grid, state, half, steps=7)
+        else:  # the linear path of run: one exact propagation per record segment
+            single, merged = (run(p, grid, state, ALPHA, T=0.7, dt=0.1, record_every=every,
+                                  nonlinear=False).snapshots[-1] for every in (1, 7))
         assert merged.t == single.t
         assert np.max(np.abs(merged.data - single.data)) <= 1e-13
 
@@ -348,10 +374,19 @@ class TestStepImex:
             grid, Perturbation(amplitude=0.3, center=(0.0,) * grid.d,
                                widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
         before = state.data.copy()
-        half = linear_propagator(p, grid, 0.05)
-        first = step_imex(p, grid, state, half, nonlinear=nonlinear, steps=3)
+        if nonlinear:
+            half = linear_propagator(p, grid, 0.05)
+
+            def advance(st):
+                return step_imex(p, grid, st, half, steps=3)
+        else:  # the linear path of run, three steps per segment
+            segment = linear_propagator(p, grid, 0.3)
+
+            def advance(st):
+                return apply_linear_exact(grid, st, segment)
+        first = advance(state)
         kept = first.data.copy()
-        second = step_imex(p, grid, first, half, nonlinear=nonlinear, steps=3)
+        second = advance(first)
         assert np.array_equal(state.data, before)
         assert np.array_equal(first.data, kept)
         assert not np.shares_memory(second.data, first.data)
@@ -401,6 +436,35 @@ class TestRun:
             if step % 3 == 0 or step == 10:
                 expect.append(t)
         assert res.series.times.tolist() == expect
+
+    def test_linear_segments_match_single_step_records(self):
+        # one exact propagation per segment of 3 steps against one per step
+        g = Grid(L=15.0, N=128)
+        p = params()
+        pert = Perturbation(eta=1e-3, center=(2.0,), widths=(2.0,), mask=(1, 1))
+        fine = run(p, g, pert, ALPHA, T=2.0, dt=0.05, record_every=1, nonlinear=False)
+        coarse = run(p, g, pert, ALPHA, T=2.0, dt=0.05, record_every=3, nonlinear=False)
+        t, expect = 0.0, [0.0]
+        for _ in range(fine.nsteps):
+            t = t + fine.dt
+            expect.append(t)
+        assert fine.series.times.tolist() == expect
+        picks = [i for i in range(fine.nsteps + 1) if i % 3 == 0 or i == fine.nsteps]
+        assert coarse.series.times.tolist() == [expect[i] for i in picks]
+        for name in ("norm0_v1", "norm0_v2", "norm0_v"):
+            for k in (0, 1):
+                a = fine.series.column(name, k)[picks]
+                b = coarse.series.column(name, k)
+                assert np.max(np.abs(a - b) / a) <= 1e-13
+
+    def test_linear_run_detects_non_finite_field(self):
+        g = Grid(L=10.0, N=64)
+        data = np.zeros((2, 64))
+        data[0, 5] = np.nan
+        with pytest.raises(SimulationBlowupError) as exc:
+            run(params(), g, FieldState(t=0.0, data=data), ALPHA, T=0.5, dt=0.1,
+                record_every=2, nonlinear=False)
+        assert exc.value.t == 0.1 + 0.1
 
     def test_zero_perturbation_all_norms_zero(self):
         g = Grid(L=10.0, N=64)
@@ -455,9 +519,11 @@ class TestRun:
         p = params()
         g = Grid(L=20.0, N=128)
         pert = Perturbation(amplitude=1e-3, center=(10.0,), widths=(3.0,), mask=(1, 1))
-        with pytest.warns(RuntimeWarning, match="boundary contamination"):
+        with pytest.warns(RuntimeWarning, match="boundary contamination") as caught:
             res = run(p, g, pert, ALPHA, T=0.2, dt=0.05)
         assert res.warnings
+        # the warning names the caller of run, not a line inside frontlab
+        assert [w.filename for w in caught] == [__file__]
 
     def test_boundary_warning_past_the_weight_range(self):
         # 2 alpha L = 800 > 709: exp(2 alpha z) overflows at the right end;
