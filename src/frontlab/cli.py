@@ -6,8 +6,9 @@ directory.  Every resolved setting (defaults included) is echoed into the
 output summary so each artifact is self-describing, and all CSV output uses
 17 significant digits with newline endings, making reruns byte-identical.
 
-Exit codes: 0 all checks passed, 1 scientific failure (a verdict or
-bracketing failure), 2 configuration or usage error.
+Exit codes: 0 all checks passed, 1 scientific failure (a verdict, a
+bracketing or shooting failure, or a front certificate that fails), 2
+configuration or usage error.
 """
 
 from __future__ import annotations
@@ -259,8 +260,16 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     return code, metrics
 
 
+FRONT_RESIDUAL_MAX = 1e-6   # largest |phi1(left) - 1/kappa| of a certified front
+
+
 def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
-    """Shoot for the connecting orbit (eps = 0) or run a conservation orbit."""
+    """Shoot for the connecting orbit (eps = 0) or run a conservation orbit.
+
+    A shot profile whose left temperature misses 1/kappa by more than
+    FRONT_RESIDUAL_MAX is a failed certificate: its artifacts are written
+    and the command exits 1.
+    """
     mode = scenario.get("front", "mode", str, "shoot")
     eps = scenario.get("model", "epsilon", float, 0.0)
     kappa = scenario.get("model", "kappa", float, 1.0)
@@ -293,8 +302,12 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             "shots": len(profile.shots),
             "samples": len(profile.z),
         }
+        if not profile.residual_left <= FRONT_RESIDUAL_MAX:
+            metrics["error"] = (f"the profile does not reach the burned state: "
+                                f"|phi1(left) - 1/kappa| = {profile.residual_left:.3g} "
+                                f"> {FRONT_RESIDUAL_MAX:g}")
         _write_summary(outdir, "summary.txt", scenario, metrics)
-        return 0, metrics
+        return (1 if "error" in metrics else 0), metrics
 
     if mode == "orbit":
         c = scenario.get("model", "c", float, 1.0)
@@ -308,6 +321,10 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             res = _front.integrate_orbit(params, np.asarray(s0), span, tol=tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except _front.StepUnderflowError as exc:
+            metrics = {"error": str(exc)}
+            _write_summary(outdir, "summary.txt", scenario, metrics)
+            return 1, metrics
         _front.write_profile_csv(outdir / "orbit.csv", res.z, res.states,
                                  res.k_values - res.k_values[0])
         metrics = {"k_drift_max": res.k_drift, "steps": res.nsteps,

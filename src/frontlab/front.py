@@ -53,6 +53,7 @@ __all__ = [
 SCAN_POINTS = 17        # speeds in the bracket scan
 DELTA = 1e-8            # offset of the shot start along the unstable direction
 ZETA_MAX = 5000.0       # leftward length of one shot
+TOL_MIN = 100 * np.finfo(float).eps   # smallest tolerance, the floor of scipy's solve_ivp
 
 
 class StepUnderflowError(RuntimeError):
@@ -74,9 +75,10 @@ class ShotRecord(NamedTuple):
 
 
 class ShootingError(RuntimeError):
-    """No sign change of the shooting functional inside the speed bracket.
+    """The speed search failed: no sign change of the shooting functional
+    inside the speed bracket, or a shot whose step size underflowed.
 
-    `shots` holds the ShotRecord of every shot taken before giving up.
+    `shots` holds the ShotRecord of every shot completed before giving up.
     """
 
     def __init__(self, message: str, shots: list):
@@ -221,57 +223,88 @@ _E6 = _B6 - 187 / 2100
 _E7 = -1 / 40
 
 
-def _rk45(rhs: Callable[[Sequence[float]], Sequence[float]],
+def _rk45(rhs: Callable[[float, float, float, float], tuple],
           s0: Sequence[float],
           span: float,
           rtol: float,
           atol: float,
-          stop: Optional[Callable[[Sequence[float]], Optional[str]]] = None):
+          stop: Optional[Callable[[tuple], Optional[str]]] = None):
     """Embedded Dormand-Prince 5(4) integration over tau in [0, span].
 
-    Runs on lists of Python floats: the state and the autonomous field
-    rhs(s) have any fixed length, and each stage is written out with the
-    tableau constants.  `stop(s)` may return a reason string to terminate
-    after an accepted step.  Returns (tau array, state array, reason,
-    nsteps) with every accepted step recorded; reason is "span" when the
-    full interval was covered.  A step whose error norm is not finite is
-    rejected like any other, so a NaN field ends in StepUnderflowError,
-    which carries the failing location.
+    One straight-line step on four Python-float slots y1..y4: s0 has 3 or 4
+    entries (the missing slot starts at 0.0) and rhs(p1, p2, p3, p4) returns
+    a 4-tuple, whose fourth entry is 0.0 for a three-dimensional field.  With
+    atol > 0 a zero slot adds exactly 0.0 to the error sum, so the error
+    norm sqrt(sq / n), n = len(s0), is the n-dimensional one bit for bit.
+    `stop(s)` gets the accepted state as a 4-tuple and may return a reason
+    string to terminate after that step.  Returns (tau array, state array
+    of n columns, reason, nsteps) with every accepted step recorded; reason
+    is "span" when the full interval was covered.  A step whose error norm
+    is not finite is rejected like any other, so a NaN field ends in
+    StepUnderflowError, which carries the failing location.
     """
-    s = [float(x) for x in s0]
-    n = len(s)
+    n = len(s0)
+    # the tableau as locals, which the loop reads faster than globals
+    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
+    A51, A52, A53, A54, A61, A62, A63, A64, A65 = (_A51, _A52, _A53, _A54,
+                                                   _A61, _A62, _A63, _A64, _A65)
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    y1, y2, y3, y4 = [float(x) for x in s0] + [0.0] * (4 - n)
     tau = 0.0
     h = min(1e-4, span)
     taus = [0.0]
-    states = [s]
+    states = [(y1, y2, y3, y4)]
     nsteps = 0
     reason = "span"
-    k1 = rhs(s)
+    # stage j is the tuple (j1, j2, j3, j4) for j = a (k1) .. g (k7)
+    a1, a2, a3, a4 = rhs(y1, y2, y3, y4)
     while tau < span:
         h = min(h, span - tau)
         if h < 1e-14 * max(1.0, abs(tau)):
             raise StepUnderflowError(tau)
-        k2 = rhs([y + h * (_A21 * a) for y, a in zip(s, k1)])
-        k3 = rhs([y + h * (_A31 * a + _A32 * b) for y, a, b in zip(s, k1, k2)])
-        k4 = rhs([y + h * (_A41 * a + _A42 * b + _A43 * c)
-                  for y, a, b, c in zip(s, k1, k2, k3)])
-        k5 = rhs([y + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                  for y, a, b, c, d in zip(s, k1, k2, k3, k4)])
-        k6 = rhs([y + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                  for y, a, b, c, d, e in zip(s, k1, k2, k3, k4, k5)])
-        s5 = [y + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-              for y, a, c, d, e, f in zip(s, k1, k3, k4, k5, k6)]
-        k7 = rhs(s5)
-        sq = 0.0
-        for y, z, a, c, d, e, f, g in zip(s, s5, k1, k3, k4, k5, k6, k7):
-            err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-            sq += (err / (atol + rtol * max(abs(y), abs(z)))) ** 2
+        b1, b2, b3, b4 = rhs(y1 + h * (A21 * a1), y2 + h * (A21 * a2),
+                             y3 + h * (A21 * a3), y4 + h * (A21 * a4))
+        c1, c2, c3, c4 = rhs(y1 + h * (A31 * a1 + A32 * b1),
+                             y2 + h * (A31 * a2 + A32 * b2),
+                             y3 + h * (A31 * a3 + A32 * b3),
+                             y4 + h * (A31 * a4 + A32 * b4))
+        d1, d2, d3, d4 = rhs(y1 + h * (A41 * a1 + A42 * b1 + A43 * c1),
+                             y2 + h * (A41 * a2 + A42 * b2 + A43 * c2),
+                             y3 + h * (A41 * a3 + A42 * b3 + A43 * c3),
+                             y4 + h * (A41 * a4 + A42 * b4 + A43 * c4))
+        e1, e2, e3, e4 = rhs(y1 + h * (A51 * a1 + A52 * b1 + A53 * c1 + A54 * d1),
+                             y2 + h * (A51 * a2 + A52 * b2 + A53 * c2 + A54 * d2),
+                             y3 + h * (A51 * a3 + A52 * b3 + A53 * c3 + A54 * d3),
+                             y4 + h * (A51 * a4 + A52 * b4 + A53 * c4 + A54 * d4))
+        f1, f2, f3, f4 = rhs(
+            y1 + h * (A61 * a1 + A62 * b1 + A63 * c1 + A64 * d1 + A65 * e1),
+            y2 + h * (A61 * a2 + A62 * b2 + A63 * c2 + A64 * d2 + A65 * e2),
+            y3 + h * (A61 * a3 + A62 * b3 + A63 * c3 + A64 * d3 + A65 * e3),
+            y4 + h * (A61 * a4 + A62 * b4 + A63 * c4 + A64 * d4 + A65 * e4))
+        z1 = y1 + h * (B1 * a1 + B3 * c1 + B4 * d1 + B5 * e1 + B6 * f1)
+        z2 = y2 + h * (B1 * a2 + B3 * c2 + B4 * d2 + B5 * e2 + B6 * f2)
+        z3 = y3 + h * (B1 * a3 + B3 * c3 + B4 * d3 + B5 * e3 + B6 * f3)
+        z4 = y4 + h * (B1 * a4 + B3 * c4 + B4 * d4 + B5 * e4 + B6 * f4)
+        g1, g2, g3, g4 = rhs(z1, z2, z3, z4)
+        # slot scale atol + rtol max(|y|, |z|), max written out: the builtin's
+        # result, NaN included, without its call
+        sq = ((h * (E1 * a1 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * f1 + E7 * g1))
+              / (atol + rtol * (w if (w := abs(z1)) > (u := abs(y1)) else u))) ** 2
+        sq += ((h * (E1 * a2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * f2 + E7 * g2))
+               / (atol + rtol * (w if (w := abs(z2)) > (u := abs(y2)) else u))) ** 2
+        sq += ((h * (E1 * a3 + E3 * c3 + E4 * d3 + E5 * e3 + E6 * f3 + E7 * g3))
+               / (atol + rtol * (w if (w := abs(z3)) > (u := abs(y3)) else u))) ** 2
+        sq += ((h * (E1 * a4 + E3 * c4 + E4 * d4 + E5 * e4 + E6 * f4 + E7 * g4))
+               / (atol + rtol * (w if (w := abs(z4)) > (u := abs(y4)) else u))) ** 2
         enorm = math.sqrt(sq / n)
         if enorm <= 1.0:
             tau += h
-            s, k1 = s5, k7  # a fresh list each step, so the recorded states never alias
+            y1, y2, y3, y4 = z1, z2, z3, z4
+            a1, a2, a3, a4 = g1, g2, g3, g4
             nsteps += 1
             taus.append(tau)
+            s = (z1, z2, z3, z4)
             states.append(s)
             if stop is not None:
                 why = stop(s)
@@ -283,14 +316,15 @@ def _rk45(rhs: Callable[[Sequence[float]], Sequence[float]],
         else:  # zero error grows the step, a NaN norm shrinks it
             factor = 5.0 if enorm == 0.0 else 0.2
         h *= min(5.0, max(0.2, factor))
-    return np.asarray(taus), np.asarray(states), reason, nsteps
+    return np.asarray(taus), np.asarray(states)[:, :n], reason, nsteps
 
 
 def _float_field(c: float, kappa: float, eps: float, direction: float):
-    """direction * vector_field as a function of a list of Python floats.
+    """direction * vector_field as rhs(p1, p2, p3, p4) -> 4-tuple of Python floats.
 
-    Three-dimensional for eps = 0, four-dimensional otherwise.  The ignition
-    rate is math.exp(-1/phi1) for phi1 > 0 and 0 otherwise, the cutoff of
+    Four-dimensional for eps > 0; for eps = 0 the reduced three-dimensional
+    field ignores p4 and returns 0.0 in the fourth slot.  The ignition rate
+    is math.exp(-1/phi1) for phi1 > 0 and 0 otherwise, the cutoff of
     model.eval_g; math.exp may round the last bit differently from numpy's
     exp, and the rest of the arithmetic is vector_field's.
     """
@@ -301,19 +335,27 @@ def _float_field(c: float, kappa: float, eps: float, direction: float):
     if eps == 0.0:
         q = d * (kappa / c)
 
-        def reduced(s):
-            p1, p2, p3 = s
+        def reduced(p1, p2, p3, p4):
             r = p2 * (exp(-1.0 / p1) if p1 > 0.0 else 0.0)
-            return (d * p3, q * r, nd * (c * p3 + r))
+            return (d * p3, q * r, nd * (c * p3 + r), 0.0)
 
         return reduced
 
-    def full(s):
-        p1, p2, p3, p4 = s
+    def full(p1, p2, p3, p4):
         r = p2 * (exp(-1.0 / p1) if p1 > 0.0 else 0.0)
         return (d * p3, d * p4, nd * (c * p3 + r), nd * (c * p4 - kappa * r) / eps)
 
     return full
+
+
+def _check_finite_and_tol(tol: float, **values) -> None:
+    """ValueError unless every named value is finite and TOL_MIN <= tol < inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not TOL_MIN <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {TOL_MIN:.3g} "
+                         f"(100 times the machine epsilon), got {tol}")
 
 
 def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> OrbitResult:
@@ -321,11 +363,10 @@ def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> Orbi
 
     Adaptive RK45 with absolute and relative tolerance tol; the reported
     k_drift is the max deviation of the first integral from its initial
-    value, expected below 10 * tol * |span| for eps > 0.  s0 and z_span
-    must be finite.
+    value, expected below 10 * tol * |span| for eps > 0.  s0, z_span, c
+    and kappa must be finite, and tol at least TOL_MIN.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_finite_and_tol(tol, kappa=params.kappa, c=params.c)
     s0 = np.asarray(s0, dtype=float)
     dim = 4 if params.epsilon > 0.0 else 3
     if s0.shape != (dim,):
@@ -401,20 +442,23 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
     the one at c* = hi, trimmed at its closest approach to the burned state
     and returned with z ascending.  The first-integral identity
     k = c/kappa is the convergence certificate.  Every shot is recorded in
-    profile.shots (or in the ShootingError's shots).
+    profile.shots (or in the ShootingError's shots).  kappa, c_bracket and
+    tol must be finite, and tol at least TOL_MIN.
     """
+    c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
+    _check_finite_and_tol(tol, kappa=kappa, c_min=c_lo, c_max=c_hi)
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
     if not 0.0 < c_lo < c_hi:
         raise ValueError("c_bracket must satisfy 0 < c_lo < c_hi")
 
     shots = []
 
     def shoot(c, shot_tol):
-        sign, taus, states = _shot(kappa, c, shot_tol)
+        try:
+            sign, taus, states = _shot(kappa, c, shot_tol)
+        except StepUnderflowError as exc:
+            raise ShootingError(f"the shot at c = {float(c)!r} failed: {exc}", shots) from exc
         shots.append(ShotRecord(float(c), shot_tol, sign,
                                 {1: "up", -1: "down"}.get(sign, "span"), len(taus) - 1))
         return sign, taus, states

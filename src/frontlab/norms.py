@@ -38,6 +38,9 @@ __all__ = [
 
 WEIGHT_OVERFLOW_LIMIT = 700.0
 SUPPORT_CUTOFF = 1e-300
+# record times are sums of dt: a record this close to a fit-window edge,
+# relative to the largest |t|, is on the edge (round-off there is ~1e-14)
+WINDOW_EDGE_RTOL = 1e-9
 
 
 def _component_view(data: np.ndarray, grid) -> np.ndarray:
@@ -285,9 +288,12 @@ def fit_decay(times, values, window: Optional[tuple] = None,
     """Fit an exponential decay rate on a time window of a positive series.
 
     The window defaults to the full range with the first `skip_fraction` of
-    samples dropped (initial transient).  Nonpositive values inside the
-    window mean the series decayed below measurability: the fit is reported
-    with the +inf rate sentinel instead of failing.
+    samples dropped (initial transient).  A time within WINDOW_EDGE_RTOL
+    (relative to the largest |t|) of an edge counts as inside, so the
+    samples do not depend on round-off in a time axis summed from steps.
+    Nonpositive values inside the window mean the series decayed below
+    measurability: the fit is reported with the +inf rate sentinel instead
+    of failing.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -296,7 +302,8 @@ def fit_decay(times, values, window: Optional[tuple] = None,
     if window is None:
         lo = t[0] + skip_fraction * (t[-1] - t[0])
         window = (lo, t[-1])
-    sel = (t >= window[0]) & (t <= window[1])
+    slack = WINDOW_EDGE_RTOL * float(np.max(np.abs(t), initial=0.0))
+    sel = (t >= window[0] - slack) & (t <= window[1] + slack)
     if int(np.sum(sel)) < 10:
         raise ValueError(f"need at least 10 samples in the fit window, got {int(np.sum(sel))}")
     tw, yw = t[sel], y[sel]

@@ -163,6 +163,59 @@ class TestFrontCommand:
         rows = (out / "shots.csv").read_text().splitlines()[1:]
         assert len(rows) == 17 and all(r.split(",")[3] == "up" for r in rows)
 
+    def test_failed_certificate_exits_1(self, tmp_path):
+        # tol = 1 stops every shot at once: the profile never nears 1/kappa
+        cfg = write_config(tmp_path, """
+            [model]
+            kind = combustion
+            epsilon = 0
+            kappa = 1.0
+
+            [front]
+            mode = shoot
+            tol = 1.0
+        """)
+        out = tmp_path / "out"
+        assert main(["front", "--config", cfg, "--out", str(out)]) == 1
+        summary = dict(ln.split(": ", 1)
+                       for ln in (out / "summary.txt").read_text().splitlines())
+        assert float(summary["phi1_left_residual"]) > 1e-6
+        assert "burned state" in summary["error"]
+        assert (out / "profile.csv").exists() and (out / "shots.csv").exists()
+
+    def test_step_underflow_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path, """
+            [model]
+            kind = combustion
+            epsilon = 0
+            kappa = 1.0
+
+            [front]
+            mode = shoot
+            c_min = 1.0
+            c_max = 1e100
+        """)
+        out = tmp_path / "out"
+        assert main(["front", "--config", cfg, "--out", str(out)]) == 1
+        assert "underflow" in (out / "summary.txt").read_text()
+        rows = (out / "shots.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].split(",")[3] == "up"
+
+    def test_orbit_step_underflow_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path, """
+            [model]
+            kind = combustion
+            epsilon = 0.5
+            c = 1e100
+
+            [front]
+            mode = orbit
+            s0 = 0.1, 0.9, 0.0, 0.05
+        """)
+        out = tmp_path / "out"
+        assert main(["front", "--config", cfg, "--out", str(out)]) == 1
+        assert "underflow" in (out / "summary.txt").read_text()
+
     def test_shots_csv_records_every_shot(self, tmp_path):
         cfg = Path(__file__).resolve().parents[1] / "scenarios" / "front_shoot.ini"
         out = tmp_path / "out"
@@ -520,8 +573,15 @@ class TestExitCodes:
         ("front", "front", "mode = orbit\ns0 = nan, 0.9, 0.0", "s0"),
         ("front", "front", "mode = orbit\nspan = 0, nan", "span"),
         ("front", "front", "mode = orbit\nspan = 0, inf", "span"),
+        ("front", "front", "tol = 1e-300", "tol"),
+        ("front", "front", "tol = 1e-100", "tol"),
+        ("front", "front", "tol = inf", "tol"),
+        ("front", "model", "kappa = inf", "kappa"),
+        ("front", "front", "c_max = inf", "c_max"),
+        ("front", "front", "mode = orbit\ntol = 1e-100", "tol"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
-            "s0_nan", "span_nan", "span_inf"])
+            "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
+            "kappa_inf", "c_max_inf", "orbit_tol_1e-100"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         cfg = write_config(tmp_path, f"[model]\nkind = combustion\n\n[{section}]\n{setting}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

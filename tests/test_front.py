@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from frontlab import front
 from frontlab.front import (
+    TOL_MIN,
     ShootingError,
     StepUnderflowError,
     _float_field,
@@ -20,6 +24,74 @@ from frontlab.model import ModelParams, eval_g
 
 def params(eps=0.5, kappa=1.0, c=1.0):
     return ModelParams(epsilon=eps, kappa=kappa, c=c)
+
+
+def reference_rk45(rhs, s0, span, rtol, atol, stop=None):
+    """The generic Dormand-Prince 5(4) loop on lists of any length, rhs(s) -> list.
+
+    The reference for front._rk45: the same tableau and the same order of
+    every operation, one list comprehension per stage.
+    """
+    s = [float(x) for x in s0]
+    n = len(s)
+    tau = 0.0
+    h = min(1e-4, span)
+    taus = [0.0]
+    states = [s]
+    nsteps = 0
+    reason = "span"
+    k1 = rhs(s)
+    while tau < span:
+        h = min(h, span - tau)
+        if h < 1e-14 * max(1.0, abs(tau)):
+            raise StepUnderflowError(tau)
+        k2 = rhs([y + h * (front._A21 * a) for y, a in zip(s, k1)])
+        k3 = rhs([y + h * (front._A31 * a + front._A32 * b) for y, a, b in zip(s, k1, k2)])
+        k4 = rhs([y + h * (front._A41 * a + front._A42 * b + front._A43 * c)
+                  for y, a, b, c in zip(s, k1, k2, k3)])
+        k5 = rhs([y + h * (front._A51 * a + front._A52 * b + front._A53 * c + front._A54 * d)
+                  for y, a, b, c, d in zip(s, k1, k2, k3, k4)])
+        k6 = rhs([y + h * (front._A61 * a + front._A62 * b + front._A63 * c + front._A64 * d
+                           + front._A65 * e)
+                  for y, a, b, c, d, e in zip(s, k1, k2, k3, k4, k5)])
+        s5 = [y + h * (front._B1 * a + front._B3 * c + front._B4 * d + front._B5 * e
+                       + front._B6 * f)
+              for y, a, c, d, e, f in zip(s, k1, k3, k4, k5, k6)]
+        k7 = rhs(s5)
+        sq = 0.0
+        for y, z, a, c, d, e, f, g in zip(s, s5, k1, k3, k4, k5, k6, k7):
+            err = h * (front._E1 * a + front._E3 * c + front._E4 * d + front._E5 * e
+                       + front._E6 * f + front._E7 * g)
+            sq += (err / (atol + rtol * max(abs(y), abs(z)))) ** 2
+        enorm = math.sqrt(sq / n)
+        if enorm <= 1.0:
+            tau += h
+            s, k1 = s5, k7
+            nsteps += 1
+            taus.append(tau)
+            states.append(s)
+            if stop is not None:
+                why = stop(s)
+                if why is not None:
+                    reason = why
+                    break
+        if enorm > 0.0:
+            factor = 0.9 * enorm**-0.2
+        else:
+            factor = 5.0 if enorm == 0.0 else 0.2
+        h *= min(5.0, max(0.2, factor))
+    return np.asarray(taus), np.asarray(states), reason, nsteps
+
+
+def listed(rhs, n):
+    """A four-slot field rhs(p1, p2, p3, p4) as the reference's field of n-lists."""
+    pad = [0.0] * (4 - n)
+    return lambda s: list(rhs(*s, *pad)[:n])
+
+
+def reference_kernel(rhs, s0, span, rtol, atol, stop=None):
+    """reference_rk45 behind front._rk45's call signature."""
+    return reference_rk45(listed(rhs, len(s0)), s0, span, rtol, atol, stop)
 
 
 class TestVectorField:
@@ -67,7 +139,7 @@ class TestFloatField:
         states[110:120, 0] = np.nextafter(0.0, 1.0) * np.arange(1, 11)
         field = _float_field(p.c, p.kappa, p.epsilon, direction)
         for s in states:
-            got = np.array(field(s.tolist()))
+            got = np.array(field(*s.tolist(), *[0.0] * (4 - dim))[:dim])
             ref = direction * vector_field(p, s)
             r = abs(s[1]) * eval_g(s[0])
             terms = ([abs(s[2]), abs(s[3]), p.c * abs(s[2]) + r,
@@ -76,6 +148,67 @@ class TestFloatField:
             assert np.all(np.abs(got - ref) <= 5 * np.finfo(float).eps * np.array(terms))
             if s[0] <= 0.0:
                 assert got.tobytes() == ref.tobytes()
+
+
+def assert_same_run(got, ref):
+    taus, states, reason, nsteps = got
+    assert taus.tobytes() == ref[0].tobytes()
+    assert states.shape == ref[1].shape and states.tobytes() == ref[1].tobytes()
+    assert (reason, nsteps) == ref[2:]
+
+
+class TestKernelReference:
+    """front._rk45 against the generic list loop, bit for bit."""
+
+    @pytest.mark.parametrize("eps, s0, span", [
+        (0.0, (0.1, 0.9, 0.0), 20.0),
+        (0.3, (0.1, 0.9, 0.0, 0.05), 8.0),
+    ], ids=["reduced", "full"])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_orbit_over_full_span(self, eps, s0, span, direction):
+        rhs = _float_field(0.6, 1.3, eps, direction)
+        got = _rk45(rhs, s0, span, rtol=1e-10, atol=1e-10)
+        assert got[2] == "span" and got[0][-1] == span and got[1].shape[1] == len(s0)
+        assert_same_run(got, reference_kernel(rhs, s0, span, rtol=1e-10, atol=1e-10))
+
+    def test_reduced_field_fills_the_fourth_slot_with_zero(self):
+        rhs = _float_field(0.6, 1.3, 0.0, -1.0)
+        assert rhs(0.3, 0.5, -0.2, 7.0)[3] == 0.0
+
+    @pytest.mark.parametrize("c, reason", [(0.3, "down"), (0.9, "up")])
+    def test_stop_callable(self, c, reason):
+        # a leftward shot: it stops when the temperature leaves [-1e-6, 1.5]
+        s0 = [1e-8, 1.0, -1e-8 * c]
+
+        def stop(s):
+            return "up" if s[0] > 1.5 else "down" if s[0] < -1e-6 else None
+
+        rhs = _float_field(c, 1.0, 0.0, -1.0)
+        got = _rk45(rhs, s0, 5000.0, rtol=1e-12, atol=1e-14, stop=stop)
+        assert got[2] == reason and got[0][-1] < 5000.0
+        assert_same_run(got, reference_kernel(rhs, s0, 5000.0, rtol=1e-12, atol=1e-14,
+                                              stop=stop))
+
+    def test_nan_field_underflows_at_the_same_tau(self):
+        def rhs(p1, p2, p3, p4):
+            return (p3, 0.0, np.nan if p1 > 0.2 else -p1, 0.0)
+
+        errors = []
+        for kernel in (_rk45, reference_kernel):
+            with pytest.raises(StepUnderflowError) as info:
+                kernel(rhs, [0.1, 0.9, 1.0], 1.0, rtol=1e-8, atol=1e-8)
+            errors.append(info.value.z)
+        assert errors[0] > 0.0 and errors[0] == errors[1]
+
+    def test_shoot_speed_with_the_reference_kernel(self, shot_kappa1, monkeypatch):
+        c_star, profile = shot_kappa1
+        monkeypatch.setattr(front, "_rk45", reference_kernel)
+        c_ref, ref = shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
+        assert c_ref == c_star and ref.shots == profile.shots
+        assert len(ref.shots) == 67 and sum(shot.steps for shot in ref.shots) == 69094
+        for name in ("z", "states", "k_values"):
+            assert getattr(ref, name).tobytes() == getattr(profile, name).tobytes()
+        assert ref.residual_left == profile.residual_left
 
 
 class TestConservedQuantity:
@@ -155,10 +288,20 @@ class TestOrbitIntegration:
         with pytest.raises(ValueError, match="finite"):
             integrate_orbit(params(), np.array(s0), span)
 
+    @pytest.mark.parametrize("p, tol, named", [
+        (params(kappa=math.inf), 1e-10, "kappa"),
+        (params(c=math.inf), 1e-10, "c"),
+        (params(), math.inf, "tol"),
+        (params(), 1e-100, "tol"),
+    ], ids=["kappa_inf", "c_inf", "tol_inf", "tol_tiny"])
+    def test_rejects_non_finite_settings_and_tiny_tol(self, p, tol, named):
+        with pytest.raises(ValueError, match=named):
+            integrate_orbit(p, np.array([0.1, 0.9, 0.0, 0.05]), (0.0, 8.0), tol=tol)
+
     def test_nan_error_norm_ends_in_step_underflow(self):
         # a NaN field gives a NaN error norm: the step is rejected and shrinks
         with pytest.raises(StepUnderflowError):
-            _rk45(lambda s: [np.nan] * len(s), [0.1, 0.9, 0.0], 1.0, rtol=1e-8, atol=1e-8)
+            _rk45(lambda *s: [np.nan] * len(s), [0.1, 0.9, 0.0], 1.0, rtol=1e-8, atol=1e-8)
 
     def test_dimension_validation(self):
         p = params()  # eps > 0 wants 4 components
@@ -247,6 +390,25 @@ class TestShooting:
         for kappa in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="kappa"):
                 shoot_speed(kappa, (0.1, 2.0))
+
+    @pytest.mark.parametrize("kappa, bracket, tol, named", [
+        (math.inf, (0.1, 2.0), 1e-12, "kappa"),
+        (1.0, (math.nan, 2.0), 1e-12, "c_min"),
+        (1.0, (0.1, math.inf), 1e-12, "c_max"),
+        (1.0, (0.1, 2.0), math.inf, "tol"),
+        (1.0, (0.1, 2.0), math.nan, "tol"),
+        (1.0, (0.1, 2.0), 1e-300, "tol"),
+        (1.0, (0.1, 2.0), 0.99 * TOL_MIN, "tol"),
+    ])
+    def test_rejects_non_finite_settings_and_tiny_tol(self, kappa, bracket, tol, named):
+        with pytest.raises(ValueError, match=named):
+            shoot_speed(kappa, bracket, tol=tol)
+
+    def test_step_underflow_ends_the_search(self):
+        # the second scan shot (c ~ 6e98) underflows at its first step
+        with pytest.raises(ShootingError, match="underflow") as info:
+            shoot_speed(1.0, (1.0, 1e100))
+        assert [shot.sign for shot in info.value.shots] == [1]
 
     def test_profile_csv(self, shot_kappa1, tmp_path):
         _, profile = shot_kappa1

@@ -214,6 +214,23 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(t, np.exp(-t))
 
+    def test_window_edges_take_summed_record_times(self):
+        # 600 steps of dt = 0.05 recorded every 10 steps, the time summed per
+        # step: the record at 28 sums to 28 + 2.6e-13, and one at 3 to 3 - 2.7e-15
+        times, t = [0.0], 0.0
+        for step in range(1, 601):
+            t += 0.05
+            if step % 10 == 0:
+                times.append(t)
+        times = np.array(times)
+        assert times[56] > 28.0 and times[6] < 3.0
+        y = np.exp(-0.3 * times) * (2.0 + np.cos(times))
+        for window, n in (((2.0, 28.0), 53), ((3.0, 28.0), 51)):
+            fit = fit_decay(times, y, window=window)
+            exact = fit_decay(0.5 * np.arange(61), y, window=window)
+            assert fit.n_samples == exact.n_samples == n
+            assert fit.window == window
+
     def test_explicit_window(self):
         t = np.linspace(0.0, 20.0, 100)
         y = np.exp(-0.5 * t) + 1e-6  # floor bends the late tail
