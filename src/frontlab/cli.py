@@ -298,7 +298,7 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             "right_end_residual": profile.residual_right,
             "k_drift_max": profile.k_drift,
             "phi2_monotone": profile.phi2_monotone,
-            "bisection_iterations": profile.bisection_iterations,
+            "refinement_iterations": profile.refinement_iterations,
             "shots": len(profile.shots),
             "samples": len(profile.z),
         }

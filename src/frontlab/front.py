@@ -18,15 +18,17 @@ field uses phi2' = (kappa/c) phi2 g(phi1) instead.
 
 The connecting orbit is found for eps = 0 by shooting: start a distance
 DELTA along the leftward-unstable eigenvector of the unburned state,
-integrate toward z = -infinity, and bisect the speed c on the dichotomy
-"temperature escapes upward" versus "temperature crashes through zero".
-The profile is the last escaping shot of the bisection, the one at c*.
+integrate toward z = -infinity, and narrow the speed c on the dichotomy
+"temperature escapes upward" versus "temperature crashes through zero" to
+adjacent floats, by Illinois steps (Dowell & Jarratt, BIT 11, 1971) on
+the shots' signed miss.  The profile is the escaping shot at c*.
 The conserved quantity forces the left temperature limit to 1/kappa.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -72,11 +74,13 @@ class ShotRecord(NamedTuple):
     sign: int                # +1 escaped up, -1 crashed down, 0 neither
     reason: str              # stop reason: "up", "down" or "span"
     steps: int               # accepted integration steps
+    miss: float              # sign * exp(-c tau_exit); NaN for scan and sign-0 shots
 
 
 class ShootingError(RuntimeError):
     """The speed search failed: no sign change of the shooting functional
-    inside the speed bracket, or a shot whose step size underflowed.
+    inside the speed bracket, a scan pair whose ends do not shoot down and
+    up at the search tolerance, or a shot whose step size underflowed.
 
     `shots` holds the ShotRecord of every shot completed before giving up.
     """
@@ -111,7 +115,7 @@ class FrontProfile:
     residual_left: float     # |phi1(left end) - 1/kappa|
     residual_right: float    # distance of the right end from (0, 1, 0, 0)
     phi2_monotone: bool      # diagnostic only, never a hard invariant
-    bisection_iterations: int = 0
+    refinement_iterations: int = 0   # shots strictly inside the scan's sign-change pair
     shots: list = field(default_factory=list)   # ShotRecord of every shot taken
 
 
@@ -253,8 +257,9 @@ def _rk45(rhs: Callable[[float, float, float, float], tuple],
     y1, y2, y3, y4 = [float(x) for x in s0] + [0.0] * (4 - n)
     tau = 0.0
     h = min(1e-4, span)
-    taus = [0.0]
-    states = [(y1, y2, y3, y4)]
+    # flat float arrays: 40 bytes a step, where a list of tuples takes 224
+    taus = array("d", [0.0])
+    states = array("d", (y1, y2, y3, y4))
     nsteps = 0
     reason = "span"
     # stage j is the tuple (j1, j2, j3, j4) for j = a (k1) .. g (k7)
@@ -305,7 +310,7 @@ def _rk45(rhs: Callable[[float, float, float, float], tuple],
             nsteps += 1
             taus.append(tau)
             s = (z1, z2, z3, z4)
-            states.append(s)
+            states.extend(s)
             if stop is not None:
                 why = stop(s)
                 if why is not None:
@@ -316,7 +321,7 @@ def _rk45(rhs: Callable[[float, float, float, float], tuple],
         else:  # zero error grows the step, a NaN norm shrinks it
             factor = 5.0 if enorm == 0.0 else 0.2
         h *= min(5.0, max(0.2, factor))
-    return np.asarray(taus), np.asarray(states)[:, :n], reason, nsteps
+    return np.array(taus), np.array(states).reshape(-1, 4)[:, :n], reason, nsteps
 
 
 def _float_field(c: float, kappa: float, eps: float, direction: float):
@@ -328,7 +333,7 @@ def _float_field(c: float, kappa: float, eps: float, direction: float):
     model.eval_g; math.exp may round the last bit differently from numpy's
     exp, and the rest of the arithmetic is vector_field's.
     """
-    # numpy scalars (the bisection's speeds) would slow every operation
+    # numpy scalars would slow every operation
     c, kappa, eps, d = float(c), float(kappa), float(eps), float(direction)
     nd = -d
     exp = math.exp
@@ -363,10 +368,10 @@ def integrate_orbit(params: ModelParams, s0, z_span, tol: float = 1e-10) -> Orbi
 
     Adaptive RK45 with absolute and relative tolerance tol; the reported
     k_drift is the max deviation of the first integral from its initial
-    value, expected below 10 * tol * |span| for eps > 0.  s0, z_span, c
-    and kappa must be finite, and tol at least TOL_MIN.
+    value, expected below 10 * tol * |span| for eps > 0.  s0 and z_span
+    must be finite, and tol at least TOL_MIN.
     """
-    _check_finite_and_tol(tol, kappa=params.kappa, c=params.c)
+    _check_finite_and_tol(tol)
     s0 = np.asarray(s0, dtype=float)
     dim = 4 if params.epsilon > 0.0 else 3
     if s0.shape != (dim,):
@@ -408,12 +413,16 @@ def _unstable_direction(c: float) -> np.ndarray:
 
 
 def _shot(kappa: float, c: float, tol: float):
-    """One leftward shot from the offset start; return (sign, tau, states).
+    """One leftward shot from the offset start; return (sign, miss, tau, states).
 
     sign +1: temperature escaped above 1.5/kappa (speed too large);
     sign -1: temperature crashed below zero (speed too small);
-    sign 0: neither within ZETA_MAX.  The trajectory is recorded at every
-    accepted step (relative tolerance tol, absolute tol * 1e-2).
+    sign 0: neither within ZETA_MAX.  miss = sign * exp(-c tau_exit), with
+    tau_exit the crossing of the stop threshold interpolated linearly on
+    the last accepted step; NaN for sign 0.  Near c* the orbit leaves the
+    burned saddle at its unstable rate c, so miss is close to linear in
+    c - c*.  The trajectory is recorded at every accepted step (relative
+    tolerance tol, absolute tol * 1e-2).
     """
     s0 = np.array([0.0, 1.0, 0.0]) + DELTA * _unstable_direction(c)
     up, down = 1.5 / kappa, -1e-6 / kappa
@@ -430,20 +439,32 @@ def _shot(kappa: float, c: float, tol: float):
                                          rtol=tol, atol=tol * 1e-2, stop=stop)
     except StepUnderflowError as exc:
         raise StepUnderflowError(-exc.z) from None  # zeta = -z
-    return {"up": 1, "down": -1}.get(reason, 0), taus, states
+    sign = {"up": 1, "down": -1}.get(reason, 0)
+    if sign == 0:
+        return 0, math.nan, taus, states
+    edge = up if sign > 0 else down
+    t0, t1 = float(taus[-2]), float(taus[-1])
+    x0, x1 = float(states[-2, 0]), float(states[-1, 0])
+    tau_exit = t0 + (t1 - t0) * (edge - x0) / (x1 - x0)
+    return sign, sign * math.exp(-c * tau_exit), taus, states
 
 
 def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, FrontProfile]:
-    """Find the front speed of the reduced eps = 0 system by bisection.
+    """Find the front speed of the reduced eps = 0 system by shooting.
 
-    Scans SCAN_POINTS speeds across c_bracket for a sign change of the
-    shooting functional (escape direction of the temperature), then bisects
-    to floating-point resolution.  The profile is the last escaping shot,
-    the one at c* = hi, trimmed at its closest approach to the burned state
-    and returned with z ascending.  The first-integral identity
-    k = c/kappa is the convergence certificate.  Every shot is recorded in
-    profile.shots (or in the ShootingError's shots).  kappa, c_bracket and
-    tol must be finite, and tol at least TOL_MIN.
+    Shoots SCAN_POINTS evenly spaced speeds across c_bracket, from the left
+    and at a loose tolerance, until the first sign change (-1, +1) of the
+    escape direction.  Both ends of that pair are shot again at tol; then
+    safeguarded Illinois steps on the shots' signed miss narrow the bracket
+    [lo, hi], lo shooting down and hi up (or neither) at tol, until lo and
+    hi are adjacent floats.  A step that would not land strictly inside
+    the bracket, or that follows a shot without a miss (sign 0), is the
+    midpoint.  c* = hi, and the profile is the shot at c*, trimmed at its
+    closest approach to the burned state and returned with z ascending.
+    The first-integral identity k = c/kappa is the convergence certificate.
+    Every shot is recorded in profile.shots (or in the ShootingError's
+    shots).  kappa, c_bracket and tol must be finite, and tol at least
+    TOL_MIN.
     """
     c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
     _check_finite_and_tol(tol, kappa=kappa, c_min=c_lo, c_max=c_hi)
@@ -454,24 +475,24 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
 
     shots = []
 
-    def shoot(c, shot_tol):
+    def shoot(c, scan=False):
+        # the scan needs coarse signs only, so a loose tolerance suffices
+        shot_tol = max(tol, 1e-8) if scan else tol
         try:
-            sign, taus, states = _shot(kappa, c, shot_tol)
+            sign, miss, taus, states = _shot(kappa, c, shot_tol)
         except StepUnderflowError as exc:
-            raise ShootingError(f"the shot at c = {float(c)!r} failed: {exc}", shots) from exc
-        shots.append(ShotRecord(float(c), shot_tol, sign,
-                                {1: "up", -1: "down"}.get(sign, "span"), len(taus) - 1))
-        return sign, taus, states
+            raise ShootingError(f"the shot at c = {c!r} failed: {exc}", shots) from exc
+        shots.append(ShotRecord(c, shot_tol, sign, {1: "up", -1: "down"}.get(sign, "span"),
+                                len(taus) - 1, math.nan if scan else miss))
+        return sign, miss, taus, states
 
-    # bracket scan: coarse signs only, so a loose tolerance suffices
-    grid = np.linspace(c_lo, c_hi, SCAN_POINTS)
-    signs = [shoot(c, max(tol, 1e-8))[0] for c in grid]
-    pair = None
-    for i in range(len(grid) - 1):
-        if signs[i] == -1 and signs[i + 1] == +1:
-            pair = (grid[i], grid[i + 1])
+    grid = [float(c) for c in np.linspace(c_lo, c_hi, SCAN_POINTS)]
+    signs = []
+    for c in grid:
+        signs.append(shoot(c, scan=True)[0])
+        if signs[-2:] == [-1, 1]:
             break
-    if pair is None:
+    else:
         raise ShootingError(
             "no sign change of the shooting functional in the bracket "
             f"[{c_lo}, {c_hi}]: endpoint signs {signs[0]} and {signs[-1]} "
@@ -479,23 +500,32 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
             shots,
         )
 
-    lo, hi = pair
-    escaped = None  # (tau, states) of the shot at hi
+    lo, hi = grid[len(signs) - 2], grid[len(signs) - 1]
+    sign_lo, f_lo = shoot(lo)[:2]
+    sign_hi, f_hi, taus, states = shoot(hi)
+    if sign_lo != -1 or sign_hi == -1:
+        raise ShootingError(
+            f"the scan pair [{lo!r}, {hi!r}] shot {sign_lo} and {sign_hi} "
+            f"at tol = {tol!r}, not -1 and +1", shots)
     iterations = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        sgn, taus, states = shoot(mid, tol)
+    kept = 0  # +1 (-1): the last step replaced hi (lo)
+    while math.nextafter(lo, hi) != hi:
+        c = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < c < hi:  # also a NaN miss
+            c = 0.5 * (lo + hi)
+        sign, miss, shot_taus, shot_states = shoot(c)
         iterations += 1
-        if sgn >= 0:
-            hi, escaped = mid, (taus, states)
+        if sign >= 0:
+            hi, f_hi, taus, states = c, miss, shot_taus, shot_states
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
+            lo, f_lo = c, miss
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
     c_star = hi
-    if escaped is None:  # hi never moved: its scan shot ran at the loose tolerance
-        escaped = shoot(c_star, tol)[1:]
-    taus, states = escaped
 
     # trim at the closest approach to the burned equilibrium (1/kappa, 0, 0):
     # beyond it only the leftward-unstable drift remains
@@ -516,7 +546,7 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
         residual_left=float(abs(full[0, 0] - 1.0 / kappa)),
         residual_right=float(np.max(np.abs(full[-1] - np.array([0.0, 1.0, 0.0, 0.0])))),
         phi2_monotone=bool(np.all(np.diff(full[:, 1]) >= -1e-12)),
-        bisection_iterations=iterations,
+        refinement_iterations=iterations,
         shots=shots,
     )
     return c_star, profile
@@ -536,8 +566,9 @@ def write_profile_csv(path, z, states, k_drift) -> None:
 
 
 def write_shots_csv(path, shots) -> None:
-    """One row per ShotRecord: c, tol, sign, reason, steps."""
+    """One row per ShotRecord: c, tol, sign, reason, steps, miss."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ShotRecord._fields) + "\n")
         for shot in shots:
-            fh.write(f"{shot.c:.17g},{shot.tol:.17g},{shot.sign},{shot.reason},{shot.steps}\n")
+            fh.write(f"{shot.c:.17g},{shot.tol:.17g},{shot.sign},{shot.reason},{shot.steps},"
+                     f"{shot.miss:.17g}\n")

@@ -54,8 +54,8 @@ class ModelParams:
     """Dimensionless constants of the combustion model.
 
     epsilon : reactant/temperature diffusion ratio, 0 <= epsilon < 1
-    kappa   : reaction stoichiometry, kappa > 0
-    c       : wave speed, c > 0
+    kappa   : reaction stoichiometry, 0 < kappa < inf
+    c       : wave speed, 0 < c < inf
 
     Shares the model interface of :class:`BlockSystem` (c, diffusion,
     linearization, n, n1, nonlinearity, stage_rate, midpoint_stage,
@@ -72,10 +72,10 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must satisfy 0 <= epsilon < 1, got {self.epsilon}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
     @property
     def u_minus(self) -> np.ndarray:
@@ -202,8 +202,8 @@ class BlockSystem:
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.A1.shape != (self.n1, self.n1):
             raise ValueError("A1 must be n1 x n1")
-        if not self.c > 0.0:
-            raise ValueError("wave speed c must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"wave speed c must be positive and finite, got {self.c}")
         zero = np.zeros(self.n)
         for name, value in (("B", self.jac(zero)), ("f0", self.f(zero))):
             value = np.array(value, dtype=float)
@@ -424,8 +424,8 @@ def make_exo_endo_system(
     b2, b3 = b
     for nm, val in (("d2", d2), ("d3", d3), ("sigma", sigma), ("tau", tau),
                     ("a2", a2), ("a3", a3), ("b2", b2), ("b3", b3)):
-        if not val > 0.0:
-            raise ValueError(f"{nm} must be positive, got {val}")
+        if not 0.0 < val < np.inf:
+            raise ValueError(f"{nm} must be positive and finite, got {val}")
     f2, f2p = _arrhenius(a2, b2)
     f3, f3p = _arrhenius(a3, b3)
 
@@ -469,8 +469,8 @@ def make_gasless_system(beta: float, c: float = 1.0) -> BlockSystem:
     zero; this is permitted and exposed through the zero_diffusion flag.
     Coordinates are shifted to the burned state (1/beta, 0).
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     u_minus = np.array([1.0 / beta, 0.0])
 
     def f(v):

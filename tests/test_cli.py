@@ -1,3 +1,4 @@
+import math
 import textwrap
 from pathlib import Path
 
@@ -223,14 +224,42 @@ class TestFrontCommand:
         summary = dict(ln.split(": ", 1)
                        for ln in (out / "summary.txt").read_text().splitlines())
         lines = (out / "shots.csv").read_text().splitlines()
-        assert lines[0] == "c,tol,sign,reason,steps"
+        assert lines[0] == "c,tol,sign,reason,steps,miss"
         rows = [ln.split(",") for ln in lines[1:]]
-        assert len(rows) == 17 + int(summary["bisection_iterations"]) == int(summary["shots"])
-        assert [float(r[1]) for r in rows[:17]] == [1e-8] * 17
-        assert all(float(r[1]) == 1e-12 for r in rows[17:])
+        # the scan up to its first sign change, then the refinement: the
+        # scan pair shot again at tol and the steps inside it
+        scan = len(rows) - 2 - int(summary["refinement_iterations"])
+        assert len(rows) == int(summary["shots"]) <= 25
+        assert [int(r[2]) for r in rows[:scan]] == [-1] * (scan - 1) + [1]
+        assert all(float(r[1]) == 1e-8 and r[5] == "nan" for r in rows[:scan])
+        assert [r[0] for r in rows[scan:scan + 2]] == [r[0] for r in rows[scan - 2:scan]]
+        assert all(float(r[1]) == 1e-12 for r in rows[scan:])
+        # the miss carries the shot's sign
+        assert all(math.copysign(1, float(r[5])) == int(r[2]) for r in rows[scan:])
         assert all(int(r[4]) > 0 for r in rows)
         last_escape = [r for r in rows if int(r[2]) >= 0][-1]
         assert float(last_escape[0]) == float(summary["c_star"])
+
+    def test_known_limit_at_kappa_half(self, tmp_path):
+        # c* is at float resolution (tests/test_front.py), but the closest
+        # approach to the burned state misses 1/kappa = 2 by more than 1e-6
+        cfg = write_config(tmp_path, """
+            [model]
+            kind = combustion
+            epsilon = 0
+            kappa = 0.5
+
+            [front]
+            c_min = 0.1
+            c_max = 2.0
+        """)
+        out = tmp_path / "out"
+        assert main(["front", "--config", cfg, "--out", str(out)]) == 1
+        summary = dict(ln.split(": ", 1)
+                       for ln in (out / "summary.txt").read_text().splitlines())
+        assert "does not reach the burned state" in summary["error"]
+        assert 1e-6 < float(summary["phi1_left_residual"]) < 2e-6
+        assert (out / "profile.csv").exists()
 
     def test_orbit_conservation(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -579,13 +608,19 @@ class TestExitCodes:
         ("front", "model", "kappa = inf", "kappa"),
         ("front", "front", "c_max = inf", "c_max"),
         ("front", "front", "mode = orbit\ntol = 1e-100", "tol"),
+        ("spectrum", "model", "kappa = inf", "kappa must be positive and finite"),
+        ("spectrum", "model", "c = inf", "c must be positive and finite"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
-            "kappa_inf", "c_max_inf", "orbit_tol_1e-100"])
+            "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
+            "spectrum_c_inf"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
-        cfg = write_config(tmp_path, f"[model]\nkind = combustion\n\n[{section}]\n{setting}\n")
+        model = "[model]\nkind = combustion\n"
+        cfg = write_config(tmp_path, model + setting + "\n" if section == "model"
+                           else f"{model}\n[{section}]\n{setting}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
+        # the temporary path carries the test id, so it must not match `named`
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
         assert "frontlab: config error" in err and named in err
 
 

@@ -83,6 +83,27 @@ def reference_rk45(rhs, s0, span, rtol, atol, stop=None):
     return np.asarray(taus), np.asarray(states), reason, nsteps
 
 
+def reference_bisection(kappa, c_bracket, tol=1e-12):
+    """The bisection search shoot_speed ran before its Illinois steps; returns c*.
+
+    The SCAN_POINTS-speed scan at the loose tolerance, then the midpoint of
+    the first (-1, +1) pair at tol, sign 0 counting as up, until the
+    midpoint rounds to an end.
+    """
+    grid = np.linspace(c_bracket[0], c_bracket[1], front.SCAN_POINTS)
+    signs = [_shot(kappa, c, max(tol, 1e-8))[0] for c in grid]
+    i = next(i for i in range(len(grid) - 1) if (signs[i], signs[i + 1]) == (-1, 1))
+    lo, hi = grid[i], grid[i + 1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return float(hi)
+        if _shot(kappa, mid, tol)[0] >= 0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def listed(rhs, n):
     """A four-slot field rhs(p1, p2, p3, p4) as the reference's field of n-lists."""
     pad = [0.0] * (4 - n)
@@ -204,8 +225,8 @@ class TestKernelReference:
         c_star, profile = shot_kappa1
         monkeypatch.setattr(front, "_rk45", reference_kernel)
         c_ref, ref = shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
-        assert c_ref == c_star and ref.shots == profile.shots
-        assert len(ref.shots) == 67 and sum(shot.steps for shot in ref.shots) == 69094
+        assert c_ref == c_star and str(ref.shots) == str(profile.shots)
+        assert len(ref.shots) == 23 and sum(shot.steps for shot in ref.shots) == 24735
         for name in ("z", "states", "k_values"):
             assert getattr(ref, name).tobytes() == getattr(profile, name).tobytes()
         assert ref.residual_left == profile.residual_left
@@ -288,15 +309,16 @@ class TestOrbitIntegration:
         with pytest.raises(ValueError, match="finite"):
             integrate_orbit(params(), np.array(s0), span)
 
-    @pytest.mark.parametrize("p, tol, named", [
-        (params(kappa=math.inf), 1e-10, "kappa"),
-        (params(c=math.inf), 1e-10, "c"),
-        (params(), math.inf, "tol"),
-        (params(), 1e-100, "tol"),
+    @pytest.mark.parametrize("kw, tol, named", [
+        (dict(kappa=math.inf), 1e-10, "kappa"),
+        (dict(c=math.inf), 1e-10, "c"),
+        ({}, math.inf, "tol"),
+        ({}, 1e-100, "tol"),
     ], ids=["kappa_inf", "c_inf", "tol_inf", "tol_tiny"])
-    def test_rejects_non_finite_settings_and_tiny_tol(self, p, tol, named):
+    def test_rejects_non_finite_settings_and_tiny_tol(self, kw, tol, named):
+        # a non-finite kappa or c is already refused by ModelParams
         with pytest.raises(ValueError, match=named):
-            integrate_orbit(p, np.array([0.1, 0.9, 0.0, 0.05]), (0.0, 8.0), tol=tol)
+            integrate_orbit(params(**kw), np.array([0.1, 0.9, 0.0, 0.05]), (0.0, 8.0), tol=tol)
 
     def test_nan_error_norm_ends_in_step_underflow(self):
         # a NaN field gives a NaN error norm: the step is rejected and shrinks
@@ -343,6 +365,19 @@ def shot_kappa1():
     return shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def searches(shot_kappa1):
+    """search(kappa): shoot_speed(kappa, (0.1, 2.0), tol=1e-12), run once per kappa."""
+    cache = {1.0: shot_kappa1}
+
+    def search(kappa):
+        if kappa not in cache:
+            cache[kappa] = shoot_speed(kappa, (0.1, 2.0), tol=1e-12)
+        return cache[kappa]
+
+    return search
+
+
 class TestShooting:
     def test_left_temperature_limit(self, shot_kappa1):
         c_star, profile = shot_kappa1
@@ -365,8 +400,8 @@ class TestShooting:
         assert isinstance(profile.phi2_monotone, bool)
 
     def test_bracket_endpoints_have_opposite_signs(self, shot_kappa1):
-        lo_sign, _, _ = _shot(1.0, 0.1, 1e-10)
-        hi_sign, _, _ = _shot(1.0, 2.0, 1e-10)
+        lo_sign = _shot(1.0, 0.1, 1e-10)[0]
+        hi_sign = _shot(1.0, 2.0, 1e-10)[0]
         assert lo_sign == -1 and hi_sign == +1
 
     def test_speed_sits_on_the_shooting_boundary(self, shot_kappa1):
@@ -376,11 +411,92 @@ class TestShooting:
 
     def test_profile_is_the_shot_at_c_star(self, shot_kappa1):
         c_star, profile = shot_kappa1
-        sign, taus, states = _shot(1.0, c_star, 1e-12)
+        sign, _, taus, states = _shot(1.0, c_star, 1e-12)
         n = len(profile.z)
         assert sign == +1
         assert np.array_equal(profile.z, -taus[n - 1::-1])
         assert np.array_equal(profile.states[:, :3], states[n - 1::-1])
+
+    @pytest.mark.parametrize("kappa, ulps", [(0.5, 4), (1.0, 0), (2.0, 0), (4.0, 0)])
+    def test_matches_the_bisection_oracle(self, searches, kappa, ulps):
+        # at kappa = 0.5 the shot signs are not monotone at float resolution:
+        # from this search's c* up they read +1, +1, +1, -1, +1, so the
+        # bisection settles on the sign change 4 ulp higher; both are
+        # adjacent-float certificates
+        c_star, _ = searches(kappa)
+        c_ref = reference_bisection(kappa, (0.1, 2.0))
+        assert c_ref - c_star == ulps * math.ulp(c_ref)
+        assert _shot(kappa, c_ref, 1e-12)[0] == 1
+        assert _shot(kappa, math.nextafter(c_ref, 0.0), 1e-12)[0] == -1
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 4.0])
+    def test_speed_is_certified_at_float_resolution(self, searches, kappa):
+        c_star, _ = searches(kappa)
+        assert _shot(kappa, c_star, 1e-12)[0] == 1
+        assert _shot(kappa, math.nextafter(c_star, 0.0), 1e-12)[0] == -1
+
+    @pytest.mark.parametrize("kappa", [1.0, 4.0])
+    def test_miss_is_linear_on_each_side(self, searches, kappa):
+        # the premise of the Illinois steps: miss / (c - c*) is near constant
+        # on each side, from 1e-4 down to 1e-6 relative offsets
+        c_star, _ = searches(kappa)
+        for side in (1.0, -1.0):
+            slopes = []
+            for rel in (1e-4, 1e-6):
+                c = c_star * (1.0 + side * rel)
+                sign, miss, _, _ = _shot(kappa, c, 1e-12)
+                assert sign == side
+                slopes.append(miss / (c - c_star))
+            assert slopes[0] > 0.0 and abs(slopes[0] / slopes[1] - 1.0) <= 1e-2
+
+    def test_shots_record_the_miss(self, shot_kappa1):
+        _, profile = shot_kappa1
+        tight = [shot for shot in profile.shots if shot.tol == 1e-12]
+        scan = profile.shots[:len(profile.shots) - len(tight)]
+        assert [shot.sign for shot in scan[-2:]] == [-1, 1]
+        assert all(shot.tol == 1e-8 and math.isnan(shot.miss) for shot in scan)
+        assert [shot.c for shot in tight[:2]] == [shot.c for shot in scan[-2:]]
+        assert all(0.0 < shot.sign * shot.miss < 1.0 for shot in tight)
+        assert profile.refinement_iterations == len(tight) - 2
+
+    def test_shot_and_step_counts(self, shot_kappa1):
+        # deterministic counts: a slower search cannot hide in timing noise
+        _, profile = shot_kappa1
+        assert len(profile.shots) <= 25
+        assert sum(shot.steps for shot in profile.shots) <= 30000
+
+    def test_sign_zero_shot_takes_the_midpoint(self, shot_kappa1, monkeypatch):
+        # the second tight shot that escapes up (the first inside the bracket)
+        # is reported as "span": it still counts as hi, and has no miss
+        tight_ups = []
+
+        def shot(kappa, c, tol):
+            sign, miss, taus, states = _shot(kappa, c, tol)
+            if tol == 1e-12 and sign == 1:
+                tight_ups.append(c)
+                if len(tight_ups) == 2:
+                    return 0, math.nan, taus, states
+            return sign, miss, taus, states
+
+        monkeypatch.setattr(front, "_shot", shot)
+        c_star, profile = shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
+        k = next(i for i, s in enumerate(profile.shots) if s.reason == "span")
+        span = profile.shots[k]
+        assert span.sign == 0 and math.isnan(span.miss) and span.c == tight_ups[1]
+        lo = max(s.c for s in profile.shots[:k] if s.tol == 1e-12 and s.sign == -1)
+        assert profile.shots[k + 1].c == 0.5 * (lo + span.c)
+        assert c_star == shot_kappa1[0]
+
+    def test_scan_pair_must_bracket_at_tol(self, monkeypatch):
+        # the scan pair's lower end, shot again at tol, escaping up
+        def shot(kappa, c, tol):
+            sign, miss, taus, states = _shot(kappa, c, tol)
+            return (1, 1.0, taus, states) if tol == 1e-12 else (sign, miss, taus, states)
+
+        monkeypatch.setattr(front, "_shot", shot)
+        with pytest.raises(ShootingError, match="scan pair") as info:
+            shoot_speed(1.0, (0.1, 2.0), tol=1e-12)
+        assert [s.tol for s in info.value.shots[-3:]] == [1e-8, 1e-12, 1e-12]
 
     def test_no_sign_change_reported(self):
         with pytest.raises(ShootingError):

@@ -43,6 +43,8 @@ class TestParams:
             dict(c=-1.0),
             dict(eps=float("nan")),
             dict(kappa=float("nan")),
+            dict(kappa=float("inf")),
+            dict(c=float("inf")),
         ],
     )
     def test_invalid(self, kw):
@@ -257,6 +259,10 @@ class TestExoEndoSystem:
             make_exo_endo_system(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             make_exo_endo_system(1.0, 1.0, 1.0, 1.0, (1.0, -2.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            make_exo_endo_system(1.0, 1.0, 1.0, np.inf, (1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            make_exo_endo_system(1.0, 1.0, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0), c=np.inf)
 
     def test_block_structure_probe(self):
         sys = make_exo_endo_system(0.5, 0.25, 2.0, 1.5, (1.0, 0.5), (0.8, 1.1))
@@ -342,6 +348,8 @@ class TestGaslessSystem:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             make_gasless_system(0.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_gasless_system(np.inf)
 
 
 class TestLipschitzProbe:
