@@ -116,7 +116,7 @@ class ModelParams:
         x = 1.0 / kappa + u[0]
         m = eval_g(x)
         np.multiply(x, x, out=x)
-        gp = np.divide(m, x, out=np.zeros_like(m), where=m > 0.0)
+        gp = np.divide(m, np.fmax(x, 5e-324, out=x))  # 0 / floor = 0 where g is 0
         m -= ek
         np.multiply(u[1], gp, out=gp)
         np.abs(gp, out=gp)
@@ -250,11 +250,15 @@ class BlockSystem:
 
 
 def _exp_minus(b: float, u: np.ndarray) -> np.ndarray:
-    """exp(-b/u) for u > 0, exactly 0 for u <= 0, as a new array."""
-    out = np.full_like(u, -np.inf)
-    with np.errstate(over="ignore"):  # -b/u is -inf for tiny u; exp gives the right 0
-        np.divide(-b, u, out=out, where=u > 0.0)
-    return np.exp(out, out=out)  # exp(-inf) = 0 off the support
+    """exp(-b/u) for u > 0, exactly 0 for u <= 0, as a new array.
+
+    fmax lifts u <= 0, -0.0, -inf and NaN to the smallest subnormal, where
+    -b/u overflows to -inf and exp gives the exact 0.
+    """
+    out = np.fmax(u, 5e-324, out=np.empty_like(u))
+    with np.errstate(over="ignore"):
+        np.divide(-b, out, out=out)
+    return np.exp(out, out=out)
 
 
 def _exp_minus_prime(b: float, u: np.ndarray) -> np.ndarray:

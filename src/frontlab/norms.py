@@ -11,7 +11,7 @@ measuring, and the intersection norm is the max of the two:
 Weighting is a measurement device only: the evolution itself is always the
 unweighted equation, and these functions are applied in post-processing.
 
-NormRecorder measures a whole record in one pass on the kernels of the
+NormRecorder measures a block of records in one pass on the kernels of the
 single-norm functions, with the same values bit for bit.
 """
 
@@ -31,6 +31,7 @@ __all__ = [
     "norm_weighted",
     "norm_E",
     "NormRecorder",
+    "WeightOverflowError",
     "fit_decay",
     "verify_stability_theorem",
     "write_norms_csv",
@@ -55,32 +56,35 @@ def _component_view(data: np.ndarray, grid) -> np.ndarray:
 
 class _Parseval:
     """sum |dv/dx|^2 = sum w xi^2 |vh|^2 / npoints on the rfftn half spectrum;
-    w = 2 on the halved axis except its DC and Nyquist bins (no mirror)."""
+    w = 2 on the halved axis except its DC and Nyquist bins (no mirror).
+    The transform axes are the trailing grid axes of any stack of fields."""
 
     def __init__(self, grid):
         d = len(grid.shape)
-        self.axes = tuple(range(1, d + 1))
+        self.axes = tuple(range(-d, 0))
         self.npoints = float(np.prod(grid.shape))
         self.weight = np.full(grid.shape[-1] // 2 + 1, 2.0)
         self.weight[0] = self.weight[-1] = 1.0
         self.xi2 = []
         for ax in range(d):
             xi = grid.rxi(ax)
-            shape = [1] * (d + 1)
-            shape[ax + 1] = xi.size
+            shape = [1] * d
+            shape[ax] = xi.size
             self.xi2.append(xi.reshape(shape) ** 2)
 
     def gradient_sums(self, vh: np.ndarray, blocks: Sequence[slice]) -> list:
-        """Squared spectral gradient per block of rows of vh, which is used up."""
+        """Squared spectral gradient per record and block of rows of vh, which
+        is used up; vh has shape (records, rows, *spectrum shape)."""
         power, scratch = vh.real, vh.imag
         np.multiply(power, power, out=power)
         power += np.multiply(scratch, scratch, out=scratch)
         power *= self.weight
+        per_record = tuple(range(1, vh.ndim))
         totals = [0.0] * len(blocks)
         for xi2 in self.xi2:
             np.multiply(xi2, power, out=scratch)
             for i, rows in enumerate(blocks):
-                totals[i] += float(np.sum(scratch[rows])) / self.npoints
+                totals[i] = totals[i] + np.sum(scratch[:, rows], axis=per_record) / self.npoints
         return totals
 
 
@@ -88,7 +92,7 @@ def _gradient_sq_sum(grid, comps: np.ndarray) -> float:
     """Sum of squared spectral derivatives over all axes and components."""
     parseval = _Parseval(grid)
     vh = np.fft.rfftn(comps, axes=parseval.axes)
-    return parseval.gradient_sums(vh, (slice(None),))[0]
+    return float(parseval.gradient_sums(vh[None], (slice(None),))[0][0])
 
 
 def _sq_total(grid, comps: np.ndarray, k: int) -> float:
@@ -112,14 +116,28 @@ def _finish(grid, comps: np.ndarray, k: int, total: float) -> float:
     return math.sqrt(grid.cell_volume * total)
 
 
+class WeightOverflowError(ValueError):
+    """A field has support where its weight exp(alpha z) passes exp(700).
+
+    record is the field's index in the block NormRecorder.record measured
+    (0 for a single field).
+    """
+
+    def __init__(self, message: str, record: int = 0):
+        super().__init__(message)
+        self.record = record
+
+
 def _weight(grid, alpha: float) -> np.ndarray:
-    """exp(alpha z) along the first grid axis; entries past exp(709) are inf."""
+    """exp(alpha z) shaped to broadcast along the first grid axis of a field
+    (the d-th axis from the end); entries past exp(709) are inf."""
     with np.errstate(over="ignore"):
-        return np.exp(alpha * grid.coords(0))
+        gamma = np.exp(alpha * grid.coords(0))
+    return gamma.reshape((-1,) + (1,) * (len(grid.shape) - 1))
 
 
 def _check_support(comps: np.ndarray, alpha: float, z: np.ndarray,
-                   beyond: np.ndarray) -> None:
+                   beyond: np.ndarray, record: int = 0) -> None:
     """Reject a field with support where alpha z > WEIGHT_OVERFLOW_LIMIT (beyond)."""
     if not np.any(beyond) or not np.any(np.abs(comps[:, beyond]) > SUPPORT_CUTOFF):
         return
@@ -127,19 +145,16 @@ def _check_support(comps: np.ndarray, alpha: float, z: np.ndarray,
     axes = tuple(range(1, support.ndim))
     support_z = np.any(support, axis=axes) if axes else support
     max_az = alpha * float(np.max(z[support_z]))
-    raise ValueError(
+    raise WeightOverflowError(
         f"weighted norm overflow: alpha * z reaches {max_az:.1f} > "
         f"{WEIGHT_OVERFLOW_LIMIT:g} on the field support "
-        "(field is boundary-contaminated)"
-    )
+        "(field is boundary-contaminated)", record)
 
 
 def _weigh(comps: np.ndarray, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """comps * gamma into out, gamma broadcast along axis 1; exact zeros stay 0."""
+    """comps * gamma into out (gamma from _weight); exact zeros stay 0."""
     out[...] = 0.0
-    shape = [1] * comps.ndim
-    shape[1] = gamma.size
-    return np.multiply(comps, gamma.reshape(shape), out=out, where=comps != 0.0)
+    return np.multiply(comps, gamma, out=out, where=comps != 0.0)
 
 
 def norm_unweighted(grid, data, k: int = 0) -> float:
@@ -176,15 +191,16 @@ def norm_E(grid, data, alpha: float, k: int = 0) -> float:
 
 
 class NormRecorder:
-    """The NormSeries columns of one run's records, one pass per record.
+    """The NormSeries columns of one run's records, one pass per block of records.
 
     The weight, support bound, Parseval weights and the buffers for the
-    stack (v, exp(alpha z) v) and its spectrum are built once; one rfftn of
-    the stack gives every gradient sum.  Values equal norm_unweighted /
-    norm_weighted bit for bit.
+    stack (v, exp(alpha z) v) of up to `records` fields and its spectrum are
+    built once; one rfftn of the stack gives every gradient sum of the
+    block.  Values equal norm_unweighted / norm_weighted bit for bit, and a
+    block of B records equals B blocks of one.
     """
 
-    def __init__(self, grid, alpha: float, ncomp: int, n1: int):
+    def __init__(self, grid, alpha: float, ncomp: int, n1: int, records: int = 1):
         if alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         self.grid, self.alpha, self.n = grid, alpha, ncomp
@@ -193,42 +209,62 @@ class NormRecorder:
         self.gamma = _weight(grid, alpha)
         self.parseval = _Parseval(grid)
         self.blocks = (slice(0, n1), slice(n1, ncomp), slice(ncomp, 2 * ncomp))
-        self.stack = np.empty((2 * ncomp,) + tuple(grid.shape))
-        spectrum = (2 * ncomp,) + tuple(grid.shape[:-1]) + (grid.shape[-1] // 2 + 1,)
-        self.spectrum = np.empty(spectrum, dtype=complex)
+        self.stack = np.empty((records, 2 * ncomp) + tuple(grid.shape))
+        spectrum = tuple(grid.shape[:-1]) + (grid.shape[-1] // 2 + 1,)
+        self.spectrum = np.empty((records, 2 * ncomp) + spectrum, dtype=complex)
 
-    def record(self, data: np.ndarray) -> dict:
-        """{(name, k): norm} of data for every NormSeries name and k = 0, 1."""
-        n = self.n
-        _check_support(data, self.alpha, self.z, self.beyond)
-        stack = self.stack
-        stack[:n] = data
-        _weigh(data, self.gamma, stack[n:])
-        vh = np.fft.rfftn(stack, axes=self.parseval.axes, out=self.spectrum)
+    def record(self, block: np.ndarray) -> list:
+        """[{(name, k): norm}] for each field of block, every NormSeries name
+        and k = 0, 1; block has shape (records, ncomp, *grid shape).
+
+        A field with support past the weight range raises
+        WeightOverflowError naming the first such record.
+        """
+        n, b = self.n, len(block)
+        self._check_block(block)
+        stack = self.stack[:b]
+        stack[:, :n] = block
+        _weigh(block, self.gamma, stack[:, n:])
+        vh = np.fft.rfftn(stack, axes=self.parseval.axes, out=self.spectrum[:b])
+        per_record = tuple(range(1, stack.ndim))
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sq_total
             grads = self.parseval.gradient_sums(vh, self.blocks)
-            plain = [float(np.sum(np.square(stack[rows], out=stack[rows])))
+            plain = [np.sum(np.square(stack[:, rows], out=stack[:, rows]), axis=per_record)
                      for rows in self.blocks]
-        norms = {}
-        for k in (0, 1):
-            n_v1, n_v2, n_a = (
-                self._norm(rows, k, s + g if k == 1 else s, data)
-                for rows, s, g in zip(self.blocks, plain, grads))
-            # block orthogonality: |v|^2 = |v1|^2 + |v2|^2 exactly
-            n_v = math.hypot(n_v1, n_v2)
-            norms[("norm0_v1", k)] = n_v1
-            norms[("norm0_v2", k)] = n_v2
-            norms[("norm0_v", k)] = n_v
-            norms[("normalpha_v", k)] = n_a
-            norms[("normE_v", k)] = max(n_v, n_a)
-        return norms
+            columns = {k: [self._norms(rows, k, s + g if k == 1 else s, block)
+                           for rows, s, g in zip(self.blocks, plain, grads)] for k in (0, 1)}
+        records = [{} for _ in range(b)]
+        for k, (n_v1, n_v2, n_a) in columns.items():
+            for norms, v1, v2, a in zip(records, n_v1, n_v2, n_a):
+                # block orthogonality: |v|^2 = |v1|^2 + |v2|^2 exactly
+                v = math.hypot(v1, v2)
+                norms[("norm0_v1", k)] = v1
+                norms[("norm0_v2", k)] = v2
+                norms[("norm0_v", k)] = v
+                norms[("normalpha_v", k)] = a
+                norms[("normE_v", k)] = max(v, a)
+        return records
 
-    def _norm(self, rows: slice, k: int, total: float, data: np.ndarray) -> float:
-        comps = None
-        if not math.isfinite(total):  # the stack holds squares now: rebuild the block
+    def _check_block(self, block: np.ndarray) -> None:
+        """_check_support on the first field of block with support past the weight range."""
+        if not np.any(self.beyond):
+            return
+        reaches = np.any(np.abs(block[:, :, self.beyond]) > SUPPORT_CUTOFF,
+                         axis=tuple(range(1, block.ndim)))
+        if np.any(reaches):
+            i = int(np.argmax(reaches))
+            _check_support(block[i], self.alpha, self.z, self.beyond, record=i)
+
+    def _norms(self, rows: slice, k: int, totals: np.ndarray, block: np.ndarray) -> list:
+        """_finish of each record's total: one sqrt for the block, and an
+        overflowed total taken again on its rows of the record."""
+        norms = np.sqrt(self.grid.cell_volume * totals).tolist()
+        for i in np.flatnonzero(~np.isfinite(totals)):
+            data = block[i]  # the stack holds squares now: rebuild the rows
             comps = (data[rows] if rows.stop <= self.n
                      else _weigh(data, self.gamma, np.empty_like(data)))
-        return _finish(self.grid, comps, k, total)
+            norms[i] = _finish(self.grid, comps, k, float(totals[i]))
+        return norms
 
 
 @dataclass

@@ -21,11 +21,12 @@ Between two records the adjacent half-steps meet in Fourier space,
 
 so each step costs one rfftn/irfftn round trip, into buffers allocated once
 per step_imex call.  A linear run (nonlinear=False) has no explicit stage to
-split around: each segment of k steps between two records is one exact
-propagation by exp(k dt S) through apply_linear_exact, with at most two
-propagators (the full and the last, shorter segment) built per run.  Each
-record measures all its norms in one pass of a norms.NormRecorder built
-once per run.
+split around and stays in Fourier space: each record's spectrum is the
+previous one times exp(k dt S), k the steps of its segment, with at most two
+propagators (the full and the last, shorter segment) built per run.  Its
+records are measured in blocks, one batched irfftn per block.  Records are
+measured by a norms.NormRecorder built once per run, one pass per block (a
+nonlinear run's blocks hold one record).
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -64,6 +65,9 @@ __all__ = [
 
 BOUNDARY_BAND_FRACTION = 0.05
 BOUNDARY_MASS_LIMIT = 1e-8
+# a linear run's record block: its spectra and fields here and the
+# NormRecorder stack and spectrum, about six real fields per record
+RECORD_BLOCK_BYTES = 256 * 1024
 
 
 class SimulationError(RuntimeError):
@@ -88,6 +92,7 @@ class Grid:
 
     L: tuple
     N: tuple
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "L", tuple(float(x) for x in np.atleast_1d(self.L)))
@@ -101,6 +106,8 @@ class Grid:
                 raise ValueError("half-lengths must be positive")
             if Nx < 16 or (Nx & (Nx - 1)) != 0:
                 raise ValueError(f"point counts must be powers of two >= 16, got {Nx}")
+        object.__setattr__(self, "cell_volume",
+                           float(np.prod([self.h(ax) for ax in range(self.d)])))
 
     @property
     def d(self) -> int:
@@ -112,10 +119,6 @@ class Grid:
 
     def h(self, axis: int) -> float:
         return 2.0 * self.L[axis] / self.N[axis]
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod([self.h(ax) for ax in range(self.d)]))
 
     def coords(self, axis: int) -> np.ndarray:
         return -self.L[axis] + self.h(axis) * np.arange(self.N[axis])
@@ -361,27 +364,27 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     return FieldState(t=t, data=data, n1=state.n1)
 
 
-def _boundary_mass_fraction(grid: Grid, state: FieldState, alpha: float) -> float:
-    """Weighted-mass fraction in the outer 5% bands of the z axis.
+def _boundary_mass_fractions(grid: Grid, fields: np.ndarray, alpha: float) -> np.ndarray:
+    """Weighted-mass fraction in the outer 5% bands of the z axis, per record
+    of fields, shape (records, ncomp, *grid.shape).
 
     The weights exp(2 alpha z) are scaled by exp(-2 alpha z_ref), z_ref the
-    largest z where the field is nonzero, so none of them overflows on a
-    long box; beyond z_ref the field is zero and its weight is capped at 1.
+    largest z where the record is nonzero, so none of them overflows on a
+    long box; beyond z_ref the record is zero and its weight is capped at 1.
+    An all-zero record has fraction 0.
     """
     z = grid.coords(0)
     band = np.abs(z) >= (1.0 - BOUNDARY_BAND_FRACTION) * grid.L[0]
-    nonzero = np.any(state.data != 0.0, axis=tuple(ax for ax in range(1 + grid.d) if ax != 1))
-    if not np.any(nonzero):
-        return 0.0
-    z_ref = z[nonzero][-1]
-    gamma2 = np.exp(2.0 * alpha * np.minimum(z - z_ref, 0.0))
-    shape = [1] * (1 + grid.d)
-    shape[1] = z.size
-    w = (state.data**2) * gamma2.reshape(shape)
-    total = float(np.sum(w))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(w[:, band])) / total
+    nonzero = np.any(fields != 0.0, axis=(1,) + tuple(range(3, fields.ndim)))
+    z_ref = z[z.size - 1 - np.argmax(nonzero[:, ::-1], axis=1)]
+    gamma2 = np.exp(2.0 * alpha * np.minimum(z - z_ref[:, None], 0.0))
+    w = np.square(fields) * gamma2.reshape(gamma2.shape[:1] + (1, z.size) + (1,) * (grid.d - 1))
+    per_record = tuple(range(1, fields.ndim))
+    total = np.sum(w, axis=per_record)
+    with np.errstate(invalid="ignore"):
+        frac = np.sum(np.compress(band, w, axis=2), axis=per_record) / total
+    frac[total == 0.0] = 0.0
+    return frac
 
 
 @dataclass
@@ -407,11 +410,13 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     boundary-contamination warning is recorded (and issued once via
     warnings.warn) when the weighted mass within 5% of the z boundary
     exceeds 1e-8 of the total.  The k steps between two records run as one
-    step_imex call, or with nonlinear=False as one apply_linear_exact by
-    exp(k dt S); record times are t + dt accumulated step by step either
-    way.  Inputs the initial field already fails (dt above dt_max, a
-    weighted-norm overflow) raise ValueError; a guard that trips later
-    raises SimulationError.
+    step_imex call.  With nonlinear=False the run stays in Fourier space:
+    each record's spectrum is the previous one times exp(k dt S), and the
+    records are measured in blocks of up to RECORD_BLOCK_BYTES of buffers,
+    one batched irfftn per block.  Record times are t + dt accumulated step
+    by step either way.  Inputs the initial field already fails (dt above
+    dt_max, a weighted-norm overflow) raise ValueError; a guard that trips
+    later raises SimulationError naming the first record it trips at.
     """
     if not T > 0.0 or not dt > 0.0:
         raise ValueError("T and dt must be positive")
@@ -423,49 +428,78 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
         state, _ = build_perturbation(grid, perturbation, model, alpha)
     nsteps = max(1, math.ceil(T / dt - 1e-12))
     dt_eff = T / nsteps
-    recorder = _norms.NormRecorder(grid, alpha, state.data.shape[0], state.n1)
-    times = [state.t]
-    records = [recorder.record(state.data)]
-    initial = state.copy()
+    block = 1
+    if not nonlinear:
+        nrecords = -(-nsteps // record_every)
+        block = max(1, min(nrecords, RECORD_BLOCK_BYTES // (6 * state.data.nbytes)))
+    recorder = _norms.NormRecorder(grid, alpha, state.data.shape[0], state.n1, records=block)
+    times, records = [], []
     warnlog: list[str] = []
 
-    def check_boundary(st: FieldState):
-        frac = _boundary_mass_fraction(grid, st, alpha)
-        if frac > BOUNDARY_MASS_LIMIT and not warnlog:
-            msg = (f"boundary contamination at t = {st.t:.6g}: weighted mass "
-                   f"fraction {frac:.3e} in the outer 5% of the z axis")
+    def measure(fields: np.ndarray, stamps: list):
+        """Record a block of fields at times stamps, the guards in record order:
+        each record's weight overflow, then its boundary mass."""
+        fracs = _boundary_mass_fractions(grid, fields, alpha)
+        measured, failure = len(stamps), None
+        try:
+            records.extend(recorder.record(fields))
+        except _norms.WeightOverflowError as exc:
+            measured, failure = exc.record, exc
+        over = np.flatnonzero(fracs[:measured] > BOUNDARY_MASS_LIMIT)
+        if over.size and not warnlog:
+            msg = (f"boundary contamination at t = {stamps[over[0]]:.6g}: weighted mass "
+                   f"fraction {fracs[over[0]]:.3e} in the outer 5% of the z axis")
             warnlog.append(msg)
             _warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        if failure is not None:
+            if not times:  # the initial field: a bad input
+                raise failure
+            raise SimulationError(f"{failure} at t = {stamps[measured]:.6g}") from failure
+        times.extend(stamps)
 
-    check_boundary(state)
+    measure(state.data[None], [state.t])
+    initial = state.copy()
+    step = 0
     if nonlinear:
         half = linear_propagator(model, grid, 0.5 * dt_eff)
         _check_stage_bound(dt_max(model, state), dt_eff, state.t)
-    segment_props = {}  # linear runs: steps -> exp(steps dt S), one per segment length
-    step = 0
-    while step < nsteps:
-        steps = min(record_every, nsteps - step)
-        if nonlinear:
+        while step < nsteps:
+            steps = min(record_every, nsteps - step)
             try:
                 state = step_imex(model, grid, state, half, steps=steps)
             except ValueError as exc:
                 raise SimulationError(str(exc)) from exc
-        else:
-            if steps not in segment_props:
-                segment_props[steps] = linear_propagator(model, grid, steps * dt_eff)
-            t = state.t
-            for _ in range(steps):
-                t = t + dt_eff
-            state = replace(apply_linear_exact(grid, state, segment_props[steps]), t=t)
-            if not np.all(np.isfinite(state.data)):
-                raise SimulationBlowupError(t)
-        step += steps
-        try:
-            records.append(recorder.record(state.data))
-        except ValueError as exc:
-            raise SimulationError(f"{exc} at t = {state.t:.6g}") from exc
-        times.append(state.t)
-        check_boundary(state)
+            step += steps
+            measure(state.data[None], [state.t])
+    else:
+        axes = tuple(range(-grid.d, 0))
+        segment_props = {}  # steps -> exp(steps dt S), one per segment length
+        vh = np.fft.rfftn(state.data, axes=axes)
+        spectra = np.empty((block + 1,) + vh.shape, dtype=complex)
+        spectra[0] = vh  # slot 0 carries the last spectrum of the previous block
+        fields = np.empty((block,) + state.data.shape)
+        t = state.t
+        while step < nsteps:
+            stamps = []
+            while len(stamps) < block and step < nsteps:
+                steps = min(record_every, nsteps - step)
+                if steps not in segment_props:
+                    segment_props[steps] = linear_propagator(model, grid, steps * dt_eff)
+                _propagate(segment_props[steps], spectra[len(stamps)], spectra[len(stamps) + 1])
+                for _ in range(steps):
+                    t = t + dt_eff
+                step += steps
+                stamps.append(t)
+            b = len(stamps)
+            np.fft.irfftn(spectra[1:b + 1], s=grid.shape, axes=axes, out=fields[:b])
+            finite = np.all(np.isfinite(fields[:b]), axis=tuple(range(1, fields.ndim)))
+            ok = b if np.all(finite) else int(np.argmin(finite))
+            if ok:
+                measure(fields[:ok], stamps[:ok])
+            if ok < b:
+                raise SimulationBlowupError(stamps[ok])
+            spectra[0] = spectra[b]
+        state = FieldState(t=t, data=fields[b - 1], n1=state.n1)
     series = _norms.NormSeries.from_records(times, records)
     return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
                      dt=dt_eff, nsteps=nsteps)

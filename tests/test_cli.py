@@ -459,6 +459,20 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_kappa.ini"
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            with pytest.warns(RuntimeWarning, match="boundary contamination"):
+                assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        runs = sorted(p.name for p in outs[0].glob("run_*"))
+        assert runs == sorted(p.name for p in outs[1].glob("run_*"))
+        assert len(runs) == 3
+        names = ["sweep.csv"] + [f"{run}/{name}" for run in runs
+                                 for name in ("norms.csv", "verdict.txt")]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_alpha_sweep_with_poisoned_value(self, tmp_path):
         cfg = write_config(tmp_path, """
             [model]

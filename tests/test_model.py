@@ -3,6 +3,7 @@ import pytest
 
 from frontlab.model import (
     BlockSystem,
+    _exp_minus,
     ModelParams,
     central_difference_jacobian,
     check_block_structure,
@@ -77,6 +78,24 @@ class TestIgnitionRate:
         for u in tiny:
             assert fn(u) == 0.0
         assert np.all(fn(np.array(tiny)) == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1.0, 0.37, 7.5, 5e-300])
+    def test_exp_minus_matches_the_masked_form_bitwise(self, b):
+        def masked(b, u):  # exp(-b/u) on u > 0, exp(-inf) = 0 elsewhere
+            out = np.full_like(u, -np.inf)
+            with np.errstate(over="ignore"):
+                np.divide(-b, u, out=out, where=u > 0.0)
+            return np.exp(out, out=out)
+
+        u = np.array([0.0, -0.0, -1.0, -1e-300, -5e-324, 5e-324, 1e-320, 2.2e-308, 1e-200,
+                      1e-3, 0.2, 1.0, 3.5, 1e300, np.inf, -np.inf, np.nan, -np.nan])
+        for x in (u, u.reshape(2, 9), u[::-1].copy()):
+            got = _exp_minus(b, x)
+            assert not np.shares_memory(got, x)
+            assert got.tobytes() == masked(b, x).tobytes()
+        for x in u:
+            assert _exp_minus(b, np.asarray(x)).tobytes() == masked(b, np.asarray(x)).tobytes()
 
     def test_flat_contact(self):
         # divided differences of orders 1..4 decay monotonically to 0 as the

@@ -6,6 +6,7 @@ import pytest
 from frontlab.norms import (
     NormRecorder,
     NormSeries,
+    WeightOverflowError,
     _gradient_sq_sum,
     fit_decay,
     norm_E,
@@ -362,10 +363,10 @@ class TestNormRecorder:
         for scale in (1e-3, 1.0, 1e40):
             data = scale * rng.normal(size=(ncomp,) + grid.shape) * np.exp(-(z / 4.0) ** 2)
             data[:, z.ravel() > 12.0] = 0.0  # an exact-zero tail
-            got = recorder.record(data)
+            got, = recorder.record(data[None])
             assert list(got) == list(self.single(grid, data, 0.4, n1))
             assert got == self.single(grid, data, 0.4, n1)
-        zero = recorder.record(np.zeros((ncomp,) + grid.shape))
+        zero, = recorder.record(np.zeros((1, ncomp) + grid.shape))
         assert all(v == 0.0 for v in zero.values())
 
     def test_weight_past_exp_709_and_overflowing_sums(self):
@@ -377,7 +378,7 @@ class TestNormRecorder:
         for data in (np.stack([bump, -0.5 * bump]), np.stack([0.0 * bump, bump]),
                      np.stack([np.roll(bump, 1495), 1e-3 * np.roll(bump, 1495)])):
             with np.errstate(all="raise"):
-                got = recorder.record(data)
+                got, = recorder.record(data[None])
             assert got == self.single(g, data, 0.4, 1)
             assert all(math.isfinite(v) for v in got.values())
         # the last field sits at z ~ 1500 where the weight is ~1e260: its
@@ -391,10 +392,42 @@ class TestNormRecorder:
         with pytest.raises(ValueError) as single:
             norm_weighted(g, data, 0.4, 0)
         with pytest.raises(ValueError) as recorded:
-            NormRecorder(g, 0.4, 2, 1).record(data)
+            NormRecorder(g, 0.4, 2, 1).record(data[None])
         assert str(recorded.value) == str(single.value)
         assert str(single.value).startswith("weighted norm overflow: alpha * z reaches")
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             NormRecorder(Grid(L=10.0, N=64), -0.1, 2, 1)
+
+    @pytest.mark.parametrize("grid", [Grid(L=20.0, N=256), Grid(L=(20.0, 6.0), N=(64, 32))],
+                             ids=["1d", "2d"])
+    def test_block_equals_single_records(self, grid):
+        # scales from 1e-3 to 1e200 take the overflow rescale in some records
+        rng = np.random.default_rng(40 + grid.d)
+        z = grid.coords(0).reshape((-1,) + (1,) * (grid.d - 1))
+        scales = np.array([1e-3, 1.0, 0.0, 1e40, 1e200, 7.0]).reshape((6,) + (1,) * (grid.d + 1))
+        block = scales * rng.normal(size=(6, 3) + grid.shape) * np.exp(-(z / 4.0) ** 2)
+        block[3, :, z.ravel() > 12.0] = 0.0
+        batched = NormRecorder(grid, 0.4, 3, 1, records=8).record(block)
+        single = NormRecorder(grid, 0.4, 3, 1)
+        assert len(batched) == 6
+        for data, got in zip(block, batched):
+            assert got == single.record(data[None])[0] == self.single(grid, data, 0.4, 1)
+        assert all(v == 0.0 for v in batched[2].values())
+
+    def test_overflow_names_the_first_record_that_reaches_it(self):
+        g = Grid(L=2048.0, N=4096)
+        z = g.coords(0)
+        bump = np.exp(-((z - 1000.0) / 4.0) ** 2)
+        far = np.exp(-((z - 1800.0) / 4.0) ** 2)
+        block = np.stack([np.stack([bump, 0.0 * z])] * 5)
+        block[2, 1] = far
+        block[4, 0] = far
+        with pytest.raises(WeightOverflowError) as recorded:
+            NormRecorder(g, 0.4, 2, 1, records=5).record(block)
+        assert recorded.value.record == 2
+        with pytest.raises(WeightOverflowError) as single:
+            norm_weighted(g, block[2], 0.4, 0)
+        assert single.value.record == 0
+        assert str(recorded.value) == str(single.value)

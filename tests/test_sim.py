@@ -43,6 +43,14 @@ class TestGrid:
         assert g.d == 2
         assert g.cell_volume == pytest.approx(g.h(0) * g.h(1))
 
+    @pytest.mark.parametrize("kw", [dict(L=20.0, N=64), dict(L=(20.0, 3.7), N=(64, 32))])
+    def test_cell_volume_is_a_stored_value(self, kw):
+        # computed once at construction, the same float as the product of the spacings
+        g = Grid(**kw)
+        assert vars(g)["cell_volume"] == float(np.prod([g.h(ax) for ax in range(g.d)]))
+        assert g == Grid(**kw) and hash(g) == hash(Grid(**kw))
+        assert "cell_volume" not in repr(g)
+
     @pytest.mark.parametrize("kw", [
         dict(L=20.0, N=48),        # not a power of two
         dict(L=20.0, N=8),         # too small
@@ -379,11 +387,10 @@ class TestStepImex:
 
             def advance(st):
                 return step_imex(p, grid, st, half, steps=3)
-        else:  # the linear path of run, three steps per segment
-            segment = linear_propagator(p, grid, 0.3)
+        else:  # the linear path of run: one block of three records
 
             def advance(st):
-                return apply_linear_exact(grid, st, segment)
+                return run(p, grid, st, ALPHA, T=0.3, dt=0.1, nonlinear=False).snapshots[-1]
         first = advance(state)
         kept = first.data.copy()
         second = advance(first)
@@ -415,21 +422,31 @@ class TestStepImex:
 class TestRun:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_one_forward_transform_per_step(self, monkeypatch, nonlinear):
-        # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps
-        rfftn = np.fft.rfftn
-        calls = []
+        # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps.  A
+        # nonlinear run makes one round trip per step and segment; a linear
+        # one transforms the initial field once and its one block of four
+        # records back once
+        calls = {"rfftn": [], "irfftn": []}
 
-        def counting(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
-                calls.append(1)
-            return rfftn(*args, **kwargs)
+        def counting(name):
+            real = getattr(np.fft, name)
 
-        monkeypatch.setattr(np.fft, "rfftn", counting)
+            def transform(*args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+                    calls[name].append(args[0].shape)
+                return real(*args, **kwargs)
+            return transform
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
         res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
                   T=1.0, dt=0.1, record_every=3, nonlinear=nonlinear)
         segments = 4
         assert res.nsteps == 10
-        assert len(calls) == (res.nsteps + segments if nonlinear else segments)
+        if nonlinear:
+            assert len(calls["rfftn"]) == len(calls["irfftn"]) == res.nsteps + segments
+        else:
+            assert calls == {"rfftn": [(2, 64)], "irfftn": [(segments, 2, 33)]}
         t, expect = 0.0, [0.0]
         for step in range(1, 11):
             t = t + res.dt
@@ -533,7 +550,7 @@ class TestRun:
         pert = Perturbation(amplitude=1e-150, center=(970.0,), widths=(5.0,), mask=(1, 1))
         state, report = build_perturbation(g, pert, p, ALPHA)
         assert np.isfinite(report["normalpha"])
-        assert sim._boundary_mass_fraction(g, state, ALPHA) > 0.5
+        assert sim._boundary_mass_fractions(g, state.data[None], ALPHA)[0] > 0.5
         with pytest.warns(RuntimeWarning) as caught:
             res = run(p, g, pert, ALPHA, T=0.05, dt=0.05)
         assert [str(w.message).split(" at ")[0] for w in caught] == ["boundary contamination"]
@@ -545,13 +562,42 @@ class TestRun:
         g = Grid(L=1000.0, N=4096)
         state, _ = build_perturbation(
             g, Perturbation(amplitude=1e-3, center=(0.0,), widths=(5.0,)), params(), ALPHA)
-        assert sim._boundary_mass_fraction(g, state, ALPHA) == 0.0
+        assert sim._boundary_mass_fractions(g, state.data[None], ALPHA)[0] == 0.0
         # exp(2 alpha z) underflows to 0 in the left band of this box
         state, _ = build_perturbation(
             g, Perturbation(amplitude=1e-3, center=(-970.0,), widths=(5.0,)), params(), ALPHA)
-        assert sim._boundary_mass_fraction(g, state, ALPHA) > 0.5
+        assert sim._boundary_mass_fractions(g, state.data[None], ALPHA)[0] > 0.5
         zero = FieldState(t=0.0, data=np.zeros((2, 4096)))
-        assert sim._boundary_mass_fraction(g, zero, ALPHA) == 0.0
+        assert sim._boundary_mass_fractions(g, zero.data[None], ALPHA)[0] == 0.0
+
+    @staticmethod
+    def reference_fraction(grid, data, alpha):
+        """The record-by-record boundary fraction the block form replaced."""
+        z = grid.coords(0)
+        band = np.abs(z) >= (1.0 - sim.BOUNDARY_BAND_FRACTION) * grid.L[0]
+        nonzero = np.any(data != 0.0, axis=tuple(ax for ax in range(1 + grid.d) if ax != 1))
+        if not np.any(nonzero):
+            return 0.0
+        gamma2 = np.exp(2.0 * alpha * np.minimum(z - z[nonzero][-1], 0.0))
+        w = (data**2) * gamma2.reshape((1, z.size) + (1,) * (grid.d - 1))
+        total = float(np.sum(w))
+        return 0.0 if total == 0.0 else float(np.sum(w[:, band])) / total
+
+    @pytest.mark.parametrize("grid", [Grid(L=1000.0, N=4096), Grid(L=(20.0, 6.0), N=(64, 32))],
+                             ids=["1d", "2d"])
+    def test_boundary_fractions_equal_the_record_by_record_form(self, grid):
+        z = grid.coords(0).reshape((-1,) + (1,) * (grid.d - 1))
+        L = grid.L[0]
+        block = np.zeros((6, 2) + grid.shape)
+        for i, center in enumerate((0.0, 0.97 * L, -0.97 * L, 0.5 * L)):
+            block[i, i % 2] = 1e-3 * np.exp(-((z - center) / (0.01 * L)) ** 2)
+        block[4] = np.random.default_rng(8).normal(size=(2,) + grid.shape)  # block[5] stays 0
+        got = sim._boundary_mass_fractions(grid, block, ALPHA)
+        want = [self.reference_fraction(grid, data, ALPHA) for data in block]
+        # the band is summed in memory order, not in the fancy-index order
+        # of the reference: the last bits may differ
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got[1] > 0.5 and got[2] > 0.5 and got[0] == want[0] and got[5] == 0.0
 
     def test_snapshots_bracket_run(self):
         g = Grid(L=10.0, N=64)
@@ -560,6 +606,113 @@ class TestRun:
         assert len(res.snapshots) == 2
         assert res.snapshots[0].t == 0.0
         assert res.snapshots[-1].t == pytest.approx(1.0)
+
+
+class TestLinearBlocks:
+    """A linear run stays in Fourier space and measures its records in blocks."""
+
+    G = Grid(L=20.0, N=64)
+
+    @pytest.mark.filterwarnings("ignore:boundary contamination")
+    @pytest.mark.parametrize("grid", [Grid(L=30.0, N=256), Grid(L=(30.0, 8.0), N=(128, 16))],
+                             ids=["1d", "2d"])
+    def test_records_match_the_closed_form(self, grid):
+        # 120 steps recorded every 7: 17 segments of 7 steps and one of 1, in
+        # blocks of ten records in 1D (the spectrum is carried across a block
+        # boundary) and of one record on the 2D grid
+        p = params()
+        state, _ = build_perturbation(
+            grid, Perturbation(eta=1e-3, center=(5.0,) + (0.0,) * (grid.d - 1),
+                               widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
+        res = run(p, grid, state, ALPHA, T=6.0, dt=0.05, record_every=7, nonlinear=False)
+        assert len(res.series) == 19
+        for i, t in enumerate(res.series.times[1:], start=1):
+            exact = apply_linear_exact(grid, state, linear_propagator(p, grid, t)).data
+            for name, rows in (("norm0_v1", slice(0, 1)), ("norm0_v2", slice(1, 2)),
+                               ("norm0_v", slice(None))):
+                for k in (0, 1):
+                    want = norm_unweighted(grid, exact[rows], k)
+                    assert abs(res.series.column(name, k)[i] - want) <= 1e-13 * want
+        assert np.max(np.abs(res.snapshots[-1].data - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @staticmethod
+    def inject(monkeypatch, extras: dict) -> list:
+        """Add extras[j], a field, to the record spectrum the j-th _propagate
+        call of a linear run writes; returns the shapes sim hands to irfftn."""
+        real, irfftn = sim._propagate, np.fft.irfftn
+        calls, blocks = [], []
+
+        def propagate(prop, vh, out):
+            real(prop, vh, out)
+            calls.append(1)
+            if len(calls) in extras:
+                out += np.fft.rfftn(extras[len(calls)], axes=(-1,))
+            return out
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+                blocks.append(args[0].shape)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_propagate", propagate)
+        monkeypatch.setattr(np.fft, "irfftn", counting)
+        return blocks
+
+    def linear(self, alpha):
+        # 10 steps recorded every 2 from a zero field, which stays exactly 0:
+        # one block of five records; record j is written by the j-th _propagate
+        return run(params(), self.G, FieldState(t=0.0, data=np.zeros((2, 64))), alpha,
+                   T=1.0, dt=0.1, record_every=2, nonlinear=False)
+
+    @staticmethod
+    def record_time(j):
+        t = 0.0
+        for _ in range(2 * j):
+            t = t + 0.1
+        return t
+
+    def band_field(self, center):
+        z = self.G.coords(0)
+        return np.stack([1e-3 * np.exp(-((z - center) / 0.3) ** 2), np.zeros(64)])
+
+    def test_non_finite_record(self, monkeypatch):
+        nan = np.zeros((2, 64))
+        nan[0, 10] = np.nan
+        blocks = self.inject(monkeypatch, {3: nan})
+        with pytest.raises(SimulationBlowupError) as exc:
+            self.linear(ALPHA)
+        assert exc.value.t == self.record_time(3)
+        assert blocks == [(5, 2, 33)]
+
+    def test_weighted_overflow_record(self, monkeypatch, recwarn):
+        # alpha L = 800: any support right of z = 17.5 overflows the weight
+        blocks = self.inject(monkeypatch, {3: self.band_field(19.0)})
+        with pytest.raises(SimulationError, match=r"^weighted norm overflow: alpha \* z "
+                           r"reaches .* \(field is boundary-contaminated\) at t = 0\.6$") as exc:
+            self.linear(40.0)
+        assert type(exc.value) is SimulationError
+        assert exc.value.__cause__.record == 2  # the third of the records measured
+        assert blocks == [(5, 2, 33)]
+        assert len(recwarn) == 0  # the overflowing record is not checked for boundary mass
+
+    def test_boundary_contamination_record(self, monkeypatch):
+        blocks = self.inject(monkeypatch, {3: self.band_field(19.5), 4: self.band_field(-19.5)})
+        with pytest.warns(RuntimeWarning) as caught:
+            res = self.linear(ALPHA)
+        assert [str(w.message) for w in caught] == res.warnings
+        assert res.warnings[0].startswith(
+            f"boundary contamination at t = {self.record_time(3):.6g}: weighted mass fraction")
+        assert [w.filename for w in caught] == [__file__]
+        assert blocks == [(5, 2, 33)]
+
+    def test_boundary_warning_precedes_a_later_blowup(self, monkeypatch):
+        nan = np.zeros((2, 64))
+        nan[1, 0] = np.nan
+        self.inject(monkeypatch, {2: self.band_field(19.5), 4: nan})
+        with pytest.warns(RuntimeWarning, match=r"^boundary contamination at t = 0\.4:"):
+            with pytest.raises(SimulationBlowupError) as exc:
+                self.linear(ALPHA)
+        assert exc.value.t == self.record_time(4)
 
 
 class TestInstabilityScan:
