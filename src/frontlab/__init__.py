@@ -10,15 +10,11 @@ decay fits, theorem verdicts), `cli` (scenario-driven command line).
 from .front import FrontProfile, OrbitResult, integrate_orbit, shoot_speed
 from .model import (
     BlockSystem,
-    EndStatePair,
     ModelParams,
-    combustion_end_states,
     eval_H,
-    eval_N_times_v,
     eval_f_combustion,
     eval_g,
     jacobian_at_minus,
-    lipschitz_probe,
     make_combustion_system,
     make_exo_endo_system,
     make_gasless_system,
@@ -46,8 +42,6 @@ from .sim import (
 from .spectral import (
     SpectrumSweep,
     SymbolMatrix,
-    abscissa_unweighted,
-    abscissa_weighted,
     block_abscissas,
     eigvals_symbol,
     eval_symbol,
@@ -62,13 +56,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BlockSystem", "EndStatePair", "ModelParams", "combustion_end_states",
-    "eval_H", "eval_N_times_v", "eval_f_combustion", "eval_g",
-    "jacobian_at_minus", "lipschitz_probe", "make_combustion_system",
-    "make_exo_endo_system", "make_gasless_system",
-    "SpectrumSweep", "SymbolMatrix", "abscissa_unweighted", "abscissa_weighted",
-    "block_abscissas", "eigvals_symbol", "eval_symbol", "exact_propagator",
-    "optimal_weight", "semigroup_envelope", "sweep_symbol", "tensor_sum_check",
+    "BlockSystem", "ModelParams", "eval_H", "eval_f_combustion", "eval_g",
+    "jacobian_at_minus", "make_combustion_system", "make_exo_endo_system",
+    "make_gasless_system",
+    "SpectrumSweep", "SymbolMatrix", "block_abscissas", "eigvals_symbol",
+    "eval_symbol", "exact_propagator", "optimal_weight", "semigroup_envelope",
+    "sweep_symbol", "tensor_sum_check",
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",
     "FieldState", "Grid", "Perturbation", "apply_linear_exact",
     "build_perturbation", "linear_propagator", "run", "step_imex",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,7 @@ class Scenario:
             return default
         try:
             value = _parse_value(text, kind)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int("inf") overflows
             raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
         self.resolved[f"{section}.{key}"] = _fmt_value(value)
         return value
@@ -197,6 +198,8 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Abscissas, sweeps, optimal weight, and the semigroup envelope constant."""
     model, alpha = _build_model(scenario)
     d = scenario.get("grid", "d", int, 1)
+    if d < 1:
+        raise ConfigError(f"[grid] d must be >= 1, got {d}")
     m = scenario.get("spectrum", "m", int, 401 if d == 1 else 101)
     if m < 3 or m % 2 == 0:
         raise ConfigError(f"[spectrum] m must be an odd integer >= 3, got {m}")
@@ -240,6 +243,9 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     code = 0
     if sym_w.n == 2 and sym_w.is_triangular:
         t_max = scenario.get("spectrum", "envelope_t_max", float, 40.0)
+        if not 0.0 < t_max < math.inf:
+            raise ConfigError(f"[spectrum] envelope_t_max must be positive and finite, "
+                              f"got {t_max}")
         t_grid = np.linspace(0.0, t_max, 801)
         xi_grid = np.linspace(-sw_w.extent, sw_w.extent, 401)
         try:

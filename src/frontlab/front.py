@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import ModelParams, eval_g, eval_g_prime
+from .model import ModelParams
 
 __all__ = [
     "FrontProfile",
@@ -42,10 +42,7 @@ __all__ = [
     "ShotRecord",
     "ShootingError",
     "StepUnderflowError",
-    "vector_field",
     "conserved_k",
-    "ode_jacobian",
-    "spatial_eigenvalues",
     "integrate_orbit",
     "shoot_speed",
     "write_profile_csv",
@@ -119,29 +116,6 @@ class FrontProfile:
     shots: list = field(default_factory=list)   # ShotRecord of every shot taken
 
 
-def vector_field(params: ModelParams, s) -> np.ndarray:
-    """Right-hand side of the first-order front system at state s.
-
-    s has length 4 for eps > 0 and length 3 for the reduced eps = 0 system;
-    a 4-dimensional call with eps = 0 is rejected because the fourth
-    equation divides by eps.
-    """
-    s = np.asarray(s, dtype=float)
-    c, kappa, eps = params.c, params.kappa, params.epsilon
-    if s.shape == (4,):
-        if eps == 0.0:
-            raise ValueError("the 4-dimensional field requires eps > 0; "
-                             "use the reduced 3-dimensional state for eps = 0")
-        p1, p2, p3, p4 = s
-        r = p2 * eval_g(p1)
-        return np.array([p3, p4, -(c * p3 + r), -(c * p4 - kappa * r) / eps])
-    if s.shape == (3,):
-        p1, p2, p3 = s
-        r = p2 * eval_g(p1)
-        return np.array([p3, (kappa / c) * r, -(c * p3 + r)])
-    raise ValueError(f"state must have length 3 (eps = 0) or 4, got shape {s.shape}")
-
-
 def conserved_k(params: ModelParams, s):
     """First integral phi3 + c phi1 + (eps/kappa) phi4 + (c/kappa) phi2.
 
@@ -154,58 +128,6 @@ def conserved_k(params: ModelParams, s):
     k = (s[..., 2] + params.c * s[..., 0] + params.epsilon / params.kappa * p4
          + params.c / params.kappa * s[..., 1])
     return float(k) if k.ndim == 0 else k
-
-
-def ode_jacobian(params: ModelParams, s) -> np.ndarray:
-    """Jacobian of the first-order field at a state (3- or 4-dimensional)."""
-    s = np.asarray(s, dtype=float)
-    c, kappa, eps = params.c, params.kappa, params.epsilon
-    g = eval_g(s[0])
-    gp = eval_g_prime(s[0])
-    if s.shape == (4,):
-        p2 = s[1]
-        return np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [-p2 * gp, -g, -c, 0.0],
-                [kappa * p2 * gp / eps, kappa * g / eps, 0.0, -c / eps],
-            ]
-        )
-    p2 = s[1]
-    return np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [kappa / c * p2 * gp, kappa / c * g, 0.0],
-            [-p2 * gp, -g, -c],
-        ]
-    )
-
-
-def spatial_eigenvalues(params: ModelParams, which: str = "minus") -> np.ndarray:
-    """Spatial decay/growth exponents mu at an end state, from the symbol.
-
-    The exponents solve det(mu^2 D + c mu + B) = 0 with B the reaction
-    Jacobian there, i.e. the unweighted symbol evaluated at the imaginary
-    frequency xi_1 = -i mu.  The determinant factors per block, giving one
-    quadratic (or linear, when the diffusion entry vanishes) per component.
-    """
-    if which == "minus":
-        from .model import jacobian_at_minus
-
-        B = jacobian_at_minus(params)
-    elif which == "plus":
-        B = np.zeros((2, 2))  # g and g' vanish at the cold unburned state
-    else:
-        raise ValueError("which must be 'minus' or 'plus'")
-    D = np.array([1.0, params.epsilon])
-    roots = []
-    for j in range(2):
-        if D[j] > 0.0:
-            roots.extend(np.roots([D[j], params.c, B[j, j]]))
-        else:
-            roots.append(-B[j, j] / params.c)
-    return np.sort_complex(np.asarray(roots, dtype=complex))
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -325,13 +247,14 @@ def _rk45(rhs: Callable[[float, float, float, float], tuple],
 
 
 def _float_field(c: float, kappa: float, eps: float, direction: float):
-    """direction * vector_field as rhs(p1, p2, p3, p4) -> 4-tuple of Python floats.
+    """direction times the front field, as rhs(p1, p2, p3, p4) -> 4-tuple of Python floats.
 
     Four-dimensional for eps > 0; for eps = 0 the reduced three-dimensional
     field ignores p4 and returns 0.0 in the fourth slot.  The ignition rate
     is math.exp(-1/phi1) for phi1 > 0 and 0 otherwise, the cutoff of
     model.eval_g; math.exp may round the last bit differently from numpy's
-    exp, and the rest of the arithmetic is vector_field's.
+    exp, and the rest of the arithmetic is that of the numpy reference
+    vector_field in tests/oracles.py.
     """
     # numpy scalars would slow every operation
     c, kappa, eps, d = float(c), float(kappa), float(eps), float(direction)

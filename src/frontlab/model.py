@@ -20,7 +20,7 @@ the matrix-valued N(v) = int_0^1 (Df(t v) - Df(0)) dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,24 +28,17 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "BlockSystem",
-    "EndStatePair",
-    "combustion_end_states",
     "eval_g",
     "eval_g_prime",
     "eval_f_combustion",
     "jacobian_combustion",
     "jacobian_at_minus",
     "eval_H",
-    "eval_N_times_v",
     "eval_N_times_v_exact",
     "make_combustion_system",
     "make_exo_endo_system",
     "make_gasless_system",
     "check_block_structure",
-    "lipschitz_probe",
-    "sample_ball",
-    "divided_difference",
-    "central_difference_jacobian",
 ]
 
 
@@ -140,24 +133,6 @@ class ModelParams:
     def describe(self) -> dict:
         return {"kind": "combustion", "epsilon": self.epsilon, "kappa": self.kappa,
                 "c": self.c}
-
-
-@dataclass(frozen=True)
-class EndStatePair:
-    """The pair of constant steady states a front connects."""
-
-    u_minus: np.ndarray
-    u_plus: np.ndarray
-
-    def residuals(self, f) -> tuple[float, float]:
-        """Max-norm of f at each end state; both must vanish for a valid pair."""
-        return (float(np.max(np.abs(f(self.u_minus)))),
-                float(np.max(np.abs(f(self.u_plus)))))
-
-
-def combustion_end_states(params: ModelParams) -> EndStatePair:
-    """Burned state (1/kappa, 0) behind the front and unburned (0, 1) ahead."""
-    return EndStatePair(u_minus=params.u_minus, u_plus=params.u_plus)
 
 
 @dataclass(frozen=True)
@@ -333,32 +308,9 @@ def eval_H(params: ModelParams, v) -> np.ndarray:
     return np.stack([r, -params.kappa * r])
 
 
-def eval_N_times_v(sys: BlockSystem, v, quad_nodes: int = 32) -> np.ndarray:
-    """Quadrature approximation of N(v) v with N(v) = int_0^1 (Df(tv) - Df(0)) dt.
-
-    Gauss-Legendre nodes on [0, 1]; quad_nodes = 32 keeps the identity
-    N(v) v = f(v) - f(0) - Df(0) v below 1e-10 over the unit ball (16 nodes
-    leave ~1e-8 errors near the flat cutoff of the ignition rate).
-    """
-    if quad_nodes < 2:
-        raise ValueError(f"quad_nodes must be >= 2, got {quad_nodes}")
-    v = np.asarray(v, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    B = sys.linearization
-    N = np.zeros((sys.n, sys.n))
-    for ti, wi in zip(t, wt):
-        N += wi * (sys.jac(ti * v) - B)
-    return N @ v
-
-
 def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:
-    """Closed form N(v) v = f(v) - f(0) - Df(0) v, the quadrature-free identity.
-
-    Used where exactness matters more than exercising the integral form
-    (simulation right-hand sides, Lipschitz probing).
-    """
+    """Closed form N(v) v = f(v) - f(0) - Df(0) v of the integral
+    N(v) = int_0^1 (Df(t v) - Df(0)) dt, with no quadrature."""
     v = np.asarray(v, dtype=float)
     lin = np.dot(sys.B, v.reshape(sys.n, -1)).reshape(v.shape)
     return sys.f(v) - sys.f0.reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
@@ -469,40 +421,14 @@ def make_exo_endo_system(
 def make_gasless_system(beta: float, c: float = 1.0) -> BlockSystem:
     """Gasless combustion u_t = lap(u) + v g(u), v_t = -beta v g(u).
 
-    The fuel equation carries no diffusion, so the second diffusion block is
-    zero; this is permitted and exposed through the zero_diffusion flag.
+    The combustion system at epsilon = 0 and kappa = beta.  The fuel
+    equation carries no diffusion, so the second diffusion block is zero;
+    this is permitted and exposed through the zero_diffusion flag.
     Coordinates are shifted to the burned state (1/beta, 0).
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    u_minus = np.array([1.0 / beta, 0.0])
-
-    def f(v):
-        v = np.asarray(v, dtype=float)
-        shift = u_minus.reshape((2,) + (1,) * (v.ndim - 1))
-        u = v + shift
-        r = u[1] * eval_g(u[0])
-        return np.stack([r, -beta * r])
-
-    def jac(v):
-        u = np.asarray(v, dtype=float) + u_minus
-        g = eval_g(u[0])
-        gp = eval_g_prime(u[0])
-        return np.array([[u[1] * gp, g], [-beta * u[1] * gp, -beta * g]])
-
-    sys = BlockSystem(
-        n1=1,
-        n2=1,
-        d1=np.array([1.0]),
-        d2=np.array([0.0]),
-        A1=np.zeros((1, 1)),
-        f=f,
-        jac=jac,
-        c=c,
-        name="gasless",
-    )
-    check_block_structure(sys)
-    return sys
+    return replace(make_combustion_system(ModelParams(0.0, beta, c)), name="gasless")
 
 
 def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
@@ -524,66 +450,3 @@ def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
             f"by {worst:.3e} > {tol:.1e}"
         )
     return worst
-
-
-def sample_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    """Uniform draw from the n-ball: Gaussian direction times radius * U^(1/n)."""
-    d = rng.normal(size=n)
-    d /= np.linalg.norm(d)
-    return d * radius * rng.random() ** (1.0 / n)
-
-
-def lipschitz_probe(sys: BlockSystem, ball_radius: float, trials: int,
-                    seed: int) -> float:
-    """Sampled Lipschitz constant of v -> N(v) v on the ball of given radius.
-
-    Max over `trials` pairs (v, w) of |N(v)v - N(w)w| / |v - w| in Euclidean
-    norm, a finite-dimensional surrogate for the local Lipschitz property of
-    the nonlinearity.  Deterministic for a fixed seed.
-    """
-    if not ball_radius > 0.0:
-        raise ValueError(f"ball_radius must be positive, got {ball_radius}")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        v = sample_ball(rng, sys.n, ball_radius)
-        w = sample_ball(rng, sys.n, ball_radius)
-        dvw = np.linalg.norm(v - w)
-        if dvw == 0.0:
-            continue
-        dn = np.linalg.norm(eval_N_times_v_exact(sys, v) - eval_N_times_v_exact(sys, w))
-        best = max(best, float(dn / dvw))
-    return best
-
-
-def divided_difference(func, x: float, order: int, h: float) -> float:
-    """Forward divided difference of the given order at x with step h."""
-    acc = 0.0
-    for j in range(order + 1):
-        acc += (-1.0) ** (order - j) * _binom(order, j) * func(x + j * h)
-    return acc / h**order
-
-
-def _binom(n: int, k: int) -> float:
-    from math import comb
-
-    return float(comb(n, k))
-
-
-def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
-                                u: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, step 1e-6 (1 + |u|).
-
-    Testing fallback only; verification paths require the analytic Jacobian
-    because differencing noise would pollute the quadrature and the
-    Lipschitz probes.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    h = 1e-6 * (1.0 + np.linalg.norm(u))
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)

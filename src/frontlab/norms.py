@@ -290,21 +290,6 @@ class NormSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def validate(self) -> None:
-        """Assert the structural identities every record must satisfy."""
-        for k in (0, 1):
-            v = self.column("norm0_v", k)
-            v1 = self.column("norm0_v1", k)
-            v2 = self.column("norm0_v2", k)
-            va = self.column("normalpha_v", k)
-            ve = self.column("normE_v", k)
-            if not np.all(ve == np.maximum(v, va)):
-                raise AssertionError("norm_E is not the max of the two norms")
-            if np.any(v1 > v + 1e-15) or np.any(v2 > v + 1e-15):
-                raise AssertionError("component norm exceeds the full norm")
-            if np.any(v < 0) or np.any(va < 0):
-                raise AssertionError("negative norm recorded")
-
 
 @dataclass
 class DecayFit:

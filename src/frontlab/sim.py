@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
     "step_imex",
     "dt_max",
     "run",
-    "instability_scan",
 ]
 
 BOUNDARY_BAND_FRACTION = 0.05
@@ -143,14 +142,6 @@ class FieldState:
     t: float
     data: np.ndarray
     n1: int = 1
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self.data[: self.n1]
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self.data[self.n1:]
 
     def copy(self) -> "FieldState":
         return FieldState(t=self.t, data=self.data.copy(), n1=self.n1)
@@ -418,8 +409,8 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     dt_max, a weighted-norm overflow) raise ValueError; a guard that trips
     later raises SimulationError naming the first record it trips at.
     """
-    if not T > 0.0 or not dt > 0.0:
-        raise ValueError("T and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("T and dt must be positive and finite")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     if isinstance(perturbation, FieldState):
@@ -503,28 +494,3 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     series = _norms.NormSeries.from_records(times, records)
     return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
                      dt=dt_eff, nsteps=nsteps)
-
-
-def instability_scan(model: Model, grid: Grid, pert: Perturbation, alpha: float,
-                     T: float, dt: float, delta: float,
-                     eta0: float = 1e-3, max_doublings: int = 20,
-                     record_every: int = 10) -> tuple[Optional[float], list]:
-    """Double eta until sup_t |v|_E exceeds delta; empirical smallness threshold.
-
-    Returns (first failing eta or None, history of (eta, sup_E) pairs).
-    """
-    history = []
-    eta = eta0
-    for _ in range(max_doublings):
-        p = replace(pert, eta=eta, amplitude=None)
-        try:
-            res = run(model, grid, p, alpha, T, dt, record_every=record_every)
-            sup_E = float(np.max(res.series.column("normE_v", 0)))
-        except (SimulationError, ValueError):
-            history.append((eta, math.inf))
-            return eta, history
-        history.append((eta, sup_E))
-        if sup_E > delta:
-            return eta, history
-        eta *= 2.0
-    return None, history

@@ -34,8 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams
-
 __all__ = [
     "SymbolMatrix",
     "SpectrumSweep",
@@ -44,8 +42,6 @@ __all__ = [
     "eigvals_symbol",
     "family_real_parts",
     "closed_form_abscissa",
-    "abscissa_unweighted",
-    "abscissa_weighted",
     "optimal_weight",
     "block_abscissas",
     "auto_extent",
@@ -175,30 +171,6 @@ def closed_form_abscissa(sym: SymbolMatrix) -> Optional[float]:
     return float(np.max(family_real_parts(sym)))
 
 
-def abscissa_unweighted(params: ModelParams) -> float:
-    """Abscissa of the unweighted essential spectrum: exactly 0.
-
-    The first curve family -|xi|^2 + i c xi_1 touches the imaginary axis at
-    xi = 0; the second sits strictly to the left for kappa > 0.
-    """
-    return float(max(0.0, -params.kappa * np.exp(-params.kappa)))
-
-
-def abscissa_weighted(params: ModelParams, alpha: float) -> float:
-    """Abscissa in the weighted space: max of the two family vertices.
-
-    Evaluates max(alpha^2 - c alpha, eps alpha^2 - c alpha - kappa e^-kappa)
-    for any alpha >= 0 (not only the admissible band), which equals
-    alpha^2 - c alpha whenever eps < 1 and kappa > 0.
-    """
-    a = float(alpha)
-    if a < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    first = a**2 - params.c * a
-    second = params.epsilon * a**2 - params.c * a - params.kappa * np.exp(-params.kappa)
-    return float(max(first, second))
-
-
 def optimal_weight(c: float) -> tuple[float, float]:
     """Minimizer of alpha -> alpha^2 - c alpha: alpha* = c/2, value -c^2/4.
 
@@ -232,11 +204,6 @@ class SpectrumSweep:
     m: int
     grid_spacing: float
     certified: bool         # extent large enough that the tail cannot move the abscissa
-
-    @property
-    def abscissa_uncertainty(self) -> float:
-        """Resolution-limited uncertainty for symbols without a closed form."""
-        return self.grid_spacing
 
 
 def auto_extent(sym: SymbolMatrix, margin: float = 1e-9,

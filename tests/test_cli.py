@@ -624,10 +624,16 @@ class TestExitCodes:
         ("front", "front", "mode = orbit\ntol = 1e-100", "tol"),
         ("spectrum", "model", "kappa = inf", "kappa must be positive and finite"),
         ("spectrum", "model", "c = inf", "c must be positive and finite"),
+        ("simulate", "time", "t = inf", "T and dt must be positive and finite"),
+        ("simulate", "time", "dt = inf", "T and dt must be positive and finite"),
+        ("simulate", "time", "record_every = inf", "[time] record_every"),
+        ("spectrum", "grid", "d = 0", "[grid] d"),
+        ("spectrum", "spectrum", "envelope_t_max = -1", "[spectrum] envelope_t_max"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
             "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
-            "spectrum_c_inf"])
+            "spectrum_c_inf", "t_inf", "dt_inf", "record_every_inf", "d_zero",
+            "envelope_t_max_negative"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"
         cfg = write_config(tmp_path, model + setting + "\n" if section == "model"

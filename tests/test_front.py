@@ -13,13 +13,11 @@ from frontlab.front import (
     _shot,
     conserved_k,
     integrate_orbit,
-    ode_jacobian,
     shoot_speed,
-    spatial_eigenvalues,
-    vector_field,
     write_profile_csv,
 )
 from frontlab.model import ModelParams, eval_g
+from oracles import ode_jacobian, spatial_eigenvalues, vector_field
 
 
 def params(eps=0.5, kappa=1.0, c=1.0):

@@ -5,21 +5,23 @@ from frontlab.model import (
     BlockSystem,
     _exp_minus,
     ModelParams,
-    central_difference_jacobian,
     check_block_structure,
-    divided_difference,
     eval_H,
-    eval_N_times_v,
     eval_N_times_v_exact,
     eval_f_combustion,
     eval_g,
     eval_g_prime,
     jacobian_at_minus,
     jacobian_combustion,
-    lipschitz_probe,
     make_combustion_system,
     make_exo_endo_system,
     make_gasless_system,
+)
+from oracles import (
+    central_difference_jacobian,
+    divided_difference,
+    eval_N_times_v,
+    lipschitz_probe,
 )
 
 
@@ -111,7 +113,7 @@ class TestIgnitionRate:
 
 class TestReactionTerm:
     def test_end_states_are_zeros(self):
-        for p in (params(), params(kappa=2.5)):
+        for p in (params(kappa=0.5), params(), params(kappa=2.5), params(kappa=3.0)):
             assert np.all(eval_f_combustion(p, p.u_minus) == 0.0)
             assert np.all(eval_f_combustion(p, p.u_plus) == 0.0)
 
@@ -353,16 +355,21 @@ class TestGaslessSystem:
     def test_zero_diffusion_flagged(self):
         sys = make_gasless_system(1.0)
         assert sys.zero_diffusion
+        assert sys.describe() == {"kind": "gasless", "c": 1.0, "zero_diffusion": True}
         assert not make_combustion_system(params()).zero_diffusion
 
     def test_matches_combustion_with_eps_zero(self):
+        # u_t = lap(u) + v g(u), v_t = -beta v g(u), shifted to (1/beta, 0)
         beta = 1.4
         gas = make_gasless_system(beta)
         comb = make_combustion_system(ModelParams(epsilon=0.0, kappa=beta, c=1.0))
         rng = np.random.default_rng(17)
         for _ in range(50):
             v = rng.normal(size=2)
-            assert np.allclose(gas.f(v), comb.f(v), atol=1e-14)
+            r = v[1] * eval_g(1.0 / beta + v[0])
+            assert np.array_equal(gas.f(v), [r, -beta * r])
+            assert np.array_equal(gas.f(v), comb.f(v))
+            assert np.array_equal(gas.jac(v), comb.jac(v))
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
@@ -398,17 +405,6 @@ class TestLipschitzProbe:
         sys = make_combustion_system(params())
         with pytest.raises(ValueError):
             lipschitz_probe(sys, 0.0, 10, seed=0)
-
-
-class TestEndStates:
-    def test_combustion_pair_annihilates_f(self):
-        from frontlab.model import combustion_end_states
-
-        for kappa in (0.5, 1.0, 3.0):
-            p = params(kappa=kappa)
-            pair = combustion_end_states(p)
-            r_minus, r_plus = pair.residuals(lambda u: eval_f_combustion(p, u))
-            assert r_minus <= 1e-14 and r_plus <= 1e-14
 
 
 def _rotation_toy() -> BlockSystem:

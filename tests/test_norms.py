@@ -16,6 +16,7 @@ from frontlab.norms import (
     write_norms_csv,
 )
 from frontlab.sim import Grid
+from oracles import validate_series
 
 
 class TestUnweighted:
@@ -321,7 +322,7 @@ class TestSeriesStructure:
         v2 = 0.5 * np.exp(-t)
         va = 0.7 * np.exp(-t)
         series = make_series(t, v1, v2, va)
-        series.validate()
+        validate_series(series)
 
     def test_csv_round_trip(self, tmp_path):
         t = np.linspace(0.0, 5.0, 12)
