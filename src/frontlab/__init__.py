@@ -15,7 +15,6 @@ from .model import (
     eval_f_combustion,
     eval_g,
     jacobian_at_minus,
-    make_combustion_system,
     make_exo_endo_system,
     make_gasless_system,
 )
@@ -57,8 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BlockSystem", "ModelParams", "eval_H", "eval_f_combustion", "eval_g",
-    "jacobian_at_minus", "make_combustion_system", "make_exo_endo_system",
-    "make_gasless_system",
+    "jacobian_at_minus", "make_exo_endo_system", "make_gasless_system",
     "SpectrumSweep", "SymbolMatrix", "block_abscissas", "eigvals_symbol",
     "eval_symbol", "exact_propagator", "optimal_weight", "semigroup_envelope",
     "sweep_symbol", "tensor_sum_check",

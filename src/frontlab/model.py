@@ -13,14 +13,17 @@ v = u - u_minus, whose nonlinear part is the closed-form quadratic
 
     H(v) = (1, -kappa)^T * v2 * (g(1/kappa + v1) - g(1/kappa)).
 
-More general systems with the same block-triangular structure are described
-by :class:`BlockSystem`; their nonlinear part is represented as N(v) v with
-the matrix-valued N(v) = int_0^1 (Df(t v) - Df(0)) dt.
+Gasless combustion is this model at eps = 0.  More general systems with the
+same block-triangular structure are described by :class:`BlockSystem`; their
+nonlinear part is represented as N(v) v with the matrix-valued
+N(v) = int_0^1 (Df(t v) - Df(0)) dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import random
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +38,6 @@ __all__ = [
     "jacobian_at_minus",
     "eval_H",
     "eval_N_times_v_exact",
-    "make_combustion_system",
     "make_exo_endo_system",
     "make_gasless_system",
     "check_block_structure",
@@ -116,13 +118,12 @@ class ModelParams:
         gp += np.abs(m, out=x)
         rate = max(1.0, kappa) * float(np.max(gp))
         out = np.empty_like(u)
+        direction = np.array([1.0, -kappa]).reshape((2,) + (1,) * (u.ndim - 1))
 
-        def advance(h, r):  # out = u + h H, H = (r, -kappa r)
-            np.multiply(r, h, out=out[0])
-            out[0] += u[0]
-            np.multiply(r, -kappa, out=out[1])
-            out[1] *= h
-            out[1] += u[1]
+        def advance(h, r):  # out = u + h H, H = (1, -kappa)^T r
+            np.multiply(direction, r, out=out)
+            np.multiply(out, h, out=out)
+            np.add(out, u, out=out)
 
         advance(0.5 * dt, np.multiply(m, u[1], out=m))
         m = eval_g(np.add(out[0], 1.0 / kappa, out=x))
@@ -148,8 +149,8 @@ class BlockSystem:
     single state of shape (n,) to the (n, n) Jacobian.
 
     d1, d2 hold the diagonals of the nonnegative diffusion blocks.  A zero
-    entry in d2 (e.g. gasless combustion) is allowed and flagged via
-    :attr:`zero_diffusion` rather than rejected.
+    entry in d2 (a reactant that does not diffuse) is allowed and flagged
+    via :attr:`zero_diffusion` rather than rejected.
 
     B = Df(0) and f0 = f(0) are evaluated once, at construction, and stored
     read-only.
@@ -216,9 +217,15 @@ class BlockSystem:
         return float(np.max(np.sum(np.abs(J), axis=1)))
 
     def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
-        """(u + dt N(u + dt/2 N(u)), stage_rate(u))."""
-        mid = u + 0.5 * dt * eval_N_times_v_exact(self, u)
-        return u + dt * eval_N_times_v_exact(self, mid), self.stage_rate(u)
+        """(u + dt N(u + dt/2 N(u)), stage_rate(u)), in place on the arrays
+        eval_N_times_v_exact returns: bit for bit the out-of-place form."""
+        mid = eval_N_times_v_exact(self, u)
+        mid *= 0.5 * dt
+        mid += u
+        out = eval_N_times_v_exact(self, mid)
+        out *= dt
+        out += u
+        return out, self.stage_rate(u)
 
     def describe(self) -> dict:
         return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
@@ -227,13 +234,26 @@ class BlockSystem:
 def _exp_minus(b: float, u: np.ndarray) -> np.ndarray:
     """exp(-b/u) for u > 0, exactly 0 for u <= 0, as a new array.
 
-    fmax lifts u <= 0, -0.0, -inf and NaN to the smallest subnormal, where
-    -b/u overflows to -inf and exp gives the exact 0.
+    fmax lifts u <= b 1e-4 (so also u <= 0, -0.0, -inf, NaN and every
+    subnormal u) to b 1e-4, where -b/u = -1e4 and exp gives the exact 0, as
+    it does for every u up to b 1e-4.  No division overflows or meets a
+    subnormal divisor while b 1e-4 is normal (b >= 1e-300; eval_g has b = 1).
     """
-    out = np.fmax(u, 5e-324, out=np.empty_like(u))
-    with np.errstate(over="ignore"):
-        np.divide(-b, out, out=out)
+    out = np.fmax(u, b * 1e-4, out=np.empty_like(u))
+    np.divide(-b, out, out=out)
     return np.exp(out, out=out)
+
+
+def _exp_minus_float(a: float, b: float, u: float) -> tuple[float, float]:
+    """(a exp(-b/u), its u-derivative a b exp(-b/u) / u^2) at one Python float.
+
+    Zero where _exp_minus gives 0 (u <= b 1e-4, NaN); math.exp in place of
+    0-d numpy arrays for the Jacobian of a single state.
+    """
+    if not u > b * 1e-4:
+        return 0.0, 0.0
+    e = math.exp(-b / u)
+    return a * e, a * (e * b / u / u)
 
 
 def _exp_minus_prime(b: float, u: np.ndarray) -> np.ndarray:
@@ -310,49 +330,19 @@ def eval_H(params: ModelParams, v) -> np.ndarray:
 
 def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:
     """Closed form N(v) v = f(v) - f(0) - Df(0) v of the integral
-    N(v) = int_0^1 (Df(t v) - Df(0)) dt, with no quadrature."""
+    N(v) = int_0^1 (Df(t v) - Df(0)) dt, with no quadrature.
+
+    Written in place over the array f returns, unless that array is
+    read-only or shares memory with v.
+    """
     v = np.asarray(v, dtype=float)
     lin = np.dot(sys.B, v.reshape(sys.n, -1)).reshape(v.shape)
-    return sys.f(v) - sys.f0.reshape((sys.n,) + (1,) * (v.ndim - 1)) - lin
-
-
-def make_combustion_system(params: ModelParams) -> BlockSystem:
-    """Combustion model as a BlockSystem in coordinates shifted to u_minus."""
-    kappa = params.kappa
-    u_minus = np.array([1.0 / kappa, 0.0])
-
-    def f(v):
-        v = np.asarray(v, dtype=float)
-        shift = u_minus.reshape((2,) + (1,) * (v.ndim - 1))
-        return eval_f_combustion(params, v + shift)
-
-    def jac(v):
-        return jacobian_combustion(params, np.asarray(v, dtype=float) + u_minus)
-
-    sys = BlockSystem(
-        n1=1,
-        n2=1,
-        d1=np.array([1.0]),
-        d2=np.array([params.epsilon]),
-        A1=np.zeros((1, 1)),
-        f=f,
-        jac=jac,
-        c=params.c,
-        name="combustion",
-    )
-    check_block_structure(sys)
-    return sys
-
-
-def _arrhenius(a: float, b: float):
-    """Rate a exp(-b/u) and its derivative, zero for u <= 0."""
-    def fi(u):
-        return a * _exp_minus(b, np.asarray(u, dtype=float))
-
-    def fip(u):
-        return a * _exp_minus_prime(b, np.asarray(u, dtype=float))
-
-    return fi, fip
+    out = np.asarray(sys.f(v), dtype=float)
+    if not out.flags.writeable or np.may_share_memory(out, v):
+        out = out.copy()
+    out -= sys.f0.reshape((sys.n,) + (1,) * (v.ndim - 1))
+    out -= lin
+    return out
 
 
 def make_exo_endo_system(
@@ -382,24 +372,22 @@ def make_exo_endo_system(
                     ("a2", a2), ("a3", a3), ("b2", b2), ("b3", b3)):
         if not 0.0 < val < np.inf:
             raise ValueError(f"{nm} must be positive and finite, got {val}")
-    f2, f2p = _arrhenius(a2, b2)
-    f3, f3p = _arrhenius(a3, b3)
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        r2 = y[1] * f2(y[0])
-        r3 = y[2] * f3(y[0])
+        r2 = y[1] * (a2 * _exp_minus(b2, y[0]))
+        r3 = y[2] * (a3 * _exp_minus(b3, y[0]))
         return np.stack([r2 - sigma * r3, -r2, -tau * r3])
 
     def jac(y):
-        y = np.asarray(y, dtype=float)
-        v2, v3 = f2(y[0]), f3(y[0])
-        v2p, v3p = f2p(y[0]), f3p(y[0])
+        y1, y2, y3 = (float(x) for x in y)
+        v2, v2p = _exp_minus_float(a2, b2, y1)
+        v3, v3p = _exp_minus_float(a3, b3, y1)
         return np.array(
             [
-                [y[1] * v2p - sigma * y[2] * v3p, v2, -sigma * v3],
-                [-y[1] * v2p, -v2, 0.0],
-                [-tau * y[2] * v3p, 0.0, -tau * v3],
+                [y2 * v2p - sigma * y3 * v3p, v2, -sigma * v3],
+                [-y2 * v2p, -v2, 0.0],
+                [-tau * y3 * v3p, 0.0, -tau * v3],
             ]
         )
 
@@ -418,27 +406,29 @@ def make_exo_endo_system(
     return sys
 
 
-def make_gasless_system(beta: float, c: float = 1.0) -> BlockSystem:
+def make_gasless_system(beta: float, c: float = 1.0) -> ModelParams:
     """Gasless combustion u_t = lap(u) + v g(u), v_t = -beta v g(u).
 
-    The combustion system at epsilon = 0 and kappa = beta.  The fuel
-    equation carries no diffusion, so the second diffusion block is zero;
-    this is permitted and exposed through the zero_diffusion flag.
-    Coordinates are shifted to the burned state (1/beta, 0).
+    This is the combustion model at epsilon = 0 and kappa = beta, and runs
+    its closed-form kernels.  The fuel equation carries no diffusion, so
+    the second entry of its diffusion diagonal is zero.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    return replace(make_combustion_system(ModelParams(0.0, beta, c)), name="gasless")
+    return ModelParams(0.0, beta, c)
 
 
 def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
                           tol: float = 1e-12) -> float:
     """Randomized probe of f(v1, 0) = (A1 v1, 0) over `trials` draws.
 
-    Returns the largest residual found; raises if it exceeds tol.
+    The draws are N(0, 2^2) from the stdlib random.Random(seed), which
+    spares building a block system the import of numpy.random.  Returns
+    the largest residual found; raises if it exceeds tol.
     """
-    rng = np.random.default_rng(seed)
-    v1 = rng.normal(scale=2.0, size=(trials, sys.n1)).T  # draw t is column t
+    rng = random.Random(seed)
+    draws = [rng.gauss(0.0, 2.0) for _ in range(trials * sys.n1)]
+    v1 = np.array(draws).reshape(trials, sys.n1).T  # draw t is column t
     v = np.zeros((sys.n, trials))
     v[:sys.n1] = v1
     expect = np.zeros((sys.n, trials))

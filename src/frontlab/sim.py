@@ -19,12 +19,16 @@ Between two records the adjacent half-steps meet in Fourier space,
 
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
-so each step costs one rfftn/irfftn round trip, into buffers allocated once
-per step_imex call.  A linear run (nonlinear=False) has no explicit stage to
-split around and stays in Fourier space: each record's spectrum is the
-previous one times exp(k dt S), k the steps of its segment, with at most two
-propagators (the full and the last, shorter segment) built per run.  Its
-records are measured in blocks, one batched irfftn per block.  Records are
+so each step costs one real-transform round trip, into buffers allocated once
+per step_imex call.  The round trip calls numpy's one-axis transforms in
+rfftn's and irfftn's own order (rfft over the last grid axis, then fft over
+the others; ifft, then irfft), each writing to a preallocated buffer: it is
+rfftn/irfftn bit for bit, without irfftn's temporary.  A linear run
+(nonlinear=False) has no explicit stage to split around and stays in
+Fourier space: each record's spectrum is the previous one times
+exp(k dt S), k the steps of its segment, with at most two propagators (the
+full and the last, shorter segment) built per run.  Its records are
+measured in blocks, one batched irfftn per block.  Records are
 measured by a norms.NormRecorder built once per run, one pass per block (a
 nonlinear run's blocks hold one record).
 Periodic truncation replaces the unbounded domain: runs are valid while the
@@ -64,6 +68,7 @@ __all__ = [
 
 BOUNDARY_BAND_FRACTION = 0.05
 BOUNDARY_MASS_LIMIT = 1e-8
+MAX_RUN_STEPS = 10**8  # a longer run is a configuration error, not a hang
 # a linear run's record block: its spectra and fields here and the
 # NormRecorder stack and spectrum, about six real fields per record
 RECORD_BLOCK_BYTES = 256 * 1024
@@ -317,6 +322,22 @@ def _check_stage_bound(bound: float, dt: float, t: float) -> None:
                          f"{bound:.3e} at t = {t:.6g}")
 
 
+def _forward(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half spectrum of u over its grid axes 1.. into out: rfftn bit for bit."""
+    np.fft.rfft(u, axis=-1, out=out)
+    for ax in range(out.ndim - 2, 0, -1):
+        np.fft.fft(out, axis=ax, out=out)
+    return out
+
+
+def _inverse(vh: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Real field of the half spectrum vh into out, n points on the last axis:
+    irfftn bit for bit.  In 2D the ifft goes to work, which may not be vh."""
+    for ax in range(1, vh.ndim - 1):
+        vh = np.fft.ifft(vh, axis=ax, out=work)
+    return np.fft.irfft(vh, n=n, axis=-1, out=out)
+
+
 def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
               steps: int = 1) -> FieldState:
     """`steps` Strang steps of dt = 2 half.dt: exact half linear, explicit
@@ -324,11 +345,11 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
 
     half is linear_propagator(model, grid, dt / 2).  Between two explicit
     stages half is applied twice in Fourier space, so each step costs one
-    rfftn/irfftn round trip.  The two spectra and the real field the
-    transforms write to are allocated once per call and reused by every
-    step; the returned field is that real buffer, so state.data is never
-    written to.  Second order in dt on smooth data; the zero state is
-    preserved exactly.  dt is checked against the dt_max bound of the field
+    real-transform round trip (_forward, _inverse).  The two spectra and the
+    real field the transforms write to are allocated once per call and
+    reused by every step; the returned field is that real buffer, so
+    state.data is never written to.  Second order in dt on smooth data; the
+    zero state is preserved exactly.  dt is checked against the dt_max bound of the field
     each explicit stage acts on, from the rate model.midpoint_stage returns
     (ValueError), and a non-finite field aborts with the time of the step it
     appeared in.
@@ -336,22 +357,23 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
-    axes = tuple(range(1, grid.d + 1))
+    n = grid.N[-1]
     t = state.t
-    vh = np.fft.rfftn(state.data, axes=axes)
-    spare = np.empty_like(vh)
     u = np.empty(state.data.shape)
+    vh = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spare = np.empty_like(vh)
+    _forward(state.data, vh)
     for _ in range(steps):
         vh, spare = _propagate(half, vh, spare), vh
-        np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+        _inverse(vh, n, u, spare)
         stepped, rate = model.midpoint_stage(u, dt)
         _check_stage_bound(_stage_bound(rate), dt, t)
-        np.fft.rfftn(stepped, axes=axes, out=vh)
+        _forward(stepped, vh)
         vh, spare = _propagate(half, vh, spare), vh
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)
-    data = np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+    data = _inverse(vh, n, u, spare)
     return FieldState(t=t, data=data, n1=state.n1)
 
 
@@ -397,7 +419,8 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     alpha is the exponent of the weight exp(alpha z) the norms are measured in.
 
     dt is adjusted (downward) to land on T exactly; output is deterministic
-    for fixed inputs.  Snapshots hold the initial and final states.  A
+    for fixed inputs.  A T / dt above MAX_RUN_STEPS (or overflowing) raises
+    ValueError.  Snapshots hold the initial and final states.  A
     boundary-contamination warning is recorded (and issued once via
     warnings.warn) when the weighted mass within 5% of the z boundary
     exceeds 1e-8 of the total.  The k steps between two records run as one
@@ -411,6 +434,9 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     """
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError("T and dt must be positive and finite")
+    if not T / dt <= MAX_RUN_STEPS:
+        raise ValueError(f"T / dt = {T / dt:.3g} steps exceeds the limit of "
+                         f"{MAX_RUN_STEPS:.0e} steps per run")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     if isinstance(perturbation, FieldState):

@@ -1,9 +1,11 @@
 """Reference computations and probes the tests check frontlab with.
 
-The quadrature form of the nonlinearity, finite differences, a sampled
-Lipschitz constant, the numpy front field and its Jacobian, the spatial
-exponents at the end states, the weighted abscissa in closed form, a
-smallness-threshold scan and the structural identities of a norm series.
+The combustion model posed as a generic BlockSystem, the quadrature form of
+the nonlinearity, finite differences, a sampled Lipschitz constant, the
+numpy front field and its Jacobian, the spatial exponents at the end states,
+the weighted abscissa in closed form, a smallness-threshold scan, the
+structural identities of a norm series and a Strang step on numpy's
+n-dimensional real transforms.
 frontlab itself calls none of them.
 """
 
@@ -15,9 +17,43 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from frontlab.model import (BlockSystem, ModelParams, eval_g, eval_g_prime,
-                            eval_N_times_v_exact, jacobian_at_minus)
-from frontlab.sim import Grid, Perturbation, SimulationError, run
+from frontlab.model import (BlockSystem, ModelParams, check_block_structure,
+                            eval_f_combustion, eval_g, eval_g_prime,
+                            eval_N_times_v_exact, jacobian_at_minus,
+                            jacobian_combustion)
+from frontlab.sim import (FieldState, Grid, Perturbation, SimulationBlowupError,
+                          SimulationError, _propagate, run)
+from frontlab.spectral import Propagator
+
+
+def make_combustion_system(params: ModelParams) -> BlockSystem:
+    """Combustion model as a BlockSystem in coordinates shifted to u_minus:
+    the generic block path, against which the closed forms of ModelParams
+    are checked."""
+    kappa = params.kappa
+    u_minus = np.array([1.0 / kappa, 0.0])
+
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        shift = u_minus.reshape((2,) + (1,) * (v.ndim - 1))
+        return eval_f_combustion(params, v + shift)
+
+    def jac(v):
+        return jacobian_combustion(params, np.asarray(v, dtype=float) + u_minus)
+
+    sys = BlockSystem(
+        n1=1,
+        n2=1,
+        d1=np.array([1.0]),
+        d2=np.array([params.epsilon]),
+        A1=np.zeros((1, 1)),
+        f=f,
+        jac=jac,
+        c=params.c,
+        name="combustion",
+    )
+    check_block_structure(sys)
+    return sys
 
 
 def eval_N_times_v(sys: BlockSystem, v, quad_nodes: int = 32) -> np.ndarray:
@@ -218,3 +254,28 @@ def validate_series(series) -> None:
             raise AssertionError("component norm exceeds the full norm")
         if np.any(v < 0) or np.any(va < 0):
             raise AssertionError("negative norm recorded")
+
+
+def step_imex_rfftn(model, grid: Grid, state: FieldState, half: Propagator,
+                    steps: int = 1) -> FieldState:
+    """sim.step_imex written with np.fft.rfftn/irfftn over the grid axes: the
+    reference the one-axis transforms of step_imex must match bit for bit."""
+    dt = 2.0 * half.dt
+    axes = tuple(range(1, grid.d + 1))
+    t = state.t
+    vh = np.fft.rfftn(state.data, axes=axes)
+    spare = np.empty_like(vh)
+    u = np.empty(state.data.shape)
+    for _ in range(steps):
+        vh, spare = _propagate(half, vh, spare), vh
+        np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+        stepped, rate = model.midpoint_stage(u, dt)
+        if dt > (math.inf if rate == 0.0 else 0.5 / rate):
+            raise ValueError(f"dt = {dt} exceeds the explicit-stage stability bound")
+        np.fft.rfftn(stepped, axes=axes, out=vh)
+        vh, spare = _propagate(half, vh, spare), vh
+        t = t + dt
+        if not np.all(np.isfinite(vh)):
+            raise SimulationBlowupError(t)
+    data = np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
+    return FieldState(t=t, data=data, n1=state.n1)

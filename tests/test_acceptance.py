@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from frontlab.front import integrate_orbit, shoot_speed
-from frontlab.model import ModelParams, eval_H, make_combustion_system
+from frontlab.model import ModelParams, eval_H
 from frontlab.norms import fit_decay, verify_stability_theorem
 from frontlab.sim import (Grid, Perturbation, apply_linear_exact, build_perturbation,
                           linear_propagator, run, step_imex, FieldState)
@@ -23,7 +23,7 @@ from frontlab.spectral import (
     sweep_symbol,
     tensor_sum_check,
 )
-from oracles import abscissa_weighted, eval_N_times_v, sample_ball
+from oracles import abscissa_weighted, eval_N_times_v, make_combustion_system, sample_ball
 
 
 def random_params(rng) -> tuple[ModelParams, float]:

@@ -327,6 +327,17 @@ class TestSimulateCommand:
         assert code == 2
         assert "exceeds the explicit-stage stability bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["simulate", "verify"])
+    @pytest.mark.parametrize("dt,steps", [("1e-320", "inf"), ("1e-300", "4e+301")])
+    def test_rejects_a_step_count_beyond_the_limit(self, tmp_path, capsys, cmd, dt, steps):
+        # T / dt overflows (1e-320) or asks for 4e301 steps (1e-300): a
+        # configuration error, not a traceback or a hang
+        cfg = write_config(tmp_path, BASE_SIM.replace("t = 2.0", "t = 40").replace(
+            "dt = 0.05", f"dt = {dt}"))
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"T / dt = {steps} steps exceeds the limit of 1e+08 steps per run"
+                in capsys.readouterr().err)
+
     def test_stage_bound_tripping_mid_run_exits_1(self, tmp_path, capsys):
         # the initial field admits dt = 0.04 (bound 0.0467); at kappa = 6 the
         # fed v1 lowers the bound below dt at t = 0.16, inside the first record segment
@@ -891,13 +902,9 @@ class TestCommandLine:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--seed", "1"]) == 2
 
-    def test_closed_form_models_never_import_scipy_linalg(self, tmp_path):
-        # scipy.linalg costs ~29 MiB of resident memory; only a symbol without
-        # a closed-form exponential needs it
-        import subprocess
-        import sys
-        from pathlib import Path
-
+    @staticmethod
+    def block_kind_configs(tmp_path) -> tuple[str, str]:
+        """Small gasless and exo_endo scenarios for spectrum and simulate."""
         gas = write_config(tmp_path, joined(GASLESS, """
             [weights]
             alpha = 0.3
@@ -928,18 +935,42 @@ class TestCommandLine:
             center = 5.0
             mask = 1, 1, 1
         """), name="exo.ini")
-        sim_cfg = write_config(tmp_path, BASE_SIM.replace("record_every = 5", "record_every = 2"),
-                               name="comb.ini")
+        return gas, exo
+
+    @staticmethod
+    def loaded_after(tmp_path, commands, modules) -> list:
+        """Exit codes of the commands, run in order in one fresh interpreter,
+        then whether each module was imported by then."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
         script = (
             "import sys\n"
             "from frontlab.cli import main\n"
-            f"for cmd, cfg in (('spectrum', {gas!r}), ('simulate', {gas!r}),\n"
-            f"                 ('spectrum', {exo!r}), ('simulate', {exo!r}),\n"
-            f"                 ('verify', {sim_cfg!r})):\n"
+            f"for cmd, cfg in {tuple(commands)!r}:\n"
             f"    print(main([cmd, '--config', cfg, '--out', {str(tmp_path / 'o')!r}]))\n"
-            "print('scipy.linalg' in sys.modules)\n"
-            "print('scipy.fft' in sys.modules)\n")
+            f"for name in {tuple(modules)!r}:\n"
+            "    print(name in sys.modules)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={"PYTHONPATH": src, "PATH": ""}, check=True)
-        assert out.stdout.split() == ["0"] * 5 + ["False", "False"]
+        return out.stdout.split()
+
+    def test_closed_form_models_never_import_scipy_linalg(self, tmp_path):
+        # scipy.linalg costs ~29 MiB of resident memory; only a symbol without
+        # a closed-form exponential needs it
+        gas, exo = self.block_kind_configs(tmp_path)
+        sim_cfg = write_config(tmp_path, BASE_SIM.replace("record_every = 5", "record_every = 2"),
+                               name="comb.ini")
+        commands = [("spectrum", gas), ("simulate", gas), ("spectrum", exo),
+                    ("simulate", exo), ("verify", sim_cfg)]
+        assert self.loaded_after(tmp_path, commands, ["scipy.linalg", "scipy.fft"]) == \
+            ["0"] * 5 + ["False", "False"]
+
+    def test_block_kinds_never_import_numpy_random(self, tmp_path):
+        # numpy.random costs ~15 ms and 5.7 MiB; the block-structure probe at
+        # construction draws from the stdlib random module instead
+        gas, exo = self.block_kind_configs(tmp_path)
+        commands = [(cmd, cfg) for cfg in (gas, exo) for cmd in ("spectrum", "simulate")]
+        assert self.loaded_after(tmp_path, commands, ["numpy.random"]) == ["0"] * 4 + ["False"]

@@ -4,6 +4,8 @@ import pytest
 from frontlab.model import (
     BlockSystem,
     _exp_minus,
+    _exp_minus_float,
+    _exp_minus_prime,
     ModelParams,
     check_block_structure,
     eval_H,
@@ -13,7 +15,6 @@ from frontlab.model import (
     eval_g_prime,
     jacobian_at_minus,
     jacobian_combustion,
-    make_combustion_system,
     make_exo_endo_system,
     make_gasless_system,
 )
@@ -22,6 +23,7 @@ from oracles import (
     divided_difference,
     eval_N_times_v,
     lipschitz_probe,
+    make_combustion_system,
 )
 
 
@@ -90,14 +92,26 @@ class TestIgnitionRate:
                 np.divide(-b, u, out=out, where=u > 0.0)
             return np.exp(out, out=out)
 
+        # around b 1e-4, where u is lifted to: exp(-b/u) is 0 on both sides
+        lift = b * 1e-4
         u = np.array([0.0, -0.0, -1.0, -1e-300, -5e-324, 5e-324, 1e-320, 2.2e-308, 1e-200,
-                      1e-3, 0.2, 1.0, 3.5, 1e300, np.inf, -np.inf, np.nan, -np.nan])
-        for x in (u, u.reshape(2, 9), u[::-1].copy()):
+                      1e-3, 0.2, 1.0, 3.5, 1e300, np.inf, -np.inf, np.nan, -np.nan,
+                      np.nextafter(lift, 0.0), lift, np.nextafter(lift, 1.0), 2.0 * lift])
+        for x in (u, u.reshape(2, 11), u[::-1].copy()):
             got = _exp_minus(b, x)
             assert not np.shares_memory(got, x)
             assert got.tobytes() == masked(b, x).tobytes()
         for x in u:
             assert _exp_minus(b, np.asarray(x)).tobytes() == masked(b, np.asarray(x)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1.0, 0.37, 7.5])
+    def test_float_rate_is_exactly_zero_where_the_array_rate_is(self, b):
+        lift = b * 1e-4
+        for u in (0.0, -0.0, -1.0, -np.inf, np.nan, 5e-324, 1e-310, 2.2e-308,
+                  np.nextafter(lift, 0.0), lift, np.nextafter(lift, 1.0), b / 746.0):
+            assert _exp_minus(b, np.asarray(u)) == 0.0
+            assert _exp_minus_float(2.0, b, u) == (0.0, 0.0)
 
     def test_flat_contact(self):
         # divided differences of orders 1..4 decay monotonically to 0 as the
@@ -310,6 +324,36 @@ class TestExoEndoSystem:
         u = np.array([[1e-170, 5e-324, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         assert sys.stage_rate(u) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_float_jacobian_matches_the_numpy_form(self):
+        # jac evaluates its one state on Python floats with math.exp; the
+        # numpy form of the same rates (0-d arrays, np.exp) agrees to a few
+        # ulp, and both are exactly 0 where the temperature is cold
+        a, b, sigma, tau = (1.0, 0.5), (0.8, 1.1), 2.0, 1.5
+        sys = make_exo_endo_system(0.5, 0.25, sigma, tau, a, b)
+
+        def numpy_rates(T):  # (rate, slope) of each reactant on a 0-d array
+            with np.errstate(over="ignore"):  # u * u in _exp_minus_prime at u = 1e300
+                return [(ai * _exp_minus(bi, np.asarray(T)),
+                         ai * _exp_minus_prime(bi, np.asarray(T))) for ai, bi in zip(a, b)]
+
+        rng = np.random.default_rng(14)
+        temps = [-2.0, -1e-300, -0.0, 0.0, 5e-324, 1e-310, 1e-170, 8e-5, 1e-3, 0.05, 0.1,
+                 0.3, 1.0, 7.3, 1e300, np.inf, -np.inf, np.nan]
+        for T in temps + list(rng.uniform(0.0, 3.0, size=200)):
+            y2, y3 = rng.normal(size=2)
+            (r2, s2), (r3, s3) = numpy_rates(T)
+            J = np.array([[y2 * s2 - sigma * y3 * s3, r2, -sigma * r3],
+                          [-y2 * s2, -r2, 0.0],
+                          [-tau * y3 * s3, 0.0, -tau * r3]])
+            scale = np.abs(J)
+            scale[0, 0] = abs(y2 * s2) + abs(sigma * y3 * s3)  # the one difference of terms
+            got = sys.jac(np.array([T, y2, y3]))
+            assert np.array_equal(got == 0.0, J == 0.0)
+            assert np.all(np.abs(got - J) <= 1e-15 * scale)
+            if not T > 0.0:
+                assert np.all(got == 0.0)
+
     def test_jacobian_matches_difference_quotients(self):
         sys = make_exo_endo_system(0.5, 0.25, 2.0, 1.5, (1.0, 0.5), (0.8, 1.1))
         rng = np.random.default_rng(13)
@@ -362,23 +406,29 @@ class TestBlockSystemConstants:
 
 class TestGaslessSystem:
     def test_zero_diffusion_flagged(self):
-        sys = make_gasless_system(1.0)
-        assert sys.zero_diffusion
-        assert sys.describe() == {"kind": "gasless", "c": 1.0, "zero_diffusion": True}
+        # the fuel does not diffuse: the spectrum command flags a zero entry
+        # of the diffusion diagonal, a block system its zero_diffusion
+        gas = make_gasless_system(1.0)
+        assert gas.diffusion.tolist() == [1.0, 0.0]
+        assert gas.describe() == {"kind": "combustion", "epsilon": 0.0, "kappa": 1.0,
+                                  "c": 1.0}
+        assert make_combustion_system(ModelParams(0.0, 1.0, 1.0)).zero_diffusion
         assert not make_combustion_system(params()).zero_diffusion
 
     def test_matches_combustion_with_eps_zero(self):
         # u_t = lap(u) + v g(u), v_t = -beta v g(u), shifted to (1/beta, 0)
         beta = 1.4
-        gas = make_gasless_system(beta)
-        comb = make_combustion_system(ModelParams(epsilon=0.0, kappa=beta, c=1.0))
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            v = rng.normal(size=2)
-            r = v[1] * eval_g(1.0 / beta + v[0])
-            assert np.array_equal(gas.f(v), [r, -beta * r])
-            assert np.array_equal(gas.f(v), comb.f(v))
-            assert np.array_equal(gas.jac(v), comb.jac(v))
+        gas = make_gasless_system(beta, c=0.7)
+        assert gas == ModelParams(epsilon=0.0, kappa=beta, c=0.7)
+        v = np.random.default_rng(17).normal(size=(2, 50))
+        u1, u2 = 1.0 / beta + v[0], v[1]
+        f = np.stack([u2 * eval_g(u1), -beta * u2 * eval_g(u1)])
+        g_minus = eval_g(1.0 / beta)
+        B = np.array([[0.0, g_minus], [0.0, -beta * g_minus]])  # Df at (1/beta, 0)
+        assert np.allclose(gas.linearization, B, rtol=1e-15, atol=0.0)
+        Bv = B @ v
+        # N(v) v = f(u_minus + v) - f(u_minus) - B v, with f(u_minus) = 0
+        assert np.all(np.abs(gas.nonlinearity(v) - (f - Bv)) <= 1e-15 * (np.abs(f) + np.abs(Bv)))
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
@@ -487,3 +537,14 @@ class TestMidpointStage:
     def test_non_triangular_block_system(self):
         rng = np.random.default_rng(24)
         self.assert_composition(_rotation_toy(), rng.normal(size=(3, 24)), 0.1)
+
+    def test_f_returning_its_argument_is_not_written_over(self):
+        # f(v) = v is a valid block system (A1 = 1, B = I); the stage works
+        # in place on what f returns, which here is the caller's field
+        ident = BlockSystem(n1=1, n2=1, d1=[1.0], d2=[0.5], A1=[[1.0]],
+                            f=lambda v: v, jac=lambda v: np.eye(2))
+        u = np.random.default_rng(25).normal(size=(2, 16))
+        kept = u.copy()
+        assert np.all(eval_N_times_v_exact(ident, u) == 0.0)
+        self.assert_composition(ident, u, 0.1)
+        assert np.array_equal(u, kept)

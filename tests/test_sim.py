@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from frontlab import sim
-from frontlab.model import ModelParams, make_combustion_system, make_exo_endo_system
+from frontlab.model import ModelParams, make_exo_endo_system, make_gasless_system
 from frontlab.norms import norm_E, norm_unweighted
 from frontlab.sim import (
     FieldState,
@@ -21,7 +21,7 @@ from frontlab.sim import (
     step_imex,
 )
 from frontlab.spectral import SymbolMatrix, eval_symbol
-from oracles import instability_scan, validate_series
+from oracles import instability_scan, make_combustion_system, step_imex_rfftn, validate_series
 
 ALPHA = 0.4
 
@@ -419,32 +419,85 @@ class TestStepImex:
         assert order >= 1.9
 
 
+def count_transforms(monkeypatch) -> dict:
+    """Record the input shape of every numpy transform frontlab.sim calls, by name."""
+    calls = {}
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def transform(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+                calls.setdefault(name, []).append(args[0].shape)
+            return real(*args, **kwargs)
+        return transform
+
+    for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    return calls
+
+
+class TestOneAxisTransforms:
+    """step_imex's one-axis transforms are rfftn/irfftn bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 64), (3, 128), (2, 32, 16), (3, 16, 64)])
+    def test_match_rfftn_and_irfftn(self, shape):
+        rng = np.random.default_rng(41)
+        u = rng.normal(size=shape)
+        axes = tuple(range(1, len(shape)))
+        vh = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+        assert sim._forward(u, vh) is vh
+        assert vh.tobytes() == np.fft.rfftn(u, axes=axes).tobytes()
+        vh = vh + rng.normal(scale=1e-3, size=vh.shape)  # not a real field's spectrum
+        kept = vh.copy()
+        out, work = np.empty(shape), np.empty_like(vh)
+        assert sim._inverse(vh, shape[-1], out, work) is out
+        assert out.tobytes() == np.fft.irfftn(vh, s=shape[1:], axes=axes).tobytes()
+        assert np.array_equal(vh, kept)
+
+    @pytest.mark.parametrize("model,grid", [
+        (params(), Grid(L=15.0, N=128)),
+        (params(kappa=3.0), Grid(L=(15.0, 8.0), N=(64, 32))),
+        (make_gasless_system(1.3), Grid(L=15.0, N=128)),
+        (make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0)), Grid(L=15.0, N=128)),
+        (make_combustion_system(params()), Grid(L=(15.0, 8.0), N=(32, 16))),
+    ], ids=["combustion-1d", "combustion-2d", "gasless", "exo_endo", "block-2d"])
+    def test_step_imex_matches_the_rfftn_reference(self, model, grid):
+        state, _ = build_perturbation(
+            grid, Perturbation(amplitude=0.4, center=(0.0,) * grid.d,
+                               widths=(2.0,) * grid.d, mask=(1,) * model.n), model, ALPHA)
+        half = linear_propagator(model, grid, 0.025)
+        got = step_imex(model, grid, state, half, steps=6)
+        want = step_imex_rfftn(model, grid, state, half, steps=6)
+        assert got.t == want.t
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_a_2d_step_transforms_each_axis_once_each_way(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        g = Grid(L=(10.0, 5.0), N=(32, 16))
+        state, _ = build_perturbation(g, Perturbation(amplitude=0.1, center=(0.0, 0.0),
+                                                      widths=(2.0, 1.5)), params(), ALPHA)
+        step_imex(params(), g, state, linear_propagator(params(), g, 0.05), steps=3)
+        # the initial forward and final inverse transform, and one round trip per step
+        assert calls == {"rfft": [(2, 32, 16)] * 4, "fft": [(2, 32, 9)] * 4,
+                         "ifft": [(2, 32, 9)] * 4, "irfft": [(2, 32, 9)] * 4}
+
+
 class TestRun:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_one_forward_transform_per_step(self, monkeypatch, nonlinear):
         # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps.  A
-        # nonlinear run makes one round trip per step and segment; a linear
-        # one transforms the initial field once and its one block of four
-        # records back once
-        calls = {"rfftn": [], "irfftn": []}
-
-        def counting(name):
-            real = getattr(np.fft, name)
-
-            def transform(*args, **kwargs):
-                if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
-                    calls[name].append(args[0].shape)
-                return real(*args, **kwargs)
-            return transform
-
-        for name in calls:
-            monkeypatch.setattr(np.fft, name, counting(name))
+        # nonlinear run makes one round trip per step and segment (in 1D one
+        # rfft and one irfft); a linear one transforms the initial field
+        # once and its one block of four records back once
+        calls = count_transforms(monkeypatch)
         res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
                   T=1.0, dt=0.1, record_every=3, nonlinear=nonlinear)
         segments = 4
         assert res.nsteps == 10
         if nonlinear:
-            assert len(calls["rfftn"]) == len(calls["irfftn"]) == res.nsteps + segments
+            assert calls == {"rfft": [(2, 64)] * (res.nsteps + segments),
+                             "irfft": [(2, 33)] * (res.nsteps + segments)}
         else:
             assert calls == {"rfftn": [(2, 64)], "irfftn": [(segments, 2, 33)]}
         t, expect = 0.0, [0.0]
