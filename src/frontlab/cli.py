@@ -162,6 +162,8 @@ def _build_grid(scenario: Scenario) -> _sim.Grid:
     d = scenario.get("grid", "d", int, 1)
     L = scenario.get("grid", "l", "floats", (50.0,) * d)
     N = scenario.get("grid", "n", "ints", (1024,) if d == 1 else (256, 128))
+    if len(L) != d or len(N) != d:
+        raise ConfigError(f"[grid] l and n need d = {d} entries each, got {len(L)} and {len(N)}")
     try:
         return _sim.Grid(L=L, N=N)
     except ValueError as exc:
@@ -272,13 +274,21 @@ FRONT_RESIDUAL_MAX = 1e-6   # largest |phi1(left) - 1/kappa| of a certified fron
 def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Shoot for the connecting orbit (eps = 0) or run a conservation orbit.
 
-    A shot profile whose left temperature misses 1/kappa by more than
+    The model is combustion, or gasless, which is combustion at eps = 0 and
+    kappa = beta; any other [model] kind is a configuration error.  A shot
+    profile whose left temperature misses 1/kappa by more than
     FRONT_RESIDUAL_MAX is a failed certificate: its artifacts are written
     and the command exits 1.
     """
     mode = scenario.get("front", "mode", str, "shoot")
-    eps = scenario.get("model", "epsilon", float, 0.0)
-    kappa = scenario.get("model", "kappa", float, 1.0)
+    kind = scenario.get("model", "kind", str, "combustion")
+    if kind == "gasless":
+        eps, kappa = 0.0, scenario.get("model", "beta", float)
+    elif kind == "combustion":
+        eps = scenario.get("model", "epsilon", float, 0.0)
+        kappa = scenario.get("model", "kappa", float, 1.0)
+    else:
+        raise ConfigError(f"front takes [model] kind combustion or gasless, got {kind!r}")
     tol = scenario.get("front", "tol", float, 1e-12)
 
     if mode == "shoot":
@@ -341,20 +351,15 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     raise ConfigError(f"unknown front mode {mode!r}")
 
 
-def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState,
-                    grid: _sim.Grid, model_desc: dict) -> None:
+def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState, meta: dict) -> None:
+    """One CSV per component and a meta JSON: meta plus the time and the
+    component count of state."""
     for comp in range(state.data.shape[0]):
         path = outdir / f"snapshot_{tag}_c{comp}.csv"
         values = state.data[comp].ravel().tolist()
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(map("{:.17g}".format, values)) + "\n")
-    meta = {
-        "t": state.t,
-        "components": int(state.data.shape[0]),
-        "block_split": state.n1,
-        "grid": {"L": list(grid.L), "N": list(grid.N)},
-        "model": model_desc,
-    }
+    meta = dict(meta, t=state.t, components=int(state.data.shape[0]))
     (outdir / f"snapshot_{tag}_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -372,9 +377,10 @@ def _run_simulation(scenario: Scenario, outdir: Path, model, alpha: float):
     except ValueError as exc:
         raise ConfigError(f"simulation rejected the scenario: {exc}") from exc
     _norms.write_norms_csv(outdir / "norms.csv", result.series)
-    desc = dict(model.describe(), alpha=alpha)
-    _write_snapshot(outdir, "initial", result.snapshots[0], grid, desc)
-    _write_snapshot(outdir, "final", result.snapshots[-1], grid, desc)
+    meta = {"block_split": model.n1, "grid": {"L": list(grid.L), "N": list(grid.N)},
+            "model": dict(model.describe(), alpha=alpha)}
+    for tag, state in zip(("initial", "final"), result.snapshots):
+        _write_snapshot(outdir, tag, state, meta)
     return result
 
 

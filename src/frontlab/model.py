@@ -33,8 +33,6 @@ __all__ = [
     "BlockSystem",
     "eval_g",
     "eval_g_prime",
-    "eval_f_combustion",
-    "jacobian_combustion",
     "jacobian_at_minus",
     "eval_H",
     "eval_N_times_v_exact",
@@ -259,8 +257,11 @@ def _exp_minus_float(a: float, b: float, u: float) -> tuple[float, float]:
 def _exp_minus_prime(b: float, u: np.ndarray) -> np.ndarray:
     """d/du exp(-b/u) = b exp(-b/u) / u^2 for u > 0, exactly 0 for u <= 0."""
     out = _exp_minus(b, u)
-    # where exp(-b/u) is 0, u * u may underflow to 0 as well: skip 0 / 0
-    return np.divide(out * b, u * u, out=out, where=out > 0.0)
+    # where exp(-b/u) is 0, u * u may underflow to 0 as well: skip 0 / 0;
+    # past u ~ 1.3e154 it overflows to inf, and the quotient is 0
+    with np.errstate(over="ignore"):
+        u2 = u * u
+    return np.divide(out * b, u2, out=out, where=out > 0.0)
 
 
 def eval_g(u1):
@@ -280,29 +281,6 @@ def eval_g_prime(u1):
     if np.ndim(u1) == 0:
         return float(out)
     return out
-
-
-def eval_f_combustion(params: ModelParams, u) -> np.ndarray:
-    """Reaction term f(u) = (u2 g(u1), -kappa u2 g(u1)) of the model system.
-
-    u has shape (2,) or (2, ...); the output matches.
-    """
-    u = np.asarray(u, dtype=float)
-    r = u[1] * eval_g(u[0])
-    return np.stack([r, -params.kappa * r])
-
-
-def jacobian_combustion(params: ModelParams, u) -> np.ndarray:
-    """Analytic Jacobian of the reaction term at a state u of shape (2,)."""
-    u = np.asarray(u, dtype=float)
-    g = eval_g(u[0])
-    gp = eval_g_prime(u[0])
-    return np.array(
-        [
-            [u[1] * gp, g],
-            [-params.kappa * u[1] * gp, -params.kappa * g],
-        ]
-    )
 
 
 def jacobian_at_minus(params: ModelParams) -> np.ndarray:

@@ -55,22 +55,15 @@ def _component_view(data: np.ndarray, grid) -> np.ndarray:
 
 
 class _Parseval:
-    """sum |dv/dx|^2 = sum w xi^2 |vh|^2 / npoints on the rfftn half spectrum;
-    w = 2 on the halved axis except its DC and Nyquist bins (no mirror).
-    The transform axes are the trailing grid axes of any stack of fields."""
+    """sum |dv/dx|^2 = sum w xi^2 |vh|^2 / npoints on the half spectrum
+    grid.forward gives; w = 2 on the halved axis except its DC and Nyquist
+    bins (no mirror)."""
 
     def __init__(self, grid):
-        d = len(grid.shape)
-        self.axes = tuple(range(-d, 0))
         self.npoints = float(np.prod(grid.shape))
-        self.weight = np.full(grid.shape[-1] // 2 + 1, 2.0)
+        self.weight = np.full(grid.spectrum_shape[-1], 2.0)
         self.weight[0] = self.weight[-1] = 1.0
-        self.xi2 = []
-        for ax in range(d):
-            xi = grid.rxi(ax)
-            shape = [1] * d
-            shape[ax] = xi.size
-            self.xi2.append(xi.reshape(shape) ** 2)
+        self.xi2 = [grid.rxi(ax) ** 2 for ax in range(grid.d)]
 
     def gradient_sums(self, vh: np.ndarray, blocks: Sequence[slice]) -> list:
         """Squared spectral gradient per record and block of rows of vh, which
@@ -90,9 +83,8 @@ class _Parseval:
 
 def _gradient_sq_sum(grid, comps: np.ndarray) -> float:
     """Sum of squared spectral derivatives over all axes and components."""
-    parseval = _Parseval(grid)
-    vh = np.fft.rfftn(comps, axes=parseval.axes)
-    return float(parseval.gradient_sums(vh[None], (slice(None),))[0][0])
+    vh = grid.forward(comps)
+    return float(_Parseval(grid).gradient_sums(vh[None], (slice(None),))[0][0])
 
 
 def _sq_total(grid, comps: np.ndarray, k: int) -> float:
@@ -195,8 +187,8 @@ class NormRecorder:
 
     The weight, support bound, Parseval weights and the buffers for the
     stack (v, exp(alpha z) v) of up to `records` fields and its spectrum are
-    built once; one rfftn of the stack gives every gradient sum of the
-    block.  Values equal norm_unweighted / norm_weighted bit for bit, and a
+    built once; one grid.forward of the stack gives every gradient sum of
+    the block.  Values equal norm_unweighted / norm_weighted bit for bit, and a
     block of B records equals B blocks of one.
     """
 
@@ -209,9 +201,8 @@ class NormRecorder:
         self.gamma = _weight(grid, alpha)
         self.parseval = _Parseval(grid)
         self.blocks = (slice(0, n1), slice(n1, ncomp), slice(ncomp, 2 * ncomp))
-        self.stack = np.empty((records, 2 * ncomp) + tuple(grid.shape))
-        spectrum = tuple(grid.shape[:-1]) + (grid.shape[-1] // 2 + 1,)
-        self.spectrum = np.empty((records, 2 * ncomp) + spectrum, dtype=complex)
+        self.stack = np.empty((records, 2 * ncomp) + grid.shape)
+        self.spectrum = np.empty((records, 2 * ncomp) + grid.spectrum_shape, dtype=complex)
 
     def record(self, block: np.ndarray) -> list:
         """[{(name, k): norm}] for each field of block, every NormSeries name
@@ -225,7 +216,7 @@ class NormRecorder:
         stack = self.stack[:b]
         stack[:, :n] = block
         _weigh(block, self.gamma, stack[:, n:])
-        vh = np.fft.rfftn(stack, axes=self.parseval.axes, out=self.spectrum[:b])
+        vh = self.grid.forward(stack, self.spectrum[:b])
         per_record = tuple(range(1, stack.ndim))
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sq_total
             grads = self.parseval.gradient_sums(vh, self.blocks)

@@ -7,10 +7,13 @@ first, and the linear part of
 
 is advanced exactly per discrete Fourier mode with
 :func:`frontlab.spectral.exact_propagator`, built once per run on the half
-spectrum of the real transform (``rfftn`` over the grid axes, the last axis
-halved).  The model is a ModelParams or a BlockSystem; both supply the same
-interface.  The nonlinearity N is applied pointwise in physical space with
-an explicit midpoint stage, composed in Strang order
+spectrum of the real transform.  Grid alone holds that layout: its
+spectrum_shape, its frequencies rxi and the transform pair forward/inverse
+(rfftn/irfftn bit for bit, on the last d axes of any stack of fields), which
+sim and norms make every transform with.  The model is a ModelParams or a
+BlockSystem; both supply the same interface, the block split n1 of the
+records included.  The nonlinearity N is applied pointwise in physical space
+with an explicit midpoint stage, composed in Strang order
 
     L(h) N(dt) L(h),   h = dt / 2,
 
@@ -20,17 +23,13 @@ Between two records the adjacent half-steps meet in Fourier space,
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
 so each step costs one real-transform round trip, into buffers allocated once
-per step_imex call.  The round trip calls numpy's one-axis transforms in
-rfftn's and irfftn's own order (rfft over the last grid axis, then fft over
-the others; ifft, then irfft), each writing to a preallocated buffer: it is
-rfftn/irfftn bit for bit, without irfftn's temporary.  A linear run
-(nonlinear=False) has no explicit stage to split around and stays in
-Fourier space: each record's spectrum is the previous one times
-exp(k dt S), k the steps of its segment, with at most two propagators (the
-full and the last, shorter segment) built per run.  Its records are
-measured in blocks, one batched irfftn per block.  Records are
-measured by a norms.NormRecorder built once per run, one pass per block (a
-nonlinear run's blocks hold one record).
+per step_imex call.  A linear run (nonlinear=False) has no explicit stage to
+split around and stays in Fourier space: each record's spectrum is the
+previous one times exp(k dt S), k the steps of its segment, with at most two
+propagators (the full and the last, shorter segment) built per run.  Its
+records are measured in blocks, one batched inverse transform per block.
+Records are measured by a norms.NormRecorder built once per run, one pass
+per block (a nonlinear run's blocks hold one record).
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -130,26 +129,53 @@ class Grid:
     def xi(self, axis: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.N[axis], d=self.h(axis))
 
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Shape of the half spectrum of the real transform: the last axis halved."""
+        return self.N[:-1] + (self.N[-1] // 2 + 1,)
+
     def rxi(self, axis: int) -> np.ndarray:
-        """Angular frequencies of axis in the rfftn layout: the last axis is halved."""
+        """Angular frequencies of axis on the half spectrum, shaped to broadcast
+        over spectrum_shape."""
         if axis == self.d - 1:
-            return 2.0 * np.pi * np.fft.rfftfreq(self.N[axis], d=self.h(axis))
-        return self.xi(axis)
+            xi = 2.0 * np.pi * np.fft.rfftfreq(self.N[axis], d=self.h(axis))
+        else:
+            xi = self.xi(axis)
+        return xi.reshape([-1 if ax == axis else 1 for ax in range(self.d)])
+
+    def forward(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Half spectrum of u over its last d axes, into out if given: rfftn's
+        own one-axis calls (rfft over the last axis, then fft over the others
+        in descending order), so rfftn bit for bit."""
+        out = np.fft.rfft(u, axis=-1, out=out)
+        for ax in range(-2, -self.d - 1, -1):
+            np.fft.fft(out, axis=ax, out=out)
+        return out
+
+    def inverse(self, vh: np.ndarray, out: Optional[np.ndarray] = None,
+                work: Optional[np.ndarray] = None) -> np.ndarray:
+        """Real field of the half spectrum vh over its last d axes, into out if
+        given: irfftn's own one-axis calls (ifft over the others in ascending
+        order, then irfft), so irfftn bit for bit.  The iffts write to work,
+        which may be vh itself; vh is kept otherwise."""
+        for ax in range(-self.d, -1):
+            vh = np.fft.ifft(vh, axis=ax, out=work)
+        return np.fft.irfft(vh, n=self.N[-1], axis=-1, out=out)
 
 
 @dataclass
 class FieldState:
-    """Perturbation field v = (v1-block, v2-block) on a grid at a time.
+    """Perturbation field v on a grid at a time.
 
-    data has shape (ncomp, *grid.shape); n1 components form the first block.
+    data has shape (model.n, *grid.shape); the model's n1 components form
+    the first block.
     """
 
     t: float
     data: np.ndarray
-    n1: int = 1
 
     def copy(self) -> "FieldState":
-        return FieldState(t=self.t, data=self.data.copy(), n1=self.n1)
+        return FieldState(t=self.t, data=self.data.copy())
 
 
 @dataclass(frozen=True)
@@ -196,7 +222,7 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
     fit inside the box is rejected (3 widths for the Gaussian, 1 width for
     the compact bump, per axis).
     """
-    ncomp, n1 = model.n, model.n1
+    ncomp = model.n
     if len(pert.mask) != ncomp:
         raise ValueError(f"mask length {len(pert.mask)} does not match {ncomp} components")
     if len(pert.center) != grid.d or len(pert.widths) != grid.d:
@@ -227,7 +253,7 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
     for i, m in enumerate(pert.mask):
         if m:
             data[i] = amp * profile
-    state = FieldState(t=0.0, data=data, n1=n1)
+    state = FieldState(t=0.0, data=data)
     if pert.eta is not None:
         current = _norms.norm_E(grid, state.data, alpha, k=0)
         if current == 0.0:
@@ -243,21 +269,6 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
     return state, report
 
 
-def _frequency_grids(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(|xi|^2, xi_1) broadcast to the half-spectrum shape of rfftn."""
-    xi_axes = [grid.rxi(ax) for ax in range(grid.d)]
-    spectrum_shape = tuple(xi.size for xi in xi_axes)
-    xi2 = np.zeros(spectrum_shape)
-    for ax, xi in enumerate(xi_axes):
-        shape = [1] * grid.d
-        shape[ax] = xi.size
-        xi2 = xi2 + (xi.reshape(shape)) ** 2
-    shape = [1] * grid.d
-    shape[0] = xi_axes[0].size
-    xi1 = np.broadcast_to(xi_axes[0].reshape(shape), spectrum_shape)
-    return xi2, xi1
-
-
 def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     """exp(dt S(xi)) of the unweighted symbol on every mode of the half spectrum.
 
@@ -269,7 +280,8 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    xi2, xi1 = _frequency_grids(grid)
+    xi2 = sum(grid.rxi(ax) ** 2 for ax in range(grid.d))
+    xi1 = np.broadcast_to(grid.rxi(0), grid.spectrum_shape)
     prop = exact_propagator(SymbolMatrix.of(model, d=grid.d), xi2, xi1, dt)
     for row in prop.rows:
         for _, e in row:
@@ -296,11 +308,9 @@ def apply_linear_exact(grid: Grid, state: FieldState, prop: Propagator) -> Field
     by exactly exp(dt S(xi)); the single z-axis Nyquist plane is projected
     out to keep the map real and a semigroup.
     """
-    axes = tuple(range(1, grid.d + 1))
-    vh = np.fft.rfftn(state.data, axes=axes)
-    vh = _propagate(prop, vh, np.empty_like(vh))
-    data = np.fft.irfftn(vh, s=grid.shape, axes=axes)
-    return FieldState(t=state.t + prop.dt, data=data, n1=state.n1)
+    vh = grid.forward(state.data)
+    data = grid.inverse(_propagate(prop, vh, np.empty_like(vh)), work=vh)
+    return FieldState(t=state.t + prop.dt, data=data)
 
 
 def dt_max(model: Model, state: FieldState) -> float:
@@ -322,22 +332,6 @@ def _check_stage_bound(bound: float, dt: float, t: float) -> None:
                          f"{bound:.3e} at t = {t:.6g}")
 
 
-def _forward(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Half spectrum of u over its grid axes 1.. into out: rfftn bit for bit."""
-    np.fft.rfft(u, axis=-1, out=out)
-    for ax in range(out.ndim - 2, 0, -1):
-        np.fft.fft(out, axis=ax, out=out)
-    return out
-
-
-def _inverse(vh: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Real field of the half spectrum vh into out, n points on the last axis:
-    irfftn bit for bit.  In 2D the ifft goes to work, which may not be vh."""
-    for ax in range(1, vh.ndim - 1):
-        vh = np.fft.ifft(vh, axis=ax, out=work)
-    return np.fft.irfft(vh, n=n, axis=-1, out=out)
-
-
 def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
               steps: int = 1) -> FieldState:
     """`steps` Strang steps of dt = 2 half.dt: exact half linear, explicit
@@ -345,8 +339,8 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
 
     half is linear_propagator(model, grid, dt / 2).  Between two explicit
     stages half is applied twice in Fourier space, so each step costs one
-    real-transform round trip (_forward, _inverse).  The two spectra and the
-    real field the transforms write to are allocated once per call and
+    real-transform round trip (grid.forward, grid.inverse).  The two spectra
+    and the real field the transforms write to are allocated once per call and
     reused by every step; the returned field is that real buffer, so
     state.data is never written to.  Second order in dt on smooth data; the
     zero state is preserved exactly.  dt is checked against the dt_max bound of the field
@@ -357,24 +351,21 @@ def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
-    n = grid.N[-1]
     t = state.t
     u = np.empty(state.data.shape)
-    vh = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    vh = grid.forward(state.data, np.empty(u.shape[:1] + grid.spectrum_shape, dtype=complex))
     spare = np.empty_like(vh)
-    _forward(state.data, vh)
     for _ in range(steps):
         vh, spare = _propagate(half, vh, spare), vh
-        _inverse(vh, n, u, spare)
+        grid.inverse(vh, u, spare)
         stepped, rate = model.midpoint_stage(u, dt)
         _check_stage_bound(_stage_bound(rate), dt, t)
-        _forward(stepped, vh)
+        grid.forward(stepped, vh)
         vh, spare = _propagate(half, vh, spare), vh
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)
-    data = _inverse(vh, n, u, spare)
-    return FieldState(t=t, data=data, n1=state.n1)
+    return FieldState(t=t, data=grid.inverse(vh, u, spare))
 
 
 def _boundary_mass_fractions(grid: Grid, fields: np.ndarray, alpha: float) -> np.ndarray:
@@ -427,10 +418,12 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     step_imex call.  With nonlinear=False the run stays in Fourier space:
     each record's spectrum is the previous one times exp(k dt S), and the
     records are measured in blocks of up to RECORD_BLOCK_BYTES of buffers,
-    one batched irfftn per block.  Record times are t + dt accumulated step
-    by step either way.  Inputs the initial field already fails (dt above
-    dt_max, a weighted-norm overflow) raise ValueError; a guard that trips
-    later raises SimulationError naming the first record it trips at.
+    one inverse transform per block.  Record times are t + dt accumulated
+    step by step either way.  A FieldState whose data is not
+    (model.n, *grid.shape), and inputs the initial field already fails (dt
+    above dt_max, a weighted-norm overflow), raise ValueError; a guard that
+    trips later raises SimulationError naming the first record it trips at.
+    The (v1, v2) split of the records is the model's n1.
     """
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError("T and dt must be positive and finite")
@@ -440,6 +433,9 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     if isinstance(perturbation, FieldState):
+        if perturbation.data.shape != (model.n,) + grid.shape:
+            raise ValueError(f"field shape {perturbation.data.shape} is not (model.n, *grid "
+                             f"shape) = {(model.n,) + grid.shape}")
         state = perturbation.copy()
     else:
         state, _ = build_perturbation(grid, perturbation, model, alpha)
@@ -449,7 +445,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     if not nonlinear:
         nrecords = -(-nsteps // record_every)
         block = max(1, min(nrecords, RECORD_BLOCK_BYTES // (6 * state.data.nbytes)))
-    recorder = _norms.NormRecorder(grid, alpha, state.data.shape[0], state.n1, records=block)
+    recorder = _norms.NormRecorder(grid, alpha, model.n, model.n1, records=block)
     times, records = [], []
     warnlog: list[str] = []
 
@@ -489,9 +485,8 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             step += steps
             measure(state.data[None], [state.t])
     else:
-        axes = tuple(range(-grid.d, 0))
         segment_props = {}  # steps -> exp(steps dt S), one per segment length
-        vh = np.fft.rfftn(state.data, axes=axes)
+        vh = grid.forward(state.data)
         spectra = np.empty((block + 1,) + vh.shape, dtype=complex)
         spectra[0] = vh  # slot 0 carries the last spectrum of the previous block
         fields = np.empty((block,) + state.data.shape)
@@ -508,7 +503,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
                 step += steps
                 stamps.append(t)
             b = len(stamps)
-            np.fft.irfftn(spectra[1:b + 1], s=grid.shape, axes=axes, out=fields[:b])
+            grid.inverse(spectra[1:b + 1], fields[:b])
             finite = np.all(np.isfinite(fields[:b]), axis=tuple(range(1, fields.ndim)))
             ok = b if np.all(finite) else int(np.argmin(finite))
             if ok:
@@ -516,7 +511,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             if ok < b:
                 raise SimulationBlowupError(stamps[ok])
             spectra[0] = spectra[b]
-        state = FieldState(t=t, data=fields[b - 1], n1=state.n1)
+        state = FieldState(t=t, data=fields[b - 1])
     series = _norms.NormSeries.from_records(times, records)
     return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
                      dt=dt_eff, nsteps=nsteps)

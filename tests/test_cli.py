@@ -144,6 +144,30 @@ class TestFrontCommand:
         assert resid <= 1e-6
         assert (out / "profile.csv").exists()
 
+    def test_gasless_shoots_at_kappa_beta(self, tmp_path):
+        # gasless is ModelParams(0, beta, c): its front is combustion's at
+        # epsilon = 0 and kappa = beta
+        outs = {}
+        for name, model in (("gasless", "kind = gasless\nbeta = 2.0"),
+                            ("combustion", "kind = combustion\nepsilon = 0\nkappa = 2.0")):
+            cfg = write_config(tmp_path, f"[model]\n{model}\n", name=f"{name}.ini")
+            outs[name] = tmp_path / name
+            assert main(["front", "--config", cfg, "--out", str(outs[name])]) == 0
+        gasless, combustion = (dict(ln.split(": ", 1) for ln in
+                                    (out / "summary.txt").read_text().splitlines())
+                               for out in outs.values())
+        assert gasless["c_star"] == combustion["c_star"]
+        assert abs(float(gasless["c_star"]) - 0.57072747473) > 0.1  # not kappa = 1's
+        assert gasless["scenario.model.beta"] == "2"
+        for name in ("profile.csv", "shots.csv"):
+            assert (outs["gasless"] / name).read_bytes() == (outs["combustion"] / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["exo_endo", "flame"])
+    def test_other_model_kinds_exit_2(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, f"[model]\nkind = {kind}\n")
+        assert main(["front", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "front takes [model] kind combustion or gasless" in capsys.readouterr().err
+
     def test_shoot_without_bracket_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, """
             [model]
@@ -374,13 +398,13 @@ class TestSimulateCommand:
 
     def test_snapshot_bytes_match_per_value_format(self, tmp_path):
         from frontlab.cli import _write_snapshot
-        from frontlab.sim import FieldState, Grid
+        from frontlab.sim import FieldState
 
         rng = np.random.default_rng(5)
         data = rng.normal(scale=1e3, size=(2, 16)) ** 3
         data[0, :5] = [-0.0, 5e-324, 1e300, 1.0, -1.0]
         state = FieldState(t=0.5, data=data)
-        _write_snapshot(tmp_path, "x", state, Grid(L=1.0, N=16), {"kind": "test"})
+        _write_snapshot(tmp_path, "x", state, {"model": {"kind": "test"}})
         for comp in range(2):
             expect = "".join(f"{v:.17g}\n" for v in data[comp])
             assert (tmp_path / f"snapshot_x_c{comp}.csv").read_bytes() == expect.encode()
@@ -639,12 +663,13 @@ class TestExitCodes:
         ("simulate", "time", "dt = inf", "T and dt must be positive and finite"),
         ("simulate", "time", "record_every = inf", "[time] record_every"),
         ("spectrum", "grid", "d = 0", "[grid] d"),
+        ("simulate", "grid", "d = 1\nl = 50, 25\nn = 64, 32", "[grid] l and n need d = 1"),
         ("spectrum", "spectrum", "envelope_t_max = -1", "[spectrum] envelope_t_max"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
             "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
             "spectrum_c_inf", "t_inf", "dt_inf", "record_every_inf", "d_zero",
-            "envelope_t_max_negative"])
+            "d_disagrees_with_l_and_n", "envelope_t_max_negative"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"
         cfg = write_config(tmp_path, model + setting + "\n" if section == "model"

@@ -199,7 +199,7 @@ class TestPropagatorLifetime:
         for k in range(40):
             d2 = 0.1 + 0.02 * k
             model = make_exo_endo_system(d2, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0))
-            out = apply_linear_exact(g, FieldState(t=0.0, data=data, n1=1),
+            out = apply_linear_exact(g, FieldState(t=0.0, data=data),
                                      linear_propagator(model, g, dt))
             vh = np.fft.fft(data, axis=1)
             for j, d in enumerate((1.0, d2, 0.25)):
@@ -270,7 +270,7 @@ class TestPropagatorLifetime:
         g = Grid(L=8.0, N=32)
         data = np.random.default_rng(12).normal(size=(3, 32))
         dt = 0.3
-        out = apply_linear_exact(g, FieldState(t=0.0, data=data, n1=2),
+        out = apply_linear_exact(g, FieldState(t=0.0, data=data),
                                  linear_propagator(model, g, dt))
         sym = SymbolMatrix.of(model)
         vh = np.fft.fft(data, axis=1)
@@ -420,14 +420,15 @@ class TestStepImex:
 
 
 def count_transforms(monkeypatch) -> dict:
-    """Record the input shape of every numpy transform frontlab.sim calls, by name."""
+    """Record the input shape of every numpy transform frontlab.sim has its
+    grid make, by name (the caller of Grid.forward or Grid.inverse is in sim)."""
     calls = {}
 
     def counting(name):
         real = getattr(np.fft, name)
 
         def transform(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+            if sys._getframe(2).f_globals["__name__"] == "frontlab.sim":
                 calls.setdefault(name, []).append(args[0].shape)
             return real(*args, **kwargs)
         return transform
@@ -438,22 +439,29 @@ def count_transforms(monkeypatch) -> dict:
 
 
 class TestOneAxisTransforms:
-    """step_imex's one-axis transforms are rfftn/irfftn bit for bit."""
+    """Grid's one-axis transform pair is rfftn/irfftn bit for bit."""
 
     @pytest.mark.parametrize("shape", [(2, 64), (3, 128), (2, 32, 16), (3, 16, 64)])
     def test_match_rfftn_and_irfftn(self, shape):
+        # components x grid, alone and as a stack of four records
+        grid = Grid(L=(1.0,) * (len(shape) - 1), N=shape[1:])
+        axes = tuple(range(-grid.d, 0))
         rng = np.random.default_rng(41)
-        u = rng.normal(size=shape)
-        axes = tuple(range(1, len(shape)))
-        vh = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-        assert sim._forward(u, vh) is vh
-        assert vh.tobytes() == np.fft.rfftn(u, axes=axes).tobytes()
-        vh = vh + rng.normal(scale=1e-3, size=vh.shape)  # not a real field's spectrum
-        kept = vh.copy()
-        out, work = np.empty(shape), np.empty_like(vh)
-        assert sim._inverse(vh, shape[-1], out, work) is out
-        assert out.tobytes() == np.fft.irfftn(vh, s=shape[1:], axes=axes).tobytes()
-        assert np.array_equal(vh, kept)
+        for stack in (shape, (4,) + shape):
+            u = rng.normal(size=stack)
+            vh = np.empty(stack[:-grid.d] + grid.spectrum_shape, dtype=complex)
+            assert grid.forward(u, vh) is vh
+            assert vh.tobytes() == np.fft.rfftn(u, axes=axes).tobytes()
+            assert grid.forward(u).tobytes() == vh.tobytes()
+            vh = vh + rng.normal(scale=1e-3, size=vh.shape)  # not a real field's spectrum
+            kept = vh.copy()
+            want = np.fft.irfftn(vh, s=grid.shape, axes=axes).tobytes()
+            out, work = np.empty(stack), np.empty_like(vh)
+            assert grid.inverse(vh, out, work) is out
+            assert out.tobytes() == want
+            assert grid.inverse(vh).tobytes() == want
+            assert np.array_equal(vh, kept)
+            assert grid.inverse(vh, work=vh).tobytes() == want  # in place over vh
 
     @pytest.mark.parametrize("model,grid", [
         (params(), Grid(L=15.0, N=128)),
@@ -499,13 +507,43 @@ class TestRun:
             assert calls == {"rfft": [(2, 64)] * (res.nsteps + segments),
                              "irfft": [(2, 33)] * (res.nsteps + segments)}
         else:
-            assert calls == {"rfftn": [(2, 64)], "irfftn": [(segments, 2, 33)]}
+            assert calls == {"rfft": [(2, 64)], "irfft": [(segments, 2, 33)]}
         t, expect = 0.0, [0.0]
         for step in range(1, 11):
             t = t + res.dt
             if step % 3 == 0 or step == 10:
                 expect.append(t)
         assert res.series.times.tolist() == expect
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_field_of_the_wrong_shape_is_rejected(self, nonlinear):
+        # three components on the two-component combustion model: a bad
+        # input (ValueError), not a blow-up or a guard tripping mid-run
+        g = Grid(L=10.0, N=64)
+        data = 1e-3 * np.exp(-g.coords(0) ** 2) * np.ones((3, 1))
+        with pytest.raises(ValueError, match=r"field shape \(3, 64\) is not"):
+            run(params(), g, FieldState(t=0.0, data=data), ALPHA, T=1.0, dt=0.1,
+                nonlinear=nonlinear)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_block_split_comes_from_the_model(self, nonlinear):
+        # n1 = 2: the same data as a Perturbation or as a FieldState gives the
+        # same (v1, v2) records
+        from frontlab.model import BlockSystem
+
+        B = np.array([[-0.1, 0.0, 0.4], [0.0, -0.2, 0.3], [0.0, 0.0, -0.5]])
+        model = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+                            f=lambda v: np.tensordot(B, v, axes=(1, 0)),
+                            jac=lambda v: B.copy(), name="split-toy")
+        g = Grid(L=15.0, N=128)
+        pert = Perturbation(amplitude=1e-3, center=(2.0,), widths=(2.0,), mask=(1, 0, 1))
+        state = FieldState(t=0.0, data=build_perturbation(g, pert, model, ALPHA)[0].data)
+        runs = [run(model, g, start, ALPHA, T=1.0, dt=0.05, record_every=4,
+                    nonlinear=nonlinear) for start in (pert, state)]
+        a, b = (r.series.columns for r in runs)
+        assert a.keys() == b.keys()
+        assert all(a[key].tobytes() == b[key].tobytes() for key in a)
+        assert a[("norm0_v1", 0)][0] == norm_unweighted(g, state.data[:2])
 
     def test_linear_segments_match_single_step_records(self):
         # one exact propagation per segment of 3 steps against one per step
@@ -691,8 +729,9 @@ class TestLinearBlocks:
     @staticmethod
     def inject(monkeypatch, extras: dict) -> list:
         """Add extras[j], a field, to the record spectrum the j-th _propagate
-        call of a linear run writes; returns the shapes sim hands to irfftn."""
-        real, irfftn = sim._propagate, np.fft.irfftn
+        call of a linear run writes; returns the shapes run hands to Grid.inverse
+        (whose 1D transform is one irfft)."""
+        real, irfft = sim._propagate, np.fft.irfft
         calls, blocks = [], []
 
         def propagate(prop, vh, out):
@@ -703,12 +742,12 @@ class TestLinearBlocks:
             return out
 
         def counting(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "frontlab.sim":
+            if sys._getframe(2).f_globals["__name__"] == "frontlab.sim":
                 blocks.append(args[0].shape)
-            return irfftn(*args, **kwargs)
+            return irfft(*args, **kwargs)
 
         monkeypatch.setattr(sim, "_propagate", propagate)
-        monkeypatch.setattr(np.fft, "irfftn", counting)
+        monkeypatch.setattr(np.fft, "irfft", counting)
         return blocks
 
     def linear(self, alpha):
