@@ -22,7 +22,6 @@ from .norms import (
     NormSeries,
     VerdictReport,
     fit_decay,
-    norm_E,
     norm_unweighted,
     norm_weighted,
     verify_stability_theorem,
@@ -62,6 +61,6 @@ __all__ = [
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",
     "FieldState", "Grid", "Perturbation", "apply_linear_exact",
     "build_perturbation", "linear_propagator", "run", "step_imex",
-    "DecayFit", "NormSeries", "VerdictReport", "fit_decay", "norm_E",
+    "DecayFit", "NormSeries", "VerdictReport", "fit_decay",
     "norm_unweighted", "norm_weighted", "verify_stability_theorem",
 ]

@@ -82,7 +82,9 @@ def _parse_value(text: str, kind):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
     if kind is float:
-        return float(text)
+        if math.isnan(value := float(text)):
+            raise ValueError("nan is not a number")
+        return value
     if kind is int:
         val = float(text)
         if val != int(val):
@@ -425,6 +427,13 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Simulate, then render the stability-theorem verdict; exit 1 on failure."""
     model, alpha = _build_model(scenario)
     nu_expected, rho_expected = _expected_rates(model, alpha)
+    rate_floor = scenario.get("verify", "rate_floor", float, 0.8)
+    c1_cap = scenario.get("verify", "c1_cap", float, 10.0)
+    window = None
+    if scenario.has("verify", "window"):
+        window = scenario.get("verify", "window", "floats")
+        if len(window) != 2:
+            raise ConfigError("[verify] window takes two times")
     try:
         result = _run_simulation(scenario, outdir, model, alpha)
     except _sim.SimulationError as exc:
@@ -433,13 +442,6 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         return 1, metrics
     eta = float(result.series.column("normE_v", 0)[0])  # measured |v0|_E
     delta = scenario.get("verify", "delta", float, 10.0 * eta)
-    rate_floor = scenario.get("verify", "rate_floor", float, 0.8)
-    c1_cap = scenario.get("verify", "c1_cap", float, 10.0)
-    window = None
-    if scenario.has("verify", "window"):
-        window = scenario.get("verify", "window", "floats")
-        if len(window) != 2:
-            raise ConfigError("[verify] window takes two times")
     try:
         report = _norms.verify_stability_theorem(
             result.series, eta=eta, delta=delta, nu_expected=nu_expected,
@@ -538,7 +540,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         scenario = load_scenario(args.config)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a path under one
+            raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
         handler = cmd_sweep if args.command == "sweep" else COMMANDS[args.command]
         code, _metrics = handler(scenario, outdir)
         return code

@@ -11,8 +11,9 @@ measuring, and the intersection norm is the max of the two:
 Weighting is a measurement device only: the evolution itself is always the
 unweighted equation, and these functions are applied in post-processing.
 
-NormRecorder measures a block of records in one pass on the kernels of the
-single-norm functions, with the same values bit for bit.
+NormRecorder measures a block of records, handed their half spectra, in one
+pass on the kernels of the single-norm functions, with the same values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "VerdictReport",
     "norm_unweighted",
     "norm_weighted",
-    "norm_E",
     "NormRecorder",
     "WeightOverflowError",
     "fit_decay",
@@ -65,12 +65,13 @@ class _Parseval:
         self.weight[0] = self.weight[-1] = 1.0
         self.xi2 = [grid.rxi(ax) ** 2 for ax in range(grid.d)]
 
-    def gradient_sums(self, vh: np.ndarray, blocks: Sequence[slice]) -> list:
-        """Squared spectral gradient per record and block of rows of vh, which
-        is used up; vh has shape (records, rows, *spectrum shape)."""
-        power, scratch = vh.real, vh.imag
-        np.multiply(power, power, out=power)
-        power += np.multiply(scratch, scratch, out=scratch)
+    def gradient_sums(self, vh: np.ndarray, blocks: Sequence[slice], work: np.ndarray) -> list:
+        """Squared spectral gradient per record and block of rows of vh, shape
+        (records, rows, *spectrum shape); work, complex of that shape (vh
+        itself allowed), is used up."""
+        power, scratch = work.real, work.imag
+        np.multiply(vh.real, vh.real, out=power)
+        power += np.multiply(vh.imag, vh.imag, out=scratch)
         power *= self.weight
         per_record = tuple(range(1, vh.ndim))
         totals = [0.0] * len(blocks)
@@ -83,8 +84,8 @@ class _Parseval:
 
 def _gradient_sq_sum(grid, comps: np.ndarray) -> float:
     """Sum of squared spectral derivatives over all axes and components."""
-    vh = grid.forward(comps)
-    return float(_Parseval(grid).gradient_sums(vh[None], (slice(None),))[0][0])
+    vh = grid.forward(comps)[None]
+    return float(_Parseval(grid).gradient_sums(vh, (slice(None),), vh)[0][0])
 
 
 def _sq_total(grid, comps: np.ndarray, k: int) -> float:
@@ -177,19 +178,14 @@ def norm_weighted(grid, data, alpha: float, k: int = 0) -> float:
     return norm_unweighted(grid, weighted, k)
 
 
-def norm_E(grid, data, alpha: float, k: int = 0) -> float:
-    """Intersection-space norm max(|v|_0, |v|_alpha)."""
-    return max(norm_unweighted(grid, data, k), norm_weighted(grid, data, alpha, k))
-
-
 class NormRecorder:
     """The NormSeries columns of one run's records, one pass per block of records.
 
     The weight, support bound, Parseval weights and the buffers for the
-    stack (v, exp(alpha z) v) of up to `records` fields and its spectrum are
-    built once; one grid.forward of the stack gives every gradient sum of
-    the block.  Values equal norm_unweighted / norm_weighted bit for bit, and a
-    block of B records equals B blocks of one.
+    stack (v, exp(alpha z) v) of up to `records` fields and the spectrum of
+    its weighted rows are built once; the caller hands in the spectra of v.
+    Handed grid.forward of the block, values equal norm_unweighted /
+    norm_weighted bit for bit, and a block of B records equals B blocks of one.
     """
 
     def __init__(self, grid, alpha: float, ncomp: int, n1: int, records: int = 1):
@@ -202,11 +198,12 @@ class NormRecorder:
         self.parseval = _Parseval(grid)
         self.blocks = (slice(0, n1), slice(n1, ncomp), slice(ncomp, 2 * ncomp))
         self.stack = np.empty((records, 2 * ncomp) + grid.shape)
-        self.spectrum = np.empty((records, 2 * ncomp) + grid.spectrum_shape, dtype=complex)
+        self.spectrum = np.empty((records, ncomp) + grid.spectrum_shape, dtype=complex)
 
-    def record(self, block: np.ndarray) -> list:
+    def record(self, block: np.ndarray, spectra: np.ndarray) -> list:
         """[{(name, k): norm}] for each field of block, every NormSeries name
-        and k = 0, 1; block has shape (records, ncomp, *grid shape).
+        and k = 0, 1; block has shape (records, ncomp, *grid shape) and its
+        half spectra (records, ncomp, *spectrum shape); neither is written to.
 
         A field with support past the weight range raises
         WeightOverflowError naming the first such record.
@@ -216,10 +213,11 @@ class NormRecorder:
         stack = self.stack[:b]
         stack[:, :n] = block
         _weigh(block, self.gamma, stack[:, n:])
-        vh = self.grid.forward(stack, self.spectrum[:b])
         per_record = tuple(range(1, stack.ndim))
         with np.errstate(over="ignore", invalid="ignore"):  # as in _sq_total
-            grads = self.parseval.gradient_sums(vh, self.blocks)
+            grads = self.parseval.gradient_sums(spectra, self.blocks[:2], self.spectrum[:b])
+            weighted = self.grid.forward(stack[:, n:], self.spectrum[:b])
+            grads += self.parseval.gradient_sums(weighted, (slice(None),), weighted)
             plain = [np.sum(np.square(stack[:, rows], out=stack[:, rows]), axis=per_record)
                      for rows in self.blocks]
             columns = {k: [self._norms(rows, k, s + g if k == 1 else s, block)

@@ -18,18 +18,18 @@ with an explicit midpoint stage, composed in Strang order
     L(h) N(dt) L(h),   h = dt / 2,
 
 which is second order in dt and preserves the zero steady state exactly.
-Between two records the adjacent half-steps meet in Fourier space,
+run has one record loop in Fourier space: each record's half spectrum is
+the previous record's advanced by one segment of k steps, exp(k dt S) for a
+linear run (nonlinear=False, at most two propagators built per run) and one
+step_imex call otherwise.  Within a segment the adjacent half-steps meet in
+Fourier space,
 
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
-so each step costs one real-transform round trip, into buffers allocated once
-per step_imex call.  A linear run (nonlinear=False) has no explicit stage to
-split around and stays in Fourier space: each record's spectrum is the
-previous one times exp(k dt S), k the steps of its segment, with at most two
-propagators (the full and the last, shorter segment) built per run.  Its
-records are measured in blocks, one batched inverse transform per block.
-Records are measured by a norms.NormRecorder built once per run, one pass
-per block (a nonlinear run's blocks hold one record).
+so each step costs one real-transform round trip, into the run's buffers.
+A block of record spectra goes back to fields with one batched inverse
+transform and is measured by one norms.NormRecorder pass (a nonlinear run's
+blocks hold one record).
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -68,8 +68,8 @@ __all__ = [
 BOUNDARY_BAND_FRACTION = 0.05
 BOUNDARY_MASS_LIMIT = 1e-8
 MAX_RUN_STEPS = 10**8  # a longer run is a configuration error, not a hang
-# a linear run's record block: its spectra and fields here and the
-# NormRecorder stack and spectrum, about six real fields per record
+# a linear run's record block: spectra, fields and inverse work here, the
+# NormRecorder stack and spectrum: about six real fields per record
 RECORD_BLOCK_BYTES = 256 * 1024
 
 
@@ -204,12 +204,14 @@ class Perturbation:
         object.__setattr__(self, "mask", tuple(int(bool(x)) for x in np.atleast_1d(self.mask)))
         if self.shape not in ("gaussian", "bump"):
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
-        if self.amplitude is not None and self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.eta is not None and self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if any(w <= 0.0 for w in self.widths):
-            raise ValueError("widths must be positive")
+        if self.amplitude is not None and not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
+        if self.eta is not None and not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
+        if not all(math.isfinite(x) for x in self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not all(0.0 < w < math.inf for w in self.widths):
+            raise ValueError(f"widths must be positive and finite, got {self.widths}")
 
 
 def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
@@ -218,9 +220,10 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
 
     Returns (state at t = 0, norms dict with |.|_0, |.|_alpha, |.|_E at
     k = 0), with alpha the weight exponent.  When pert.eta is set, the
-    amplitude is rescaled so the intersection norm equals eta exactly.  A profile whose support does not
-    fit inside the box is rejected (3 widths for the Gaussian, 1 width for
-    the compact bump, per axis).
+    amplitude is rescaled so the intersection norm equals eta exactly, and
+    the two norms are measured again.  A profile whose support does not fit
+    inside the box is rejected (3 widths for the Gaussian, 1 width for the
+    compact bump, per axis).
     """
     ncomp = model.n
     if len(pert.mask) != ncomp:
@@ -253,20 +256,18 @@ def build_perturbation(grid: Grid, pert: Perturbation, model: Model,
     for i, m in enumerate(pert.mask):
         if m:
             data[i] = amp * profile
-    state = FieldState(t=0.0, data=data)
-    if pert.eta is not None:
-        current = _norms.norm_E(grid, state.data, alpha, k=0)
-        if current == 0.0:
-            if pert.eta > 0.0:
-                raise ValueError("cannot rescale a zero field to a positive eta")
-        else:
-            state.data *= pert.eta / current
-    report = {
-        "norm0": _norms.norm_unweighted(grid, state.data, 0),
-        "normalpha": _norms.norm_weighted(grid, state.data, alpha, 0),
-        "normE": _norms.norm_E(grid, state.data, alpha, 0),
-    }
-    return state, report
+
+    def measure():
+        return _norms.norm_unweighted(grid, data, 0), _norms.norm_weighted(grid, data, alpha, 0)
+
+    norms = measure()  # |v|_E is their max
+    if pert.eta is not None and max(norms) == 0.0 < pert.eta:
+        raise ValueError("cannot rescale a zero field to a positive eta")
+    if pert.eta is not None and max(norms) > 0.0:
+        data *= pert.eta / max(norms)
+        norms = measure()
+    report = {"norm0": norms[0], "normalpha": norms[1], "normE": max(norms)}
+    return FieldState(t=0.0, data=data), report
 
 
 def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
@@ -332,40 +333,34 @@ def _check_stage_bound(bound: float, dt: float, t: float) -> None:
                          f"{bound:.3e} at t = {t:.6g}")
 
 
-def step_imex(model: Model, grid: Grid, state: FieldState, half: Propagator,
-              steps: int = 1) -> FieldState:
-    """`steps` Strang steps of dt = 2 half.dt: exact half linear, explicit
-    midpoint nonlinear, half linear.
+def step_imex(model: Model, grid: Grid, vh: np.ndarray, t: float, half: Propagator,
+              spare: np.ndarray, u: np.ndarray, steps: int = 1) -> float:
+    """`steps` Strang steps of dt = 2 half.dt in place on the half spectrum vh
+    (exact half linear, explicit midpoint nonlinear, half linear); returns
+    t + dt accumulated step by step.
 
-    half is linear_propagator(model, grid, dt / 2).  Between two explicit
-    stages half is applied twice in Fourier space, so each step costs one
-    real-transform round trip (grid.forward, grid.inverse).  The two spectra
-    and the real field the transforms write to are allocated once per call and
-    reused by every step; the returned field is that real buffer, so
-    state.data is never written to.  Second order in dt on smooth data; the
-    zero state is preserved exactly.  dt is checked against the dt_max bound of the field
-    each explicit stage acts on, from the rate model.midpoint_stage returns
-    (ValueError), and a non-finite field aborts with the time of the step it
-    appeared in.
+    half is linear_propagator(model, grid, dt / 2), applied twice in Fourier
+    space between two explicit stages, so a step costs one real-transform
+    round trip: grid.inverse into the field u, of shape (model.n,
+    *grid.shape), and grid.forward of the stage into spare, shaped like vh.
+    Second order in dt on smooth data; the zero state is preserved exactly.
+    dt is checked against the dt_max bound of each stage's field, from the
+    rate model.midpoint_stage returns (ValueError); a non-finite spectrum
+    aborts with the time of the step it appeared in.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
-    t = state.t
-    u = np.empty(state.data.shape)
-    vh = grid.forward(state.data, np.empty(u.shape[:1] + grid.spectrum_shape, dtype=complex))
-    spare = np.empty_like(vh)
     for _ in range(steps):
-        vh, spare = _propagate(half, vh, spare), vh
-        grid.inverse(vh, u, spare)
+        grid.inverse(_propagate(half, vh, spare), u, vh)
         stepped, rate = model.midpoint_stage(u, dt)
         _check_stage_bound(_stage_bound(rate), dt, t)
-        grid.forward(stepped, vh)
-        vh, spare = _propagate(half, vh, spare), vh
+        _propagate(half, grid.forward(stepped, spare), vh)
+        del stepped  # freed before the next stage allocates its own
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)
-    return FieldState(t=t, data=grid.inverse(vh, u, spare))
+    return t
 
 
 def _boundary_mass_fractions(grid: Grid, fields: np.ndarray, alpha: float) -> np.ndarray:
@@ -414,16 +409,16 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     ValueError.  Snapshots hold the initial and final states.  A
     boundary-contamination warning is recorded (and issued once via
     warnings.warn) when the weighted mass within 5% of the z boundary
-    exceeds 1e-8 of the total.  The k steps between two records run as one
-    step_imex call.  With nonlinear=False the run stays in Fourier space:
-    each record's spectrum is the previous one times exp(k dt S), and the
-    records are measured in blocks of up to RECORD_BLOCK_BYTES of buffers,
-    one inverse transform per block.  Record times are t + dt accumulated
-    step by step either way.  A FieldState whose data is not
-    (model.n, *grid.shape), and inputs the initial field already fails (dt
-    above dt_max, a weighted-norm overflow), raise ValueError; a guard that
-    trips later raises SimulationError naming the first record it trips at.
-    The (v1, v2) split of the records is the model's n1.
+    exceeds 1e-8 of the total.  Each record's half spectrum is the previous
+    one advanced by a segment of k steps: exp(k dt S) with nonlinear=False,
+    one step_imex call otherwise.  Records go back to fields and are measured
+    in blocks, one inverse transform and one NormRecorder pass per block (up
+    to RECORD_BLOCK_BYTES of buffers when linear, one record when nonlinear).
+    Record times are t + dt accumulated step by step.  A FieldState whose
+    data is not finite or not (model.n, *grid.shape), and inputs the initial
+    field already fails (dt above dt_max, a weighted-norm overflow), raise
+    ValueError; a guard that trips later raises SimulationError naming the
+    first record it trips at.  The (v1, v2) split of the records is model.n1.
     """
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError("T and dt must be positive and finite")
@@ -436,26 +431,26 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
         if perturbation.data.shape != (model.n,) + grid.shape:
             raise ValueError(f"field shape {perturbation.data.shape} is not (model.n, *grid "
                              f"shape) = {(model.n,) + grid.shape}")
+        if not np.all(np.isfinite(perturbation.data)):
+            raise ValueError("the initial field has non-finite values")
         state = perturbation.copy()
     else:
         state, _ = build_perturbation(grid, perturbation, model, alpha)
     nsteps = max(1, math.ceil(T / dt - 1e-12))
     dt_eff = T / nsteps
-    block = 1
-    if not nonlinear:
-        nrecords = -(-nsteps // record_every)
-        block = max(1, min(nrecords, RECORD_BLOCK_BYTES // (6 * state.data.nbytes)))
+    block = 1 if nonlinear else max(1, min(-(-nsteps // record_every),
+                                           RECORD_BLOCK_BYTES // (6 * state.data.nbytes)))
     recorder = _norms.NormRecorder(grid, alpha, model.n, model.n1, records=block)
     times, records = [], []
     warnlog: list[str] = []
 
-    def measure(fields: np.ndarray, stamps: list):
-        """Record a block of fields at times stamps, the guards in record order:
-        each record's weight overflow, then its boundary mass."""
+    def measure(fields: np.ndarray, spectra: np.ndarray, stamps: list):
+        """Record a block of fields and their half spectra at times stamps, the
+        guards in record order: each record's weight overflow, then its boundary mass."""
         fracs = _boundary_mass_fractions(grid, fields, alpha)
         measured, failure = len(stamps), None
         try:
-            records.extend(recorder.record(fields))
+            records.extend(recorder.record(fields, spectra))
         except _norms.WeightOverflowError as exc:
             measured, failure = exc.record, exc
         over = np.flatnonzero(fracs[:measured] > BOUNDARY_MASS_LIMIT)
@@ -470,48 +465,50 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
             raise SimulationError(f"{failure} at t = {stamps[measured]:.6g}") from failure
         times.extend(stamps)
 
-    measure(state.data[None], [state.t])
-    initial = state.copy()
-    step = 0
+    # slot 0 carries the last spectrum of the previous block
+    spectra = np.empty((block + 1, model.n) + grid.spectrum_shape, dtype=complex)
+    fields = np.empty((block,) + state.data.shape)
+    grid.forward(state.data, spectra[0])
+    measure(state.data[None], spectra[:1], [state.t])
     if nonlinear:
         half = linear_propagator(model, grid, 0.5 * dt_eff)
         _check_stage_bound(dt_max(model, state), dt_eff, state.t)
-        while step < nsteps:
-            steps = min(record_every, nsteps - step)
+
+        def advance(src, dst, steps, t):  # src, the carry slot of a one-record block, is free
+            dst[...] = src
             try:
-                state = step_imex(model, grid, state, half, steps=steps)
+                return step_imex(model, grid, dst, t, half, src, fields[0], steps)
             except ValueError as exc:
                 raise SimulationError(str(exc)) from exc
-            step += steps
-            measure(state.data[None], [state.t])
     else:
         segment_props = {}  # steps -> exp(steps dt S), one per segment length
-        vh = grid.forward(state.data)
-        spectra = np.empty((block + 1,) + vh.shape, dtype=complex)
-        spectra[0] = vh  # slot 0 carries the last spectrum of the previous block
-        fields = np.empty((block,) + state.data.shape)
-        t = state.t
-        while step < nsteps:
-            stamps = []
-            while len(stamps) < block and step < nsteps:
-                steps = min(record_every, nsteps - step)
-                if steps not in segment_props:
-                    segment_props[steps] = linear_propagator(model, grid, steps * dt_eff)
-                _propagate(segment_props[steps], spectra[len(stamps)], spectra[len(stamps) + 1])
-                for _ in range(steps):
-                    t = t + dt_eff
-                step += steps
-                stamps.append(t)
-            b = len(stamps)
-            grid.inverse(spectra[1:b + 1], fields[:b])
-            finite = np.all(np.isfinite(fields[:b]), axis=tuple(range(1, fields.ndim)))
-            ok = b if np.all(finite) else int(np.argmin(finite))
-            if ok:
-                measure(fields[:ok], stamps[:ok])
-            if ok < b:
-                raise SimulationBlowupError(stamps[ok])
-            spectra[0] = spectra[b]
-        state = FieldState(t=t, data=fields[b - 1])
+
+        def advance(src, dst, steps, t):
+            if steps not in segment_props:
+                segment_props[steps] = linear_propagator(model, grid, steps * dt_eff)
+            _propagate(segment_props[steps], src, dst)
+            for _ in range(steps):
+                t = t + dt_eff
+            return t
+
+    t, step = state.t, 0
+    while step < nsteps:
+        stamps = []
+        while len(stamps) < block and step < nsteps:
+            steps = min(record_every, nsteps - step)
+            t = advance(spectra[len(stamps)], spectra[len(stamps) + 1], steps, t)
+            step += steps
+            stamps.append(t)
+        b = len(stamps)
+        grid.inverse(spectra[1:b + 1], fields[:b])
+        finite = np.all(np.isfinite(fields[:b]), axis=tuple(range(1, fields.ndim)))
+        ok = b if np.all(finite) else int(np.argmin(finite))
+        if ok:
+            measure(fields[:ok], spectra[1:ok + 1], stamps[:ok])
+        if ok < b:
+            raise SimulationBlowupError(stamps[ok])
+        spectra[0] = spectra[b]
     series = _norms.NormSeries.from_records(times, records)
-    return RunResult(series=series, snapshots=[initial, state.copy()], warnings=warnlog,
-                     dt=dt_eff, nsteps=nsteps)
+    # a copy of the final field, made last, would keep the freed run buffers resident
+    return RunResult(series=series, snapshots=[state, FieldState(t=t, data=fields[b - 1])],
+                     warnings=warnlog, dt=dt_eff, nsteps=nsteps)

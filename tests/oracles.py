@@ -4,9 +4,10 @@ The combustion reaction term and its Jacobian, the combustion model posed
 as a generic BlockSystem, the quadrature form of
 the nonlinearity, finite differences, a sampled Lipschitz constant, the
 numpy front field and its Jacobian, the spatial exponents at the end states,
-the weighted abscissa in closed form, a smallness-threshold scan, the
-structural identities of a norm series and a Strang step on numpy's
-n-dimensional real transforms.
+the weighted abscissa in closed form, the intersection norm of a field, a
+smallness-threshold scan, the structural identities of a norm series,
+sim.step_imex on a field and a Strang step on numpy's n-dimensional real
+transforms.
 frontlab itself calls none of them.
 """
 
@@ -20,8 +21,9 @@ import numpy as np
 
 from frontlab.model import (BlockSystem, ModelParams, check_block_structure, eval_g,
                             eval_g_prime, eval_N_times_v_exact, jacobian_at_minus)
+from frontlab.norms import norm_unweighted, norm_weighted
 from frontlab.sim import (FieldState, Grid, Perturbation, SimulationBlowupError,
-                          SimulationError, _propagate, run)
+                          SimulationError, _propagate, run, step_imex)
 from frontlab.spectral import Propagator
 
 
@@ -239,6 +241,11 @@ def abscissa_weighted(params: ModelParams, alpha: float) -> float:
     return float(max(first, second))
 
 
+def norm_E(grid, data, alpha: float, k: int = 0) -> float:
+    """Intersection-space norm max(|v|_0, |v|_alpha)."""
+    return max(norm_unweighted(grid, data, k), norm_weighted(grid, data, alpha, k))
+
+
 def instability_scan(model, grid: Grid, pert: Perturbation, alpha: float,
                      T: float, dt: float, delta: float,
                      eta0: float = 1e-3, max_doublings: int = 20,
@@ -303,3 +310,13 @@ def step_imex_rfftn(model, grid: Grid, state: FieldState, half: Propagator,
             raise SimulationBlowupError(t)
     data = np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
     return FieldState(t=t, data=data)
+
+
+def step_fields(model, grid: Grid, state: FieldState, half: Propagator,
+                steps: int = 1) -> FieldState:
+    """state advanced by sim.step_imex: grid.forward, `steps` Strang steps in
+    place on the half spectrum, grid.inverse; state.data is not written to."""
+    vh = grid.forward(state.data)
+    t = step_imex(model, grid, vh, state.t, half, np.empty_like(vh),
+                  np.empty(state.data.shape), steps)
+    return FieldState(t=t, data=grid.inverse(vh))

