@@ -1,7 +1,7 @@
 """frontlab: stability laboratory for combustion reaction-diffusion steady states.
 
 Modules map onto the pipeline: `model` (reaction terms, block systems,
-nonlinearities), `spectral` (Fourier symbols, abscissas, sweeps, exact
+the Model interface), `spectral` (Fourier symbols, abscissas, sweeps, exact
 propagators), `front` (traveling-wave ODE and shooting), `sim` (periodic
 pseudo-spectral IMEX evolution), `norms` (weighted/unweighted measurements,
 decay fits, theorem verdicts), `cli` (scenario-driven command line).
@@ -10,8 +10,8 @@ decay fits, theorem verdicts), `cli` (scenario-driven command line).
 from .front import FrontProfile, OrbitResult, integrate_orbit, shoot_speed
 from .model import (
     BlockSystem,
+    Model,
     ModelParams,
-    eval_H,
     eval_g,
     jacobian_at_minus,
     make_exo_endo_system,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BlockSystem", "ModelParams", "eval_H", "eval_g",
+    "BlockSystem", "Model", "ModelParams", "eval_g",
     "jacobian_at_minus", "make_exo_endo_system", "make_gasless_system",
     "SpectrumSweep", "SymbolMatrix", "block_abscissas", "eigvals_symbol",
     "eval_symbol", "exact_propagator", "optimal_weight", "semigroup_envelope",

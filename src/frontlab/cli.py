@@ -28,7 +28,7 @@ from . import front as _front
 from . import norms as _norms
 from . import sim as _sim
 from . import spectral as _spectral
-from .model import ModelParams, make_exo_endo_system, make_gasless_system
+from .model import Model, ModelParams, make_exo_endo_system, make_gasless_system
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "cmd_spectrum", "cmd_front",
            "cmd_simulate", "cmd_verify", "cmd_sweep", "main"]
@@ -120,7 +120,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(raw=parser)
 
 
-def _build_model(scenario: Scenario):
+def _build_model(scenario: Scenario) -> tuple[Model, float]:
     """(model, alpha) of the scenario; alpha is validated against the model's c."""
     kind = scenario.get("model", "kind", str, "combustion")
     try:
@@ -214,8 +214,8 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             R = float(R_text)
         except ValueError as exc:
             raise ConfigError(f"bad value for [spectrum] r: {R_text!r}") from exc
-        if not R > 0.0:
-            raise ConfigError(f"[spectrum] r must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise ConfigError(f"[spectrum] r must be positive and finite, got {R}")
 
     sym_u = _spectral.SymbolMatrix.of(model, d=d)
     sym_w = _spectral.SymbolMatrix.of(model, d=d, alpha=alpha)
@@ -366,7 +366,7 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState, meta: dict) 
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _run_simulation(scenario: Scenario, outdir: Path, model, alpha: float):
+def _run_simulation(scenario: Scenario, outdir: Path, model: Model, alpha: float):
     grid = _build_grid(scenario)
     pert = _build_perturbation(scenario, grid, model.n)
     T = scenario.get("time", "t", float, 40.0)
@@ -410,7 +410,7 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     return 0, metrics
 
 
-def _expected_rates(model, alpha: float) -> tuple[float, float]:
+def _expected_rates(model: Model, alpha: float) -> tuple[float, float]:
     """Sharp linear rates of verdict items 3 and 5, from the symbol's closed forms.
 
     Item 3: minus the weighted abscissa (c alpha - alpha^2 for combustion);
@@ -429,11 +429,13 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     nu_expected, rho_expected = _expected_rates(model, alpha)
     rate_floor = scenario.get("verify", "rate_floor", float, 0.8)
     c1_cap = scenario.get("verify", "c1_cap", float, 10.0)
-    window = None
+    window = delta = None  # delta defaults to 10 |v0|_E, measured by the run
     if scenario.has("verify", "window"):
         window = scenario.get("verify", "window", "floats")
-        if len(window) != 2:
-            raise ConfigError("[verify] window takes two times")
+        if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
+            raise ConfigError(f"[verify] window takes two finite times lo < hi, got {window}")
+    if scenario.has("verify", "delta"):
+        delta = scenario.get("verify", "delta", float)
     try:
         result = _run_simulation(scenario, outdir, model, alpha)
     except _sim.SimulationError as exc:
@@ -441,7 +443,8 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         _write_summary(outdir, "summary.txt", scenario, metrics)
         return 1, metrics
     eta = float(result.series.column("normE_v", 0)[0])  # measured |v0|_E
-    delta = scenario.get("verify", "delta", float, 10.0 * eta)
+    if delta is None:
+        delta = scenario.get("verify", "delta", float, 10.0 * eta)
     try:
         report = _norms.verify_stability_theorem(
             result.series, eta=eta, delta=delta, nu_expected=nu_expected,
@@ -482,6 +485,8 @@ def cmd_sweep(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     section, key = axis.split(".", 1)
     values_text = scenario.get("sweep", "values", str, "")
     values = [tok.strip() for tok in values_text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError("[sweep] values lists no value")
 
     rows = []
     for idx, value in enumerate(values):

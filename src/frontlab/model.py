@@ -1,4 +1,4 @@
-"""Combustion model, general triangular block systems, and their nonlinearities.
+"""Combustion model, general triangular block systems, and the Model interface.
 
 The model system couples a temperature u1 and a reactant mass fraction u2
 through the ignition rate g(u1) = exp(-1/u1) for u1 > 0 (zero otherwise):
@@ -16,7 +16,8 @@ v = u - u_minus, whose nonlinear part is the closed-form quadratic
 Gasless combustion is this model at eps = 0.  More general systems with the
 same block-triangular structure are described by :class:`BlockSystem`; their
 nonlinear part is represented as N(v) v with the matrix-valued
-N(v) = int_0^1 (Df(t v) - Df(0)) dt.
+N(v) = int_0^1 (Df(t v) - Df(0)) dt.  Both supply :class:`Model`, the one
+interface sim, spectral and cli use.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Model",
     "ModelParams",
     "BlockSystem",
     "eval_g",
     "eval_g_prime",
     "jacobian_at_minus",
-    "eval_H",
     "eval_N_times_v_exact",
     "make_exo_endo_system",
     "make_gasless_system",
@@ -42,17 +43,41 @@ __all__ = [
 ]
 
 
+class Model(Protocol):
+    """The perturbation equation v_t = D lap(v) + c dz(v) + B v + N(v) v as
+    sim, spectral and cli see it; ModelParams and BlockSystem supply it.
+
+    c, n, n1      : wave speed, component count, size of the first block
+    diffusion, linearization : the diagonal of D, shape (n,), and B = Df(0)
+    stage_rate(v) : bound on |D(N(v) v)|_inf over a field v of shape (n, ...)
+    midpoint_stage(u, dt) : advances u in place to u + dt N(u + dt/2 N(u))
+                    and returns the stage_rate of the u it was given
+    describe()    : the model's settings, for snapshot metadata
+    """
+
+    @property
+    def c(self) -> float: ...
+    @property
+    def n(self) -> int: ...
+    @property
+    def n1(self) -> int: ...
+    @property
+    def diffusion(self) -> np.ndarray: ...
+    @property
+    def linearization(self) -> np.ndarray: ...
+    def stage_rate(self, v: np.ndarray) -> float: ...
+    def midpoint_stage(self, u: np.ndarray, dt: float) -> float: ...
+    def describe(self) -> dict: ...
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless constants of the combustion model.
+    """Dimensionless constants of the combustion model, a :class:`Model` of
+    the perturbation equation about u_minus.
 
     epsilon : reactant/temperature diffusion ratio, 0 <= epsilon < 1
     kappa   : reaction stoichiometry, 0 < kappa < inf
     c       : wave speed, 0 < c < inf
-
-    Shares the model interface of :class:`BlockSystem` (c, diffusion,
-    linearization, n, n1, nonlinearity, stage_rate, midpoint_stage,
-    describe) for the perturbation equation about u_minus.
     """
 
     epsilon: float
@@ -86,23 +111,20 @@ class ModelParams:
     def linearization(self) -> np.ndarray:
         return jacobian_at_minus(self)
 
-    def nonlinearity(self, v) -> np.ndarray:
-        """Closed-form H(v) of the perturbation equation, pointwise over (2, ...)."""
-        return eval_H(self, v)
-
     def stage_rate(self, v) -> float:
         """Bound on |DH|_inf over the field v of shape (2, ...)."""
         gp = eval_g_prime(1.0 / self.kappa + v[0])
         m = eval_g(1.0 / self.kappa + v[0]) - np.exp(-self.kappa)
         return max(1.0, self.kappa) * float(np.max(np.abs(v[1] * gp) + np.abs(m)))
 
-    def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
-        """(u + dt H(u + dt/2 H(u)), stage_rate(u)) from one g evaluation per point.
+    def midpoint_stage(self, u, dt: float) -> float:
+        """Advance u, of shape (2, *grid shape), in place to u + dt H(u + dt/2 H(u))
+        and return stage_rate(u), from one g evaluation per point.
 
-        u is a field of shape (2, *grid shape).  g(x) at x = 1/kappa + u1
-        gives g' = g / x^2, the rate and H(u); g at the midpoint gives the
-        step.  Every operation of nonlinearity and stage_rate is kept, in
-        their order, written in place: the result is theirs bit for bit.
+        g(x) at x = 1/kappa + u1 gives g' = g / x^2, the rate and H(u); g at
+        the midpoint, which lives in the scratch of the rate, gives the step.
+        Every operation of H and stage_rate is kept, in their order: the
+        result is theirs bit for bit.
         """
         kappa = self.kappa
         ek = np.exp(-kappa)
@@ -115,19 +137,15 @@ class ModelParams:
         np.abs(gp, out=gp)
         gp += np.abs(m, out=x)
         rate = max(1.0, kappa) * float(np.max(gp))
-        out = np.empty_like(u)
-        direction = np.array([1.0, -kappa]).reshape((2,) + (1,) * (u.ndim - 1))
-
-        def advance(h, r):  # out = u + h H, H = (1, -kappa)^T r
-            np.multiply(direction, r, out=out)
-            np.multiply(out, h, out=out)
-            np.add(out, u, out=out)
-
-        advance(0.5 * dt, np.multiply(m, u[1], out=m))
-        m = eval_g(np.add(out[0], 1.0 / kappa, out=x))
+        r = np.multiply(m, u[1], out=m)  # H(u) = (1, -kappa)^T r
+        np.add(np.multiply(r, 0.5 * dt, out=x), u[0], out=x)  # the midpoint in (x, gp)
+        np.add(np.multiply(np.multiply(r, -kappa, out=gp), 0.5 * dt, out=gp), u[1], out=gp)
+        m = eval_g(np.add(x, 1.0 / kappa, out=x))
         m -= ek
-        advance(dt, np.multiply(m, out[1], out=m))
-        return out, rate
+        r = np.multiply(m, gp, out=m)
+        u[1] += np.multiply(np.multiply(r, -kappa, out=x), dt, out=x)
+        u[0] += np.multiply(r, dt, out=r)
+        return rate
 
     def describe(self) -> dict:
         return {"kind": "combustion", "epsilon": self.epsilon, "kappa": self.kappa,
@@ -203,10 +221,6 @@ class BlockSystem:
         """Jacobian of f at the steady state v = 0 (read-only)."""
         return self.B
 
-    def nonlinearity(self, v) -> np.ndarray:
-        """N(v) v = f(v) - Df(0) v, pointwise over v of shape (n, ...)."""
-        return eval_N_times_v_exact(self, v)
-
     def stage_rate(self, v) -> float:
         """Row-sum norm of Df(v) - Df(0) at the field's largest state."""
         flat = np.reshape(v, (self.n, -1))
@@ -214,16 +228,18 @@ class BlockSystem:
         J = self.jac(peak) - self.B
         return float(np.max(np.sum(np.abs(J), axis=1)))
 
-    def midpoint_stage(self, u, dt: float) -> tuple[np.ndarray, float]:
-        """(u + dt N(u + dt/2 N(u)), stage_rate(u)), in place on the arrays
-        eval_N_times_v_exact returns: bit for bit the out-of-place form."""
+    def midpoint_stage(self, u, dt: float) -> float:
+        """Advance u in place to u + dt N(u + dt/2 N(u)) and return
+        stage_rate(u), working over the arrays eval_N_times_v_exact returns:
+        bit for bit the out-of-place form."""
+        rate = self.stage_rate(u)
         mid = eval_N_times_v_exact(self, u)
         mid *= 0.5 * dt
         mid += u
-        out = eval_N_times_v_exact(self, mid)
-        out *= dt
-        out += u
-        return out, self.stage_rate(u)
+        step = eval_N_times_v_exact(self, mid)
+        step *= dt
+        u += step
+        return rate
 
     def describe(self) -> dict:
         return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
@@ -291,19 +307,6 @@ def jacobian_at_minus(params: ModelParams) -> np.ndarray:
     """
     ek = np.exp(-params.kappa)
     return np.array([[0.0, ek], [0.0, -params.kappa * ek]])
-
-
-def eval_H(params: ModelParams, v) -> np.ndarray:
-    """Quadratic nonlinearity of the perturbation equation about u_minus.
-
-    H(v) = (1, -kappa)^T * v2 * (g(1/kappa + v1) - g(1/kappa)); vanishes to
-    second order at v = 0 and identically when v1 = 0 or v2 = 0.
-    v has shape (2,) or (2, ...).
-    """
-    v = np.asarray(v, dtype=float)
-    m = eval_g(1.0 / params.kappa + v[0]) - np.exp(-params.kappa)
-    r = np.asarray(m * v[1])
-    return np.stack([r, -params.kappa * r])
 
 
 def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:

@@ -1,35 +1,26 @@
-"""Pseudo-spectral IMEX evolution of the perturbation equation.
+"""Pseudo-spectral IMEX evolution of the perturbation equation
 
-The grid is periodic on a box [-L_1, L_1) x ... with the frame/weight axis
-first, and the linear part of
+    v_t = D lap(v) + c dz(v) + B v + N(v) v
 
-    v_t = D lap(v) + c dz(v) + B v + H(v)
-
-is advanced exactly per discrete Fourier mode with
-:func:`frontlab.spectral.exact_propagator`, built once per run on the half
-spectrum of the real transform.  Grid alone holds that layout: its
+of a model.Model, on a periodic box [-L_1, L_1) x ... with the frame/weight
+axis first.  The linear part is advanced exactly per discrete Fourier mode
+with :func:`frontlab.spectral.exact_propagator`, built once per run on the
+half spectrum of the real transform.  Grid alone holds that layout: its
 spectrum_shape, its frequencies rxi and the transform pair forward/inverse
 (rfftn/irfftn bit for bit, on the last d axes of any stack of fields), which
-sim and norms make every transform with.  The model is a ModelParams or a
-BlockSystem; both supply the same interface, the block split n1 of the
-records included.  The nonlinearity N is applied pointwise in physical space
-with an explicit midpoint stage, composed in Strang order
+sim and norms make every transform with.  N is applied pointwise in physical
+space by the model's explicit midpoint stage, in place on the field,
+composed in Strang order
 
     L(h) N(dt) L(h),   h = dt / 2,
 
 which is second order in dt and preserves the zero steady state exactly.
-run has one record loop in Fourier space: each record's half spectrum is
-the previous record's advanced by one segment of k steps, exp(k dt S) for a
-linear run (nonlinear=False, at most two propagators built per run) and one
-step_imex call otherwise.  Within a segment the adjacent half-steps meet in
-Fourier space,
+Within a run the adjacent half-steps meet in Fourier space,
 
     L(h) N(dt) L(h) L(h) N(dt) L(h) ... N(dt) L(h),
 
-so each step costs one real-transform round trip, into the run's buffers.
-A block of record spectra goes back to fields with one batched inverse
-transform and is measured by one norms.NormRecorder pass (a nonlinear run's
-blocks hold one record).
+so each step_imex step costs one real-transform round trip, into the run's
+buffers; a linear run takes its record segments as exp(k dt S) instead.
 Periodic truncation replaces the unbounded domain: runs are valid while the
 perturbation stays clear of the z boundary, and a weighted-mass check warns
 the moment wraparound could contaminate the weighted norm.
@@ -45,10 +36,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import norms as _norms
-from .model import BlockSystem, ModelParams
+from .model import Model
 from .spectral import Propagator, SymbolMatrix, exact_propagator
-
-Model = Union[ModelParams, BlockSystem]
 
 __all__ = [
     "Grid",
@@ -105,8 +94,8 @@ class Grid:
         if len(self.L) not in (1, 2):
             raise ValueError("the simulator supports d = 1 and d = 2 only")
         for Lx, Nx in zip(self.L, self.N):
-            if not Lx > 0.0:
-                raise ValueError("half-lengths must be positive")
+            if not 0.0 < Lx < math.inf:
+                raise ValueError(f"half-lengths must be positive and finite, got {Lx}")
             if Nx < 16 or (Nx & (Nx - 1)) != 0:
                 raise ValueError(f"point counts must be powers of two >= 16, got {Nx}")
         object.__setattr__(self, "cell_volume",
@@ -342,21 +331,19 @@ def step_imex(model: Model, grid: Grid, vh: np.ndarray, t: float, half: Propagat
     half is linear_propagator(model, grid, dt / 2), applied twice in Fourier
     space between two explicit stages, so a step costs one real-transform
     round trip: grid.inverse into the field u, of shape (model.n,
-    *grid.shape), and grid.forward of the stage into spare, shaped like vh.
-    Second order in dt on smooth data; the zero state is preserved exactly.
-    dt is checked against the dt_max bound of each stage's field, from the
-    rate model.midpoint_stage returns (ValueError); a non-finite spectrum
-    aborts with the time of the step it appeared in.
+    *grid.shape), model.midpoint_stage in place on u, and grid.forward of u
+    into spare, shaped like vh.  dt is checked against the dt_max bound of
+    each stage's field, from the rate midpoint_stage returns (ValueError); a
+    non-finite spectrum aborts with the time of the step it appeared in.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
     for _ in range(steps):
         grid.inverse(_propagate(half, vh, spare), u, vh)
-        stepped, rate = model.midpoint_stage(u, dt)
+        rate = model.midpoint_stage(u, dt)
         _check_stage_bound(_stage_bound(rate), dt, t)
-        _propagate(half, grid.forward(stepped, spare), vh)
-        del stepped  # freed before the next stage allocates its own
+        _propagate(half, grid.forward(u, spare), vh)
         t = t + dt
         if not np.all(np.isfinite(vh)):
             raise SimulationBlowupError(t)

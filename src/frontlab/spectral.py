@@ -34,6 +34,8 @@ from typing import Optional
 
 import numpy as np
 
+from .model import Model
+
 __all__ = [
     "SymbolMatrix",
     "SpectrumSweep",
@@ -76,8 +78,8 @@ class SymbolMatrix:
             raise ValueError("alpha must be nonnegative")
 
     @classmethod
-    def of(cls, model, d: int = 1, alpha: float = 0.0) -> "SymbolMatrix":
-        """Symbol of a model's linearization (ModelParams or BlockSystem).
+    def of(cls, model: Model, d: int = 1, alpha: float = 0.0) -> "SymbolMatrix":
+        """Symbol of a model's linearization.
 
         alpha = 0 gives the unweighted symbol.
         """
@@ -181,7 +183,7 @@ def optimal_weight(c: float) -> tuple[float, float]:
     return c / 2.0, -(c**2) / 4.0
 
 
-def block_abscissas(model) -> tuple[float, float]:
+def block_abscissas(model: Model) -> tuple[float, float]:
     """Unweighted abscissas of the two diagonal block operators.
 
     The largest family vertex B_jj within each block of a triangular symbol.
@@ -250,8 +252,8 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
     else:
         R = float(R)
         certified = sym.is_triangular
-        if R <= 0.0:
-            raise ValueError("extent R must be positive")
+        if not 0.0 < R < np.inf:
+            raise ValueError(f"extent R must be positive and finite, got {R}")
     axis = np.linspace(-R, R, m)
     grids = np.meshgrid(*([axis] * sym.d), indexing="ij")
     xi = np.stack([g.ravel() for g in grids], axis=-1)
@@ -274,7 +276,7 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
     )
 
 
-def tensor_sum_check(model, alpha: float, R: float = 20.0, m: int = 41,
+def tensor_sum_check(model: Model, alpha: float, R: float = 20.0, m: int = 41,
                      d: int = 2) -> dict:
     """Compare the d-dimensional weighted sweep abscissa with the 1-dimensional one.
 

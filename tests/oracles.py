@@ -1,13 +1,14 @@
 """Reference computations and probes the tests check frontlab with.
 
 The combustion reaction term and its Jacobian, the combustion model posed
-as a generic BlockSystem, the quadrature form of
-the nonlinearity, finite differences, a sampled Lipschitz constant, the
-numpy front field and its Jacobian, the spatial exponents at the end states,
-the weighted abscissa in closed form, the intersection norm of a field, a
-smallness-threshold scan, the structural identities of a norm series,
-sim.step_imex on a field and a Strang step on numpy's n-dimensional real
-transforms.
+as a generic BlockSystem, the closed-form nonlinearity H of the combustion
+model and N(v) v of any model, the midpoint stage composed from it, the
+quadrature form of the nonlinearity, finite differences, a sampled
+Lipschitz constant, the numpy front field and its Jacobian, the spatial
+exponents at the end states, the weighted abscissa in closed form, the
+intersection norm of a field, a smallness-threshold scan, the structural
+identities of a norm series, sim.step_imex on a field and a Strang step on
+numpy's n-dimensional real transforms.
 frontlab itself calls none of them.
 """
 
@@ -50,6 +51,34 @@ def jacobian_combustion(params: ModelParams, u) -> np.ndarray:
     )
 
 
+
+
+def eval_H(params: ModelParams, v) -> np.ndarray:
+    """Quadratic nonlinearity of the perturbation equation about u_minus.
+
+    H(v) = (1, -kappa)^T * v2 * (g(1/kappa + v1) - g(1/kappa)); vanishes to
+    second order at v = 0 and identically when v1 = 0 or v2 = 0.
+    v has shape (2,) or (2, ...).
+    """
+    v = np.asarray(v, dtype=float)
+    m = eval_g(1.0 / params.kappa + v[0]) - np.exp(-params.kappa)
+    r = np.asarray(m * v[1])
+    return np.stack([r, -params.kappa * r])
+
+
+def nonlinearity(model, v) -> np.ndarray:
+    """N(v) v of a model's perturbation equation, pointwise over (n, ...): the
+    closed form H(v) for ModelParams, f(v) - f(0) - Df(0) v for a BlockSystem."""
+    if isinstance(model, ModelParams):
+        return eval_H(model, v)
+    return eval_N_times_v_exact(model, v)
+
+
+def midpoint_composition(model, u, dt: float) -> tuple[np.ndarray, float]:
+    """(u + dt N(u + dt/2 N(u)), stage_rate(u)) composed out of place from
+    nonlinearity: what model.midpoint_stage leaves in u, and returns."""
+    mid = u + 0.5 * dt * nonlinearity(model, u)
+    return u + dt * nonlinearity(model, mid), model.stage_rate(u)
 
 
 def make_combustion_system(params: ModelParams) -> BlockSystem:
@@ -300,10 +329,10 @@ def step_imex_rfftn(model, grid: Grid, state: FieldState, half: Propagator,
     for _ in range(steps):
         vh, spare = _propagate(half, vh, spare), vh
         np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
-        stepped, rate = model.midpoint_stage(u, dt)
+        rate = model.midpoint_stage(u, dt)
         if dt > (math.inf if rate == 0.0 else 0.5 / rate):
             raise ValueError(f"dt = {dt} exceeds the explicit-stage stability bound")
-        np.fft.rfftn(stepped, axes=axes, out=vh)
+        np.fft.rfftn(u, axes=axes, out=vh)
         vh, spare = _propagate(half, vh, spare), vh
         t = t + dt
         if not np.all(np.isfinite(vh)):

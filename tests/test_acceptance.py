@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from frontlab.front import integrate_orbit, shoot_speed
-from frontlab.model import ModelParams, eval_H
+from frontlab.model import ModelParams
 from frontlab.norms import fit_decay, verify_stability_theorem
 from frontlab.sim import (Grid, Perturbation, apply_linear_exact, build_perturbation,
                           linear_propagator, run, FieldState)
@@ -23,8 +23,8 @@ from frontlab.spectral import (
     sweep_symbol,
     tensor_sum_check,
 )
-from oracles import (abscissa_weighted, eval_N_times_v, make_combustion_system, sample_ball,
-                     step_fields)
+from oracles import (abscissa_weighted, eval_H, eval_N_times_v, make_combustion_system,
+                     sample_ball, step_fields)
 
 
 def random_params(rng) -> tuple[ModelParams, float]:

@@ -545,9 +545,8 @@ class TestSweepCommand:
             values =
         """)
         out = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        rows = (out / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 1
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []  # no header-only sweep.csv
 
     def test_fitted_weighted_rate_increases_with_alpha(self, tmp_path):
         # linear runs: the measured weighted decay rate tracks
@@ -675,13 +674,20 @@ class TestExitCodes:
         ("verify", "verify", "c1_cap = nan", "[verify] c1_cap"),
         ("verify", "verify", "delta = nan\n[grid]\nl = 20\nn = 64\n[time]\nt = 1\ndt = 0.1",
          "[verify] delta"),
+        ("verify", "verify", "delta = abc", "[verify] delta"),
+        ("verify", "verify", "window = 4.0, 0.5", "[verify] window"),
+        ("verify", "verify", "window = nan, 4.0", "[verify] window"),
+        ("simulate", "grid", "l = inf", "half-lengths must be positive and finite"),
+        ("spectrum", "spectrum", "r = inf", "[spectrum] r"),
+        ("sweep", "sweep", "command = spectrum\naxis = weights.alpha\nvalues =", "[sweep] values"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
             "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
             "spectrum_c_inf", "t_inf", "dt_inf", "record_every_inf", "d_zero",
             "d_disagrees_with_l_and_n", "envelope_t_max_negative", "amplitude_nan",
             "amplitude_inf", "eta_nan", "eta_inf", "center_nan", "width_nan",
-            "rate_floor_nan", "c1_cap_nan", "delta_nan"])
+            "rate_floor_nan", "c1_cap_nan", "delta_nan", "delta_text", "window_reversed",
+            "window_nan", "l_inf", "r_inf", "sweep_no_values"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"
         cfg = write_config(tmp_path, model + setting + "\n" if section == "model"
@@ -690,6 +696,7 @@ class TestExitCodes:
         # the temporary path carries the test id, so it must not match `named`
         err = capsys.readouterr().err.replace(str(tmp_path), "")
         assert "frontlab: config error" in err and named in err
+        assert not (tmp_path / "o" / "norms.csv").exists()  # rejected before any run
 
 
 class TestShippedScenarios:

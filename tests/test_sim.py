@@ -56,6 +56,8 @@ class TestGrid:
         dict(L=20.0, N=48),        # not a power of two
         dict(L=20.0, N=8),         # too small
         dict(L=-1.0, N=64),
+        dict(L=np.inf, N=64),
+        dict(L=(20.0, np.nan), N=(64, 32)),
         dict(L=(10.0,), N=(64, 32)),
         dict(L=(10.0, 10.0, 10.0), N=(16, 16, 16)),  # d = 3 unsupported
     ])

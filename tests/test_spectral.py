@@ -244,6 +244,12 @@ class TestSweepMachinery:
         with pytest.raises(ValueError):
             sweep_symbol(sym, m=1)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_an_extent_that_is_not_positive_and_finite(self, R):
+        # R = inf gave a grid of NaN frequencies and NaN abscissas
+        with pytest.raises(ValueError, match="extent R"):
+            sweep_symbol(SymbolMatrix.of(params(), d=1, alpha=ALPHA), R=R, m=5)
+
     def test_symmetry_of_curves(self):
         sym = SymbolMatrix.of(params(), d=1, alpha=ALPHA)
         sw = sweep_symbol(sym, R=10.0, m=101)
