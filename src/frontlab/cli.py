@@ -6,9 +6,11 @@ directory.  Every resolved setting (defaults included) is echoed into the
 output summary so each artifact is self-describing, and all CSV output uses
 17 significant digits with newline endings, making reruns byte-identical.
 
-Exit codes: 0 all checks passed, 1 scientific failure (a verdict, a
-bracketing or shooting failure, or a front certificate that fails), 2
-configuration or usage error.
+Every command is a (scenario, outdir) -> (exit code, metrics) function
+that writes its own artifacts; one runner, _execute, runs it and writes
+summary.txt.  Exit codes: 0 all checks passed, 1 scientific failure (a
+verdict, a bracketing or shooting failure, a front certificate that fails,
+or a guard that trips mid-run), 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,25 +125,22 @@ def load_scenario(path) -> Scenario:
 def _build_model(scenario: Scenario) -> tuple[Model, float]:
     """(model, alpha) of the scenario; alpha is validated against the model's c."""
     kind = scenario.get("model", "kind", str, "combustion")
-    try:
-        if kind == "combustion":
-            model = ModelParams(epsilon=scenario.get("model", "epsilon", float, 0.5),
-                                kappa=scenario.get("model", "kappa", float, 1.0),
-                                c=scenario.get("model", "c", float, 1.0))
-        elif kind == "exo_endo":
-            args = {k: scenario.get("model", k, float) for k in
-                    ("d2", "d3", "sigma", "tau", "a2", "a3", "b2", "b3")}
-            model = make_exo_endo_system(args["d2"], args["d3"], args["sigma"],
-                                         args["tau"], (args["a2"], args["a3"]),
-                                         (args["b2"], args["b3"]),
-                                         c=scenario.get("model", "c", float, 1.0))
-        elif kind == "gasless":
-            model = make_gasless_system(scenario.get("model", "beta", float),
-                                        c=scenario.get("model", "c", float, 1.0))
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "combustion":
+        model = ModelParams(epsilon=scenario.get("model", "epsilon", float, 0.5),
+                            kappa=scenario.get("model", "kappa", float, 1.0),
+                            c=scenario.get("model", "c", float, 1.0))
+    elif kind == "exo_endo":
+        args = {k: scenario.get("model", k, float) for k in
+                ("d2", "d3", "sigma", "tau", "a2", "a3", "b2", "b3")}
+        model = make_exo_endo_system(args["d2"], args["d3"], args["sigma"],
+                                     args["tau"], (args["a2"], args["a3"]),
+                                     (args["b2"], args["b3"]),
+                                     c=scenario.get("model", "c", float, 1.0))
+    elif kind == "gasless":
+        model = make_gasless_system(scenario.get("model", "beta", float),
+                                    c=scenario.get("model", "c", float, 1.0))
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}")
     return model, _resolve_alpha(scenario, model.c)
 
 
@@ -166,10 +165,7 @@ def _build_grid(scenario: Scenario) -> _sim.Grid:
     N = scenario.get("grid", "n", "ints", (1024,) if d == 1 else (256, 128))
     if len(L) != d or len(N) != d:
         raise ConfigError(f"[grid] l and n need d = {d} entries each, got {len(L)} and {len(N)}")
-    try:
-        return _sim.Grid(L=L, N=N)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _sim.Grid(L=L, N=N)
 
 
 def _build_perturbation(scenario: Scenario, grid: _sim.Grid, ncomp: int) -> _sim.Perturbation:
@@ -185,17 +181,33 @@ def _build_perturbation(scenario: Scenario, grid: _sim.Grid, ncomp: int) -> _sim
     center = scenario.get("perturbation", "center", "floats", (0.0,) * grid.d)
     widths = scenario.get("perturbation", "width", "floats", (2.0,) * grid.d)
     mask = scenario.get("perturbation", "mask", "ints", (1,) * ncomp)
-    try:
-        return _sim.Perturbation(shape=shape, amplitude=amplitude, eta=eta,
-                                 center=center, widths=widths, mask=mask)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _sim.Perturbation(shape=shape, amplitude=amplitude, eta=eta,
+                             center=center, widths=widths, mask=mask)
 
 
-def _write_summary(outdir: Path, name: str, scenario: Scenario, metrics: dict) -> None:
+def _write_summary(outdir: Path, scenario: Scenario, metrics: dict) -> None:
     lines = [f"scenario.{k}: {v}" for k, v in sorted(scenario.resolved.items())]
     lines += [f"{k}: {_fmt_value(v)}" for k, v in metrics.items()]
-    (outdir / name).write_text("\n".join(lines) + "\n")
+    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+
+
+def _execute(command: Callable[[Scenario, Path], tuple[int, dict]], scenario: Scenario,
+             outdir: Path) -> tuple[int, dict]:
+    """Run command(scenario, outdir) and write its summary.txt: where every
+    command ends.
+
+    A ValueError is a setting the library rejected: a ConfigError (exit 2,
+    no summary).  A guard that trips mid-run is a scientific failure: exit
+    1, its message the summary's `error`.
+    """
+    try:
+        code, metrics = command(scenario, outdir)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    except (_sim.SimulationError, _front.StepUnderflowError) as exc:
+        code, metrics = 1, {"error": str(exc)}
+    _write_summary(outdir, scenario, metrics)
+    return code, metrics
 
 
 def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
@@ -265,8 +277,6 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         metrics["tensor_sum_difference"] = rep["difference"]
         if rep["difference"] > 1e-10:
             code = 1
-
-    _write_summary(outdir, "summary.txt", scenario, metrics)
     return code, metrics
 
 
@@ -302,11 +312,7 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             c_star, profile = _front.shoot_speed(kappa, (c_min, c_max), tol=tol)
         except _front.ShootingError as exc:
             _front.write_shots_csv(outdir / "shots.csv", exc.shots)
-            metrics = {"error": str(exc), "shots": len(exc.shots)}
-            _write_summary(outdir, "summary.txt", scenario, metrics)
-            return 1, metrics
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            return 1, {"error": str(exc), "shots": len(exc.shots)}
         _front.write_profile_csv(outdir / "profile.csv", profile.z, profile.states,
                                  profile.k_values - c_star / kappa)
         _front.write_shots_csv(outdir / "shots.csv", profile.shots)
@@ -324,7 +330,6 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             metrics["error"] = (f"the profile does not reach the burned state: "
                                 f"|phi1(left) - 1/kappa| = {profile.residual_left:.3g} "
                                 f"> {FRONT_RESIDUAL_MAX:g}")
-        _write_summary(outdir, "summary.txt", scenario, metrics)
         return (1 if "error" in metrics else 0), metrics
 
     if mode == "orbit":
@@ -334,21 +339,11 @@ def cmd_front(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         span = scenario.get("front", "span", "floats", (0.0, 10.0))
         if len(span) != 2:
             raise ConfigError(f"[front] span takes two values, got {len(span)}")
-        try:
-            params = ModelParams(epsilon=eps, kappa=kappa, c=c)
-            res = _front.integrate_orbit(params, np.asarray(s0), span, tol=tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        except _front.StepUnderflowError as exc:
-            metrics = {"error": str(exc)}
-            _write_summary(outdir, "summary.txt", scenario, metrics)
-            return 1, metrics
+        res = _front.integrate_orbit(ModelParams(epsilon=eps, kappa=kappa, c=c),
+                                     np.asarray(s0), span, tol=tol)
         _front.write_profile_csv(outdir / "orbit.csv", res.z, res.states,
                                  res.k_values - res.k_values[0])
-        metrics = {"k_drift_max": res.k_drift, "steps": res.nsteps,
-                   "samples": len(res.z)}
-        _write_summary(outdir, "summary.txt", scenario, metrics)
-        return 0, metrics
+        return 0, {"k_drift_max": res.k_drift, "steps": res.nsteps, "samples": len(res.z)}
 
     raise ConfigError(f"unknown front mode {mode!r}")
 
@@ -366,18 +361,21 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState, meta: dict) 
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _run_simulation(scenario: Scenario, outdir: Path, model: Model, alpha: float):
+def _simulation_inputs(scenario: Scenario, model: Model) -> dict:
+    """The keyword arguments of sim.run but alpha: the grid, the
+    perturbation and the [time] settings."""
     grid = _build_grid(scenario)
-    pert = _build_perturbation(scenario, grid, model.n)
-    T = scenario.get("time", "t", float, 40.0)
-    dt = scenario.get("time", "dt", float, 0.02)
-    record_every = scenario.get("time", "record_every", int, 25)
-    nonlinear = scenario.get("time", "nonlinear", bool, True)
-    try:
-        result = _sim.run(model, grid, pert, alpha, T=T, dt=dt, record_every=record_every,
-                          nonlinear=nonlinear)
-    except ValueError as exc:
-        raise ConfigError(f"simulation rejected the scenario: {exc}") from exc
+    return dict(grid=grid, perturbation=_build_perturbation(scenario, grid, model.n),
+                T=scenario.get("time", "t", float, 40.0),
+                dt=scenario.get("time", "dt", float, 0.02),
+                record_every=scenario.get("time", "record_every", int, 25),
+                nonlinear=scenario.get("time", "nonlinear", bool, True))
+
+
+def _run_simulation(outdir: Path, model: Model, alpha: float, inputs: dict):
+    """sim.run on inputs; writes norms.csv and the snapshots."""
+    result = _sim.run(model, alpha=alpha, **inputs)
+    grid = inputs["grid"]
     _norms.write_norms_csv(outdir / "norms.csv", result.series)
     meta = {"block_split": model.n1, "grid": {"L": list(grid.L), "N": list(grid.N)},
             "model": dict(model.describe(), alpha=alpha)}
@@ -389,12 +387,7 @@ def _run_simulation(scenario: Scenario, outdir: Path, model: Model, alpha: float
 def cmd_simulate(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     """Integrate the perturbation equation; write the norm series and snapshots."""
     model, alpha = _build_model(scenario)
-    try:
-        result = _run_simulation(scenario, outdir, model, alpha)
-    except _sim.SimulationError as exc:
-        metrics = {"error": str(exc)}
-        _write_summary(outdir, "summary.txt", scenario, metrics)
-        return 1, metrics
+    result = _run_simulation(outdir, model, alpha, _simulation_inputs(scenario, model))
     e_col = result.series.column("normE_v", 0)
     metrics = {
         "steps": result.nsteps,
@@ -406,7 +399,6 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
     }
     for msg in result.warnings:
         metrics.setdefault("boundary_warning", msg)
-    _write_summary(outdir, "summary.txt", scenario, metrics)
     return 0, metrics
 
 
@@ -424,11 +416,18 @@ def _expected_rates(model: Model, alpha: float) -> tuple[float, float]:
 
 
 def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
-    """Simulate, then render the stability-theorem verdict; exit 1 on failure."""
+    """Simulate, then render the stability-theorem verdict; exit 1 on failure.
+
+    Negative bounds and a fit window holding fewer than
+    norms.MIN_FIT_SAMPLES records are configuration errors, found before
+    the run.
+    """
     model, alpha = _build_model(scenario)
     nu_expected, rho_expected = _expected_rates(model, alpha)
     rate_floor = scenario.get("verify", "rate_floor", float, 0.8)
     c1_cap = scenario.get("verify", "c1_cap", float, 10.0)
+    if c1_cap < 0.0:
+        raise ConfigError(f"[verify] c1_cap must be >= 0, got {c1_cap}")
     window = delta = None  # delta defaults to 10 |v0|_E, measured by the run
     if scenario.has("verify", "window"):
         window = scenario.get("verify", "window", "floats")
@@ -436,29 +435,31 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             raise ConfigError(f"[verify] window takes two finite times lo < hi, got {window}")
     if scenario.has("verify", "delta"):
         delta = scenario.get("verify", "delta", float)
+        if delta < 0.0:
+            raise ConfigError(f"[verify] delta must be >= 0, got {delta}")
+    inputs = _simulation_inputs(scenario, model)
+    times = _sim.record_times(inputs["T"], inputs["dt"], inputs["record_every"])
+    fitted = int(np.sum(_norms.fit_window(times, window)[1]))
+    if fitted < _norms.MIN_FIT_SAMPLES:
+        raise ConfigError(f"the fit window holds {fitted} of the {len(times)} records, "
+                          f"fewer than the {_norms.MIN_FIT_SAMPLES} a decay fit needs; "
+                          "widen [verify] window or lower [time] record_every")
     try:
-        result = _run_simulation(scenario, outdir, model, alpha)
+        result = _run_simulation(outdir, model, alpha, inputs)
     except _sim.SimulationError as exc:
-        metrics = {"error": str(exc), "overall_pass": False}
-        _write_summary(outdir, "summary.txt", scenario, metrics)
-        return 1, metrics
+        return 1, {"error": str(exc), "overall_pass": False}
     eta = float(result.series.column("normE_v", 0)[0])  # measured |v0|_E
     if delta is None:
         delta = scenario.get("verify", "delta", float, 10.0 * eta)
-    try:
-        report = _norms.verify_stability_theorem(
-            result.series, eta=eta, delta=delta, nu_expected=nu_expected,
-            rho_expected=rho_expected, rate_floor=rate_floor, c1_cap=c1_cap, window=window)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; widen [verify] window or lower [time] "
-                          "record_every") from exc
+    report = _norms.verify_stability_theorem(
+        result.series, eta=eta, delta=delta, nu_expected=nu_expected,
+        rho_expected=rho_expected, rate_floor=rate_floor, c1_cap=c1_cap, window=window)
     (outdir / "verdict.txt").write_text(report.to_text())
     metrics = {"overall_pass": report.overall,
                "boundary_warnings": len(result.warnings)}
     for name in sorted(report.items):
         for key, val in report.items[name].items():
             metrics[f"{name}_{key}"] = val
-    _write_summary(outdir, "summary.txt", scenario, metrics)
     return (0 if report.overall else 1), metrics
 
 
@@ -496,10 +497,10 @@ def cmd_sweep(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         sub = Scenario(raw=_copy_parser(scenario.raw))
         sub.set_override(section, key, value)
         try:
-            code, metrics = COMMANDS[command](sub, subdir)
-            rows.append((idx, value, "ok" if code == 0 else "failed", code, metrics))
-        except (ConfigError, ValueError) as exc:
-            rows.append((idx, value, "failed", 2, {"error": str(exc)}))
+            code, metrics = _execute(COMMANDS[command], sub, subdir)
+        except ConfigError as exc:
+            code, metrics = 2, {"error": str(exc)}
+        rows.append((idx, value, "ok" if code == 0 else "failed", code, metrics))
 
     metric_keys = sorted({k for row in rows for k in row[4]})
     with open(outdir / "sweep.csv", "w", newline="") as fh:
@@ -508,10 +509,8 @@ def cmd_sweep(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
             cells = [str(idx), value, status, str(code)]
             cells += [_csv_cell(metrics[k]) if k in metrics else "" for k in metric_keys]
             fh.write(",".join(cells) + "\n")
-    summary = {"command": command, "axis": axis, "values": len(rows),
+    return 0, {"command": command, "axis": axis, "values": len(rows),
                "failed": sum(1 for r in rows if r[2] != "ok")}
-    _write_summary(outdir, "summary.txt", scenario, summary)
-    return 0, summary
 
 
 def _csv_cell(value) -> str:
@@ -550,8 +549,7 @@ def main(argv: Optional[list] = None) -> int:
         except OSError as exc:  # --out names a file, or a path under one
             raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
         handler = cmd_sweep if args.command == "sweep" else COMMANDS[args.command]
-        code, _metrics = handler(scenario, outdir)
-        return code
+        return _execute(handler, scenario, outdir)[0]
     except ConfigError as exc:
         print(f"frontlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -106,7 +106,6 @@ class FrontProfile:
     states: np.ndarray       # (len(z), 4)
     c: float
     kappa: float
-    epsilon: float
     k_values: np.ndarray
     k_drift: float           # max |k - c/kappa| over the samples
     residual_left: float     # |phi1(left end) - 1/kappa|
@@ -463,7 +462,6 @@ def shoot_speed(kappa: float, c_bracket, tol: float = 1e-12) -> tuple[float, Fro
         states=full,
         c=c_star,
         kappa=kappa,
-        epsilon=0.0,
         k_values=kvals,
         k_drift=float(np.max(np.abs(kvals - c_star / kappa))),
         residual_left=float(abs(full[0, 0] - 1.0 / kappa)),

@@ -118,7 +118,7 @@ class ModelParams:
         return max(1.0, self.kappa) * float(np.max(np.abs(v[1] * gp) + np.abs(m)))
 
     def midpoint_stage(self, u, dt: float) -> float:
-        """Advance u, of shape (2, *grid shape), in place to u + dt H(u + dt/2 H(u))
+        """Advance u, of shape (2, ...), in place to u + dt H(u + dt/2 H(u))
         and return stage_rate(u), from one g evaluation per point.
 
         g(x) at x = 1/kappa + u1 gives g' = g / x^2, the rate and H(u); g at
@@ -128,23 +128,23 @@ class ModelParams:
         """
         kappa = self.kappa
         ek = np.exp(-kappa)
-        x = 1.0 / kappa + u[0]
+        x = 1.0 / kappa + u[:1]  # row slices keep a single state (2,) an array
         m = eval_g(x)
         np.multiply(x, x, out=x)
         gp = np.divide(m, np.fmax(x, 5e-324, out=x))  # 0 / floor = 0 where g is 0
         m -= ek
-        np.multiply(u[1], gp, out=gp)
+        np.multiply(u[1:], gp, out=gp)
         np.abs(gp, out=gp)
         gp += np.abs(m, out=x)
         rate = max(1.0, kappa) * float(np.max(gp))
-        r = np.multiply(m, u[1], out=m)  # H(u) = (1, -kappa)^T r
-        np.add(np.multiply(r, 0.5 * dt, out=x), u[0], out=x)  # the midpoint in (x, gp)
-        np.add(np.multiply(np.multiply(r, -kappa, out=gp), 0.5 * dt, out=gp), u[1], out=gp)
+        r = np.multiply(m, u[1:], out=m)  # H(u) = (1, -kappa)^T r
+        np.add(np.multiply(r, 0.5 * dt, out=x), u[:1], out=x)  # the midpoint in (x, gp)
+        np.add(np.multiply(np.multiply(r, -kappa, out=gp), 0.5 * dt, out=gp), u[1:], out=gp)
         m = eval_g(np.add(x, 1.0 / kappa, out=x))
         m -= ek
         r = np.multiply(m, gp, out=m)
-        u[1] += np.multiply(np.multiply(r, -kappa, out=x), dt, out=x)
-        u[0] += np.multiply(r, dt, out=r)
+        u[1:] += np.multiply(np.multiply(r, -kappa, out=x), dt, out=x)
+        u[:1] += np.multiply(r, dt, out=r)
         return rate
 
     def describe(self) -> dict:

@@ -32,6 +32,7 @@ __all__ = [
     "norm_weighted",
     "NormRecorder",
     "WeightOverflowError",
+    "fit_window",
     "fit_decay",
     "verify_stability_theorem",
     "write_norms_csv",
@@ -42,6 +43,9 @@ SUPPORT_CUTOFF = 1e-300
 # record times are sums of dt: a record this close to a fit-window edge,
 # relative to the largest |t|, is on the edge (round-off there is ~1e-14)
 WINDOW_EDGE_RTOL = 1e-9
+FIT_SKIP_FRACTION = 0.1   # share of the time range the default fit window drops
+MIN_FIT_SAMPLES = 10      # fewest samples fit_decay fits a rate to
+VERDICT_SOBOLEV_K = 0     # the verdict's norms are H^0
 
 
 def _component_view(data: np.ndarray, grid) -> np.ndarray:
@@ -293,29 +297,37 @@ class DecayFit:
     first_nonpositive_t: Optional[float] = None
 
 
-def fit_decay(times, values, window: Optional[tuple] = None,
-              skip_fraction: float = 0.1) -> DecayFit:
+def fit_window(times, window: Optional[tuple] = None) -> tuple[tuple, np.ndarray]:
+    """(window, mask of the times inside it) of a decay fit on times.
+
+    The window defaults to the full range with its first FIT_SKIP_FRACTION
+    dropped (initial transient).  A time within WINDOW_EDGE_RTOL (relative
+    to the largest |t|) of an edge counts as inside, so the samples do not
+    depend on round-off in a time axis summed from steps.
+    """
+    t = np.asarray(times, dtype=float)
+    if window is None:
+        window = (t[0] + FIT_SKIP_FRACTION * (t[-1] - t[0]), t[-1])
+    slack = WINDOW_EDGE_RTOL * float(np.max(np.abs(t), initial=0.0))
+    return window, (t >= window[0] - slack) & (t <= window[1] + slack)
+
+
+def fit_decay(times, values, window: Optional[tuple] = None) -> DecayFit:
     """Fit an exponential decay rate on a time window of a positive series.
 
-    The window defaults to the full range with the first `skip_fraction` of
-    samples dropped (initial transient).  A time within WINDOW_EDGE_RTOL
-    (relative to the largest |t|) of an edge counts as inside, so the
-    samples do not depend on round-off in a time axis summed from steps.
-    Nonpositive values inside the window mean the series decayed below
-    measurability: the fit is reported with the +inf rate sentinel instead
-    of failing.
+    The samples are those fit_window selects; fewer than MIN_FIT_SAMPLES
+    raise ValueError.  Nonpositive values inside the window mean the series
+    decayed below measurability: the fit is reported with the +inf rate
+    sentinel instead of failing.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-d arrays of equal length")
-    if window is None:
-        lo = t[0] + skip_fraction * (t[-1] - t[0])
-        window = (lo, t[-1])
-    slack = WINDOW_EDGE_RTOL * float(np.max(np.abs(t), initial=0.0))
-    sel = (t >= window[0] - slack) & (t <= window[1] + slack)
-    if int(np.sum(sel)) < 10:
-        raise ValueError(f"need at least 10 samples in the fit window, got {int(np.sum(sel))}")
+    window, sel = fit_window(t, window)
+    if int(np.sum(sel)) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples in the fit window, "
+                         f"got {int(np.sum(sel))}")
     tw, yw = t[sel], y[sel]
     if np.any(yw <= 0.0):
         first_bad = float(tw[np.argmax(yw <= 0.0)])
@@ -365,9 +377,9 @@ def verify_stability_theorem(series: NormSeries, eta: float, delta: float,
                              nu_expected: float, rho_expected: float,
                              rate_floor: float = 0.8,
                              c1_cap: float = 10.0,
-                             window: Optional[tuple] = None,
-                             k: int = 0) -> VerdictReport:
-    """Evaluate the stability-theorem items on a recorded norm series.
+                             window: Optional[tuple] = None) -> VerdictReport:
+    """Evaluate the stability-theorem items on a recorded norm series, in
+    the H^VERDICT_SOBOLEV_K norms.
 
     (2) sup_t |v(t)|_E <= delta;
     (3) fitted weighted decay rate >= rate_floor * nu_expected, with the
@@ -383,6 +395,7 @@ def verify_stability_theorem(series: NormSeries, eta: float, delta: float,
     reported; failures are verdicts, never errors.
     """
     t = series.times
+    k = VERDICT_SOBOLEV_K
     vE = series.column("normE_v", k)
     valpha = series.column("normalpha_v", k)
     v1 = series.column("norm0_v1", k)

@@ -51,6 +51,7 @@ __all__ = [
     "apply_linear_exact",
     "step_imex",
     "dt_max",
+    "record_times",
     "run",
 ]
 
@@ -373,6 +374,36 @@ def _boundary_mass_fractions(grid: Grid, fields: np.ndarray, alpha: float) -> np
     return frac
 
 
+def _schedule(T: float, dt: float, record_every: int) -> tuple[int, float]:
+    """(steps, step) of a run to time T: dt lowered to land on T exactly.
+
+    ValueError unless T and dt are positive and finite, T / dt is at most
+    MAX_RUN_STEPS and record_every is at least 1.
+    """
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("T and dt must be positive and finite")
+    if not T / dt <= MAX_RUN_STEPS:
+        raise ValueError(f"T / dt = {T / dt:.3g} steps exceeds the limit of "
+                         f"{MAX_RUN_STEPS:.0e} steps per run")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    nsteps = max(1, math.ceil(T / dt - 1e-12))
+    return nsteps, T / nsteps
+
+
+def record_times(T: float, dt: float, record_every: int) -> list:
+    """Record times of run(..., T=T, dt=dt, record_every=record_every) from a
+    field at t = 0, known before the run: 0, then the time summed step by
+    step after every record_every steps and after the last."""
+    nsteps, step_dt = _schedule(T, dt, record_every)
+    times, t = [0.0], 0.0
+    for step in range(1, nsteps + 1):
+        t = t + step_dt
+        if step % record_every == 0 or step == nsteps:
+            times.append(t)
+    return times
+
+
 @dataclass
 class RunResult:
     """Norm series, snapshots, and diagnostics of one evolution."""
@@ -407,13 +438,7 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
     ValueError; a guard that trips later raises SimulationError naming the
     first record it trips at.  The (v1, v2) split of the records is model.n1.
     """
-    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
-        raise ValueError("T and dt must be positive and finite")
-    if not T / dt <= MAX_RUN_STEPS:
-        raise ValueError(f"T / dt = {T / dt:.3g} steps exceeds the limit of "
-                         f"{MAX_RUN_STEPS:.0e} steps per run")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    nsteps, dt_eff = _schedule(T, dt, record_every)
     if isinstance(perturbation, FieldState):
         if perturbation.data.shape != (model.n,) + grid.shape:
             raise ValueError(f"field shape {perturbation.data.shape} is not (model.n, *grid "
@@ -423,8 +448,6 @@ def run(model: Model, grid: Grid, perturbation: Union[Perturbation, FieldState],
         state = perturbation.copy()
     else:
         state, _ = build_perturbation(grid, perturbation, model, alpha)
-    nsteps = max(1, math.ceil(T / dt - 1e-12))
-    dt_eff = T / nsteps
     block = 1 if nonlinear else max(1, min(-(-nsteps // record_every),
                                            RECORD_BLOCK_BYTES // (6 * state.data.nbytes)))
     recorder = _norms.NormRecorder(grid, alpha, model.n, model.n1, records=block)

@@ -54,6 +54,10 @@ __all__ = [
     "write_spectrum_csv",
 ]
 
+EXTENT_MARGIN = 1e-9   # room auto_extent leaves in its abscissa bound
+EXTENT_FLOOR = 4.0     # smallest auto_extent; also the extent of an uncertified sweep
+
+
 @dataclass(frozen=True)
 class SymbolMatrix:
     """Evaluation rule xi -> S(xi) for one linearized end-state operator.
@@ -201,15 +205,11 @@ class SpectrumSweep:
     xi: np.ndarray          # (n_samples, d)
     eigvals: np.ndarray     # (n_samples, n), sorted by descending real part
     realized_abscissa: float
-    closed_form_abscissa: Optional[float]
     extent: float
-    m: int
-    grid_spacing: float
     certified: bool         # extent large enough that the tail cannot move the abscissa
 
 
-def auto_extent(sym: SymbolMatrix, margin: float = 1e-9,
-                floor: float = 4.0) -> tuple[float, bool]:
+def auto_extent(sym: SymbolMatrix) -> tuple[float, bool]:
     """Per-axis extent R such that frequencies beyond R cannot raise the abscissa.
 
     Triangular symbols: each family is a parabola in |xi| with vertex at 0,
@@ -217,8 +217,9 @@ def auto_extent(sym: SymbolMatrix, margin: float = 1e-9,
     |xi|^2 D_j; families with zero diffusion are constant and never exceed it.
     General symbols: the numerical-abscissa bound
     Re lambda(S(xi)) <= -min(D) |xi|^2 + alpha^2 max(D) - alpha c + lam_max(Herm B)
-    is inverted when min(D) > 0; otherwise the floor is used and the sweep is
-    reported as uncertified.
+    is inverted when min(D) > 0; otherwise EXTENT_FLOOR is used and the sweep
+    is reported as uncertified.  The extent is at least EXTENT_FLOOR and
+    leaves EXTENT_MARGIN of room in the bound.
     """
     D = sym.D_array
     if sym.is_triangular:
@@ -227,16 +228,17 @@ def auto_extent(sym: SymbolMatrix, margin: float = 1e-9,
         r2 = 0.0
         for fam, dj in zip(fams, D):
             if dj > 0.0:
-                r2 = max(r2, (fam - A + margin) / dj)
-        return max(floor, float(np.sqrt(max(r2, 0.0)))), True
+                r2 = max(r2, (fam - A + EXTENT_MARGIN) / dj)
+        return max(EXTENT_FLOOR, float(np.sqrt(max(r2, 0.0)))), True
     dmin = float(np.min(D))
     B = sym.B_array
     herm_top = float(np.max(np.linalg.eigvalsh(0.5 * (B + B.T))))
     a0 = float(np.max(np.linalg.eigvals(eval_symbol(sym, np.zeros(sym.d))).real))
     if dmin <= 0.0:
-        return floor, False
-    r2 = (sym.alpha**2 * float(np.max(D)) - sym.alpha * sym.c + herm_top - a0 + margin) / dmin
-    return max(floor, float(np.sqrt(max(r2, 0.0)))), True
+        return EXTENT_FLOOR, False
+    r2 = (sym.alpha**2 * float(np.max(D)) - sym.alpha * sym.c + herm_top - a0
+          + EXTENT_MARGIN) / dmin
+    return max(EXTENT_FLOOR, float(np.sqrt(max(r2, 0.0)))), True
 
 
 def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> SpectrumSweep:
@@ -268,10 +270,7 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
         xi=xi,
         eigvals=vals,
         realized_abscissa=float(np.max(vals.real)),
-        closed_form_abscissa=closed_form_abscissa(sym),
         extent=R,
-        m=m,
-        grid_spacing=float(axis[1] - axis[0]),
         certified=certified,
     )
 

@@ -454,7 +454,9 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, BASE_SIM)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
+        assert "the fit window holds 8 of the 9 records" in err
         assert "[verify] window" in err and "[time] record_every" in err
+        assert not (tmp_path / "o" / "norms.csv").exists()  # rejected before the run
 
     def test_failing_rate_exits_1(self, tmp_path):
         # alpha tiny: expected weighted rate 0.24 demanded via explicit
@@ -675,6 +677,8 @@ class TestExitCodes:
         ("verify", "verify", "delta = nan\n[grid]\nl = 20\nn = 64\n[time]\nt = 1\ndt = 0.1",
          "[verify] delta"),
         ("verify", "verify", "delta = abc", "[verify] delta"),
+        ("verify", "verify", "delta = -1", "[verify] delta must be >= 0"),
+        ("verify", "verify", "c1_cap = -1", "[verify] c1_cap must be >= 0"),
         ("verify", "verify", "window = 4.0, 0.5", "[verify] window"),
         ("verify", "verify", "window = nan, 4.0", "[verify] window"),
         ("simulate", "grid", "l = inf", "half-lengths must be positive and finite"),
@@ -686,7 +690,8 @@ class TestExitCodes:
             "spectrum_c_inf", "t_inf", "dt_inf", "record_every_inf", "d_zero",
             "d_disagrees_with_l_and_n", "envelope_t_max_negative", "amplitude_nan",
             "amplitude_inf", "eta_nan", "eta_inf", "center_nan", "width_nan",
-            "rate_floor_nan", "c1_cap_nan", "delta_nan", "delta_text", "window_reversed",
+            "rate_floor_nan", "c1_cap_nan", "delta_nan", "delta_text", "delta_negative",
+            "c1_cap_negative", "window_reversed",
             "window_nan", "l_inf", "r_inf", "sweep_no_values"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"

@@ -521,6 +521,11 @@ class TestMidpointStage:
         u = np.stack([u1, np.full_like(u1, 1e-310)])
         self.assert_composition(p, u, 0.01)
 
+    @pytest.mark.parametrize("u", [[0.1, 0.2], [-1.0, 0.5], [0.0, 0.0], [np.nan, 1.0]])
+    def test_combustion_single_state(self, u):
+        # one state of shape (2,), as a block system takes one of shape (n,)
+        self.assert_composition(params(kappa=1.0), np.array(u), 0.05)
+
     def test_gasless(self):
         sys = make_gasless_system(1.3)
         rng = np.random.default_rng(22)

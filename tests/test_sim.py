@@ -17,6 +17,7 @@ from frontlab.sim import (
     build_perturbation,
     dt_max,
     linear_propagator,
+    record_times,
     run,
     step_imex,
 )
@@ -518,6 +519,25 @@ class TestRun:
             if step % 3 == 0 or step == 10:
                 expect.append(t)
         assert res.series.times.tolist() == expect
+
+    @pytest.mark.filterwarnings("ignore:boundary contamination")
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("T, dt, record_every", [(1.0, 0.1, 3), (2.05, 0.1, 4),
+                                                     (0.3, 0.5, 7), (1.0, 0.01, 1)])
+    def test_record_times_are_known_before_the_run(self, nonlinear, T, dt, record_every):
+        res = run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1), ALPHA,
+                  T=T, dt=dt, record_every=record_every, nonlinear=nonlinear)
+        assert record_times(T, dt, record_every) == res.series.times.tolist()
+
+    @pytest.mark.parametrize("T, dt, record_every, match", [
+        (0.0, 0.1, 1, "T and dt must be positive"), (1.0, 1e-320, 1, "exceeds the limit"),
+        (1.0, 0.1, 0, "record_every must be >= 1")])
+    def test_record_times_reject_what_run_rejects(self, T, dt, record_every, match):
+        for call in (lambda: record_times(T, dt, record_every),
+                     lambda: run(params(), Grid(L=10.0, N=64), Perturbation(amplitude=0.1),
+                                 ALPHA, T=T, dt=dt, record_every=record_every)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_field_of_the_wrong_shape_is_rejected(self, nonlinear):
