@@ -46,7 +46,6 @@ from .spectral import (
     optimal_weight,
     semigroup_envelope,
     sweep_symbol,
-    tensor_sum_check,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +56,7 @@ __all__ = [
     "jacobian_at_minus", "make_exo_endo_system", "make_gasless_system",
     "SpectrumSweep", "SymbolMatrix", "block_abscissas", "eigvals_symbol",
     "eval_symbol", "exact_propagator", "optimal_weight", "semigroup_envelope",
-    "sweep_symbol", "tensor_sum_check",
+    "sweep_symbol",
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",
     "FieldState", "Grid", "Perturbation", "apply_linear_exact",
     "build_perturbation", "linear_propagator", "run", "step_imex",

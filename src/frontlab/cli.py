@@ -20,7 +20,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -231,6 +231,7 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
 
     sym_u = _spectral.SymbolMatrix.of(model, d=d)
     sym_w = _spectral.SymbolMatrix.of(model, d=d, alpha=alpha)
+    sym_w1 = replace(sym_w, d=1)  # the 1D weighted symbol
     closed_u = _spectral.closed_form_abscissa(sym_u)
     closed_w = _spectral.closed_form_abscissa(sym_w)
     astar, vstar = _spectral.optimal_weight(model.c)
@@ -265,17 +266,18 @@ def cmd_spectrum(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         t_grid = np.linspace(0.0, t_max, 801)
         xi_grid = np.linspace(-sw_w.extent, sw_w.extent, 401)
         try:
-            K_est, nu = _spectral.semigroup_envelope(
-                _spectral.SymbolMatrix.of(model, alpha=alpha), t_grid, xi_grid)
+            K_est, nu = _spectral.semigroup_envelope(sym_w1, t_grid, xi_grid)
             metrics["nu"] = nu
             metrics["envelope_K"] = K_est
         except (ValueError, RuntimeError) as exc:
             metrics["envelope_error"] = str(exc)
             code = 1
     if d >= 2:
-        rep = _spectral.tensor_sum_check(model, alpha, R=sw_w.extent, m=min(m, 101), d=d)
-        metrics["tensor_sum_difference"] = rep["difference"]
-        if rep["difference"] > 1e-10:
+        # transverse frequencies only add (-inf, 0]: the abscissa is the 1D one
+        sw_w1 = _spectral.sweep_symbol(sym_w1, R=sw_w.extent, m=m)
+        gap = abs(sw_w1.realized_abscissa - sw_w.realized_abscissa)
+        metrics["tensor_sum_difference"] = gap
+        if gap > 1e-10:
             code = 1
     return code, metrics
 
@@ -420,7 +422,8 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
 
     Negative bounds and a fit window holding fewer than
     norms.MIN_FIT_SAMPLES records are configuration errors, found before
-    the run.
+    the run.  A model whose sharp rates are not both positive is outside
+    the theorem: exit 1, also before the run.
     """
     model, alpha = _build_model(scenario)
     nu_expected, rho_expected = _expected_rates(model, alpha)
@@ -444,6 +447,12 @@ def cmd_verify(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
         raise ConfigError(f"the fit window holds {fitted} of the {len(times)} records, "
                           f"fewer than the {_norms.MIN_FIT_SAMPLES} a decay fit needs; "
                           "widen [verify] window or lower [time] record_every")
+    for rate, what in ((nu_expected, "the weighted symbol (item 3)"),
+                       (rho_expected, f"the second block, components {model.n1 + 1}-"
+                                      f"{model.n} (item 5)")):
+        if not rate > 0.0:  # + 0.0 prints -0.0 as 0
+            return 1, {"error": f"theorem does not apply: the sharp rate of {what} is "
+                                f"{rate + 0.0:.6g}, not positive", "overall_pass": False}
     try:
         result = _run_simulation(outdir, model, alpha, inputs)
     except _sim.SimulationError as exc:

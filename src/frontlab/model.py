@@ -158,7 +158,8 @@ class BlockSystem:
 
     The state v in R^(n1+n2) measures the deviation from the steady state, so
     f(0) = 0 and the first block satisfies f(v1, 0) = (A1 v1, 0) for a
-    constant matrix A1 (checked by randomized probing at construction).
+    constant matrix A1.  Construction does not check this:
+    check_block_structure probes it, and make_exo_endo_system calls it.
 
     f and jac must be stateless callables; f maps an array of shape
     (n, ...) to the same shape (broadcasting over trailing axes), jac maps a

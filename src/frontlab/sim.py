@@ -191,7 +191,10 @@ class Perturbation:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(x) for x in np.atleast_1d(self.center)))
         object.__setattr__(self, "widths", tuple(float(x) for x in np.atleast_1d(self.widths)))
-        object.__setattr__(self, "mask", tuple(int(bool(x)) for x in np.atleast_1d(self.mask)))
+        mask = np.atleast_1d(self.mask).tolist()
+        if not all(x in (0, 1) for x in mask):  # booleans included
+            raise ValueError(f"mask entries must be 0 or 1, got {self.mask}")
+        object.__setattr__(self, "mask", tuple(int(x) for x in mask))
         if self.shape not in ("gaussian", "bump"):
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
         if self.amplitude is not None and not 0.0 <= self.amplitude < math.inf:

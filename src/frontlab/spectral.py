@@ -48,7 +48,6 @@ __all__ = [
     "block_abscissas",
     "auto_extent",
     "sweep_symbol",
-    "tensor_sum_check",
     "exact_propagator",
     "semigroup_envelope",
     "write_spectrum_csv",
@@ -112,23 +111,12 @@ def _freeze(mat: np.ndarray) -> tuple:
     return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(mat))
 
 
-def eval_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
-    """Symbol matrix S(xi) as a complex (n, n) array.
-
-    Raises ValueError when the frequency dimension does not match sym.d.
-    """
+def _frequency(sym: SymbolMatrix, xi) -> np.ndarray:
+    """xi as a float array of shape (sym.d,); ValueError for any other shape."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (sym.d,):
         raise ValueError(f"expected frequency of dimension {sym.d}, got shape {xi.shape}")
-    xi2 = float(np.dot(xi, xi))
-    xi1 = float(xi[0])
-    D = np.diag(sym.D_array).astype(complex)
-    n = sym.n
-    out = -xi2 * D
-    out += (1j * sym.c * xi1 - sym.alpha * sym.c) * np.eye(n)
-    out += (sym.alpha**2 - 2j * xi1 * sym.alpha) * D
-    out += sym.B_array
-    return out
+    return xi
 
 
 def _diagonal_curves(sym: SymbolMatrix, xi2, xi1):
@@ -141,22 +129,48 @@ def _diagonal_curves(sym: SymbolMatrix, xi2, xi1):
             + (sym.alpha**2 - 2j * xi1 * sym.alpha) * D + Bdiag)
 
 
-def eigvals_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
-    """Eigenvalues of S(xi), sorted by descending real part.
+def _symbol_stack(sym: SymbolMatrix, xi2, xi1) -> np.ndarray:
+    """S(xi) stacked over broadcastable |xi|^2 and xi_1 arrays, shape (..., n, n).
 
-    Triangular symbols return their diagonal entries exactly; otherwise a
-    dense eigenvalue solve is used and any non-convergence is surfaced as
+    The diagonal is _diagonal_curves; off the diagonal S(xi) is B at every xi.
+    """
+    diag = _diagonal_curves(sym, xi2, xi1)
+    B = sym.B_array
+    n = sym.n
+    S = np.zeros(diag.shape + (n,), dtype=complex)
+    S[...] = B - np.diag(np.diag(B))
+    S[..., np.arange(n), np.arange(n)] = diag
+    return S
+
+
+def _sorted_eigvals(sym: SymbolMatrix, xi2, xi1) -> np.ndarray:
+    """Eigenvalues of S(xi) at the samples, shape (..., n), by descending real part.
+
+    Triangular symbols give their diagonal exactly; any other symbol takes
+    one batched dense solve, whose non-convergence surfaces as
     numpy.linalg.LinAlgError.
     """
     if sym.is_triangular:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape != (sym.d,):
-            raise ValueError(f"expected frequency of dimension {sym.d}, got shape {xi.shape}")
-        vals = _diagonal_curves(sym, np.dot(xi, xi), xi[0])[0]
+        vals = _diagonal_curves(sym, xi2, xi1)
     else:
-        vals = np.linalg.eigvals(eval_symbol(sym, xi))
-    order = np.argsort(-vals.real, kind="stable")
-    return vals[order]
+        vals = np.linalg.eigvals(_symbol_stack(sym, xi2, xi1))
+    order = np.argsort(-vals.real, axis=-1, kind="stable")
+    return np.take_along_axis(vals, order, axis=-1)
+
+
+def eval_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
+    """Symbol matrix S(xi) as a complex (n, n) array.
+
+    Raises ValueError when the frequency dimension does not match sym.d.
+    """
+    xi = _frequency(sym, xi)
+    return _symbol_stack(sym, np.dot(xi, xi), xi[0])[0]
+
+
+def eigvals_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
+    """Eigenvalues of S(xi), sorted by descending real part (see _sorted_eigvals)."""
+    xi = _frequency(sym, xi)
+    return _sorted_eigvals(sym, np.dot(xi, xi), xi[0])[0]
 
 
 def family_real_parts(sym: SymbolMatrix) -> np.ndarray:
@@ -259,13 +273,7 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
     axis = np.linspace(-R, R, m)
     grids = np.meshgrid(*([axis] * sym.d), indexing="ij")
     xi = np.stack([g.ravel() for g in grids], axis=-1)
-    if sym.is_triangular:
-        xi2 = np.sum(xi**2, axis=-1)
-        vals = _diagonal_curves(sym, xi2, xi[:, 0])
-        order = np.argsort(-vals.real, axis=-1, kind="stable")
-        vals = np.take_along_axis(vals, order, axis=-1)
-    else:
-        vals = np.stack([eigvals_symbol(sym, x) for x in xi])
+    vals = _sorted_eigvals(sym, np.sum(xi**2, axis=-1), xi[:, 0])
     return SpectrumSweep(
         xi=xi,
         eigvals=vals,
@@ -273,34 +281,6 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
         extent=R,
         certified=certified,
     )
-
-
-def tensor_sum_check(model: Model, alpha: float, R: float = 20.0, m: int = 41,
-                     d: int = 2) -> dict:
-    """Compare the d-dimensional weighted sweep abscissa with the 1-dimensional one.
-
-    Transverse frequencies only append -(sum of squares) scaled by the
-    diffusion entries, i.e. the spectrum gains the semiline (-inf, 0] and the
-    abscissa is unchanged; both grids contain xi = 0 so the realized values
-    agree to rounding.
-    """
-    if d < 2:
-        raise ValueError("tensor-sum comparison needs d >= 2")
-    if not R > 0.0 or m < 3:
-        raise ValueError("need R > 0 and m >= 3")
-    sym1 = SymbolMatrix.of(model, d=1, alpha=alpha)
-    symd = SymbolMatrix.of(model, d=d, alpha=alpha)
-    sw1 = sweep_symbol(sym1, R=R, m=m)
-    swd = sweep_symbol(symd, R=R, m=m)
-    return {
-        "d": d,
-        "abscissa_1d": sw1.realized_abscissa,
-        "abscissa_dd": swd.realized_abscissa,
-        "difference": abs(sw1.realized_abscissa - swd.realized_abscissa),
-        "closed_form": closed_form_abscissa(sym1),
-        "extent": R,
-        "m": m,
-    }
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -356,10 +336,10 @@ def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     """
     if np.any(np.asarray(dt) < 0.0):
         raise ValueError("dt must be nonnegative")
-    diag = _diagonal_curves(sym, xi2, xi1)
     B = sym.B_array
     n = sym.n
     if _closed_form_exponential(sym):
+        diag = _diagonal_curves(sym, xi2, xi1)
         S = [diag[..., j] for j in range(n)]
         E = [np.exp(s * dt) for s in S]
 
@@ -376,10 +356,7 @@ def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     # none of it on the closed-form path
     import scipy.linalg
 
-    S = np.zeros(diag.shape + (n,), dtype=complex)
-    S[...] = B - np.diag(np.diag(B))
-    S[..., np.arange(n), np.arange(n)] = diag
-    E = scipy.linalg.expm(S * dt)
+    E = scipy.linalg.expm(_symbol_stack(sym, xi2, xi1) * dt)
     rows = tuple(tuple((j, np.ascontiguousarray(E[..., i, j])) for j in range(n)
                        if np.any(E[..., i, j] != 0.0))
                  for i in range(n))

@@ -684,6 +684,8 @@ class TestExitCodes:
         ("simulate", "grid", "l = inf", "half-lengths must be positive and finite"),
         ("spectrum", "spectrum", "r = inf", "[spectrum] r"),
         ("sweep", "sweep", "command = spectrum\naxis = weights.alpha\nvalues =", "[sweep] values"),
+        ("simulate", "perturbation", "mask = 0, 2", "mask entries must be 0 or 1"),
+        ("simulate", "perturbation", "mask = -1, 1", "mask entries must be 0 or 1"),
     ], ids=["m_even", "r_text", "r_negative", "span_three_values", "bracket_reversed",
             "s0_nan", "span_nan", "span_inf", "tol_1e-300", "tol_1e-100", "tol_inf",
             "kappa_inf", "c_max_inf", "orbit_tol_1e-100", "spectrum_kappa_inf",
@@ -692,7 +694,7 @@ class TestExitCodes:
             "amplitude_inf", "eta_nan", "eta_inf", "center_nan", "width_nan",
             "rate_floor_nan", "c1_cap_nan", "delta_nan", "delta_text", "delta_negative",
             "c1_cap_negative", "window_reversed",
-            "window_nan", "l_inf", "r_inf", "sweep_no_values"])
+            "window_nan", "l_inf", "r_inf", "sweep_no_values", "mask_two", "mask_negative"])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, section, setting, named):
         model = "[model]\nkind = combustion\n"
         cfg = write_config(tmp_path, model + setting + "\n" if section == "model"
@@ -918,6 +920,28 @@ class TestVerifyEveryKind:
         assert float(verdict["item3_expected"]) == 0.3 - 0.3**2
         assert float(verdict["item5_expected"]) == np.exp(-1.0)
         assert verdict["overall_pass"] == "true"
+
+    def test_exo_endo_is_outside_the_theorem(self, tmp_path):
+        # B = 0 at the cold state: the second block's sharp rate is 0, so a
+        # fitted rate could only pass vacuously
+        cfg = write_config(tmp_path, joined(EXO_ENDO, """
+            [weights]
+            alpha = 0.3
+
+            [grid]
+            l = 20
+            n = 64
+
+            [perturbation]
+            mask = 1, 1, 1
+        """))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        assert ("error: theorem does not apply: the sharp rate of the second block, "
+                "components 2-3 (item 5) is 0, not positive") in summary
+        assert "overall_pass: false" in summary
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]  # nothing ran
 
     def test_combustion_rates_are_the_closed_forms(self):
         from frontlab.cli import _expected_rates

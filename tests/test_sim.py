@@ -114,6 +114,13 @@ class TestBuildPerturbation:
         with pytest.raises(ValueError):
             build_perturbation(g, Perturbation(mask=(1, 1, 1)), params(), ALPHA)
 
+    @pytest.mark.parametrize("mask", [(0, 2), (-1, 1), (0.5, 1)])
+    def test_mask_entries_are_zero_or_one(self, mask):
+        # these ran silently as (0, 1), (1, 1) and (1, 1)
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            Perturbation(mask=mask)
+        assert Perturbation(mask=(True, False)).mask == (1, 0)
+
 
 class TestLinearExact:
     def test_zero_field_stays_zero(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,6 @@ from frontlab.spectral import (
     optimal_weight,
     semigroup_envelope,
     sweep_symbol,
-    tensor_sum_check,
     write_spectrum_csv,
 )
 from oracles import abscissa_weighted
@@ -258,12 +259,16 @@ class TestSweepMachinery:
                            atol=1e-12)
 
     def test_tensor_sum(self):
+        # transverse frequencies only add (-inf, 0]: the d = 2 sweep's
+        # abscissa is the d = 1 sweep's
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             c = rng.uniform(0.3, 2.0)
             p = ModelParams(epsilon=rng.uniform(0.0, 0.9), kappa=rng.uniform(0.2, 3.0), c=c)
-            rep = tensor_sum_check(p, rng.uniform(0.05, 0.45) * c, R=15.0, m=31)
-            assert rep["difference"] <= 1e-10
+            alpha = rng.uniform(0.05, 0.45) * c
+            sw1, sw2 = (sweep_symbol(SymbolMatrix.of(p, d=d, alpha=alpha), R=15.0, m=31)
+                        for d in (1, 2))
+            assert abs(sw1.realized_abscissa - sw2.realized_abscissa) <= 1e-10
 
     def test_transverse_slice_reproduces_1d(self):
         p = params()
@@ -361,6 +366,36 @@ def fast_second_toy():
     return BlockSystem(n1=1, n2=1, d1=[0.0], d2=[1.0], A1=[[0.0]],
                        f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
                        jac=lambda v: B.copy(), name="fast-second-toy")
+
+
+class TestNonTriangularSweep:
+    """The batched dense path of sweep_symbol, sample by sample."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_rows_match_per_sample_eigvals(self, d, alpha):
+        sym = SymbolMatrix.of(rotation_toy(), d=d, alpha=alpha)
+        assert not sym.is_triangular
+        sw = sweep_symbol(sym, R=5.0, m=21)
+        assert sw.eigvals.shape == (len(sw.xi), 3)
+        for xi, row in zip(sw.xi, sw.eigvals):
+            vals = np.linalg.eigvals(eval_symbol(sym, xi))
+            tol = 1e-13 * np.max(np.abs(vals))
+            assert np.max(np.abs(row.real - np.sort(vals.real)[::-1])) <= tol
+            # a pair whose real parts tie in exact arithmetic may come in
+            # either order, so the row is matched as a set
+            assert min(np.max(np.abs(row[list(order)] - vals))
+                       for order in itertools.permutations(range(3))) <= tol
+        assert sw.realized_abscissa == np.max(sw.eigvals.real)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_auto_extent_certifies(self, alpha):
+        # min(D) = 0.2 > 0: the numerical-abscissa bound certifies the tail
+        sym = SymbolMatrix.of(rotation_toy(), d=2, alpha=alpha)
+        R, certified = auto_extent(sym)
+        assert certified and R >= 4.0
+        sw = sweep_symbol(sym, m=31)
+        assert sw.certified and sw.extent == R
 
 
 class TestExactPropagator:
