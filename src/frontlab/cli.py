@@ -354,10 +354,8 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState, meta: dict) 
     """One CSV per component and a meta JSON: meta plus the time and the
     component count of state."""
     for comp in range(state.data.shape[0]):
-        path = outdir / f"snapshot_{tag}_c{comp}.csv"
-        values = state.data[comp].ravel().tolist()
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(map("{:.17g}".format, values)) + "\n")
+        with open(outdir / f"snapshot_{tag}_c{comp}.csv", "w", newline="") as fh:
+            _norms.write_rows(fh, [state.data[comp].ravel()], "%.17g\n")
     meta = dict(meta, t=state.t, components=int(state.data.shape[0]))
     (outdir / f"snapshot_{tag}_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")

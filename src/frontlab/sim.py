@@ -270,7 +270,8 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     would break the conjugate symmetry real fields need; it is projected to
     zero (its content is below rounding for resolved fields).  Its index
     N_z / 2 is the same in 1D, where z is the halved axis, and in 2D, where
-    z is the full first axis.
+    z is the full first axis.  exact_propagator writes the entries into the
+    arrays kept here, in row blocks of spectral.SAMPLE_BLOCK samples.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")

@@ -29,12 +29,14 @@ for every shipped model, and by one batched matrix exponential otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import Model
+from .norms import write_rows
 
 __all__ = [
     "SymbolMatrix",
@@ -55,6 +57,9 @@ __all__ = [
 
 EXTENT_MARGIN = 1e-9   # room auto_extent leaves in its abscissa bound
 EXTENT_FLOOR = 4.0     # smallest auto_extent; also the extent of an uncertified sweep
+# samples per block of the propagator build and the envelope: 64 KiB per
+# complex array, which bounds their temporaries on any sample set
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -284,18 +289,29 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z elementwise, series for small |z|, expm1-based otherwise."""
+    """(e^z - 1)/z elementwise, series for small |z|, expm1-based otherwise;
+    masked copies of z only where the two kinds mix."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
     small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zb = z[~small]
-    x, y = zb.real, zb.imag
+    if small.all():
+        return _phi1_series(z)
+    if not small.any():
+        return _phi1_expm1(z)
+    out = np.empty_like(z)
+    out[small] = _phi1_series(z[small])
+    out[~small] = _phi1_expm1(z[~small])
+    return out
+
+
+def _phi1_series(z: np.ndarray) -> np.ndarray:
+    return 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
+
+
+def _phi1_expm1(z: np.ndarray) -> np.ndarray:
+    x, y = z.real, z.imag
     expm1c = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2
               ) + 1j * np.exp(x) * np.sin(y)
-    out[~small] = expm1c / zb
-    return out
+    return expm1c / z
 
 
 @dataclass(frozen=True)
@@ -316,6 +332,51 @@ def _closed_form_exponential(sym: SymbolMatrix) -> bool:
     return sym.is_triangular and not np.any(N @ N)
 
 
+def _closed_form_rows(sym: SymbolMatrix, xi2, xi1, dt) -> tuple:
+    """Propagator.rows of the closed-form exponential (see exact_propagator).
+
+    Each entry is allocated once at the broadcast shape of the samples and
+    dt, and filled in blocks of leading-axis rows of at most SAMPLE_BLOCK
+    samples (at least one row), so the temporaries stay at block size.
+    """
+    B = sym.B_array
+    n = sym.n
+    xi2, xi1 = np.atleast_1d(xi2), np.atleast_1d(xi1)
+    shape = np.broadcast_shapes(xi2.shape, xi1.shape, np.shape(dt))
+    E = [np.empty(shape, dtype=complex) for _ in range(n)]
+    off = {(i, j): np.empty(shape, dtype=complex)
+           for i in range(n) for j in range(i + 1, n) if B[i, j] != 0.0}
+    step = max(1, SAMPLE_BLOCK // max(1, math.prod(shape[1:])))
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        # an input constant along the leading axis is used whole
+        block = [a[rows] if np.ndim(a) == len(shape) and np.shape(a)[0] > 1 else a
+                 for a in (xi2, xi1, dt)]
+        _closed_form_block(sym, *block, [e[rows] for e in E],
+                           {pair: e[rows] for pair, e in off.items()})
+    return tuple(((i, E[i]),) + tuple((j, e) for (r, j), e in off.items() if r == i)
+                 for i in range(n))
+
+
+def _closed_form_block(sym: SymbolMatrix, xi2, xi1, dt, E: list, off: dict) -> None:
+    """The closed-form entries at one block of samples, written to E[j] and
+    off[i, j].  The operations on each sample, and their order, are those of
+    one evaluation over all samples, so no entry depends on the block."""
+    B = sym.B_array
+    diag = _diagonal_curves(sym, xi2, xi1)
+    S = [diag[..., j] for j in range(sym.n)]
+    for s, e in zip(S, E):
+        np.exp(np.multiply(s, dt, out=e), out=e)
+    for (i, j), out in off.items():
+        # B_ij dt E_jj phi1(z), and B_ij dt E_ii phi1(-z) where Re z > 1
+        z = (S[i] - S[j]) * dt
+        flip = z.real > 1.0
+        np.negative(z, out=z, where=flip)
+        np.multiply(B[i, j] * dt, E[j], out=out)
+        np.multiply(B[i, j] * dt, E[i], out=out, where=flip)
+        out *= _phi1(z)
+
+
 def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     """exp(dt S(xi)) at the samples (|xi|^2, xi_1), entry by entry.
 
@@ -331,27 +392,15 @@ def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
     exponential factor underflows only where the entry itself is below
     ~1e-307.  The threshold is 1 rather than 0 so that the first form, and
     its rounding, is kept wherever it is accurate.
-    dt may be an array broadcasting against the samples.  Any other B takes
-    one batched scipy.linalg.expm call over the stacked modes (scalar dt).
+    dt may be an array broadcasting against the samples.  The closed form is
+    evaluated in blocks of SAMPLE_BLOCK samples.  Any other B takes one
+    batched scipy.linalg.expm call over the stacked modes (scalar dt).
     """
     if np.any(np.asarray(dt) < 0.0):
         raise ValueError("dt must be nonnegative")
-    B = sym.B_array
     n = sym.n
     if _closed_form_exponential(sym):
-        diag = _diagonal_curves(sym, xi2, xi1)
-        S = [diag[..., j] for j in range(n)]
-        E = [np.exp(s * dt) for s in S]
-
-        def off(i, j):
-            z = (S[i] - S[j]) * dt
-            flip = z.real > 1.0
-            return B[i, j] * dt * np.where(flip, E[i], E[j]) * _phi1(np.where(flip, -z, z))
-
-        rows = tuple(
-            ((i, E[i]),) + tuple((j, off(i, j)) for j in range(i + 1, n) if B[i, j] != 0.0)
-            for i in range(n))
-        return Propagator(dt=dt, rows=rows)
+        return Propagator(dt=dt, rows=_closed_form_rows(sym, xi2, xi1, dt))
     # imported here only: scipy.linalg adds ~29 MiB to a process that needs
     # none of it on the closed-form path
     import scipy.linalg
@@ -388,13 +437,17 @@ def semigroup_envelope(sym: SymbolMatrix, t_grid, xi_grid,
     if not nu > 0.0:
         raise ValueError("weighted abscissa is not negative; alpha outside the valid band")
     t = np.asarray(t_grid, dtype=float).reshape(-1, 1)
+    xi = np.asarray(xi_grid, dtype=float).reshape(1, -1)
+    if t.size == 0 or xi.size == 0:
+        raise ValueError("t_grid and xi_grid must be nonempty")
     if np.any(t < 0.0):
         raise ValueError("t_grid must be nonnegative")
-    xi = np.asarray(xi_grid, dtype=float).reshape(1, -1)
+    xi2 = xi**2
     K = 0.0
-    # blocks of 64 times keep the temporaries small on long t grids
-    for tb in np.array_split(t, -(-len(t) // 64)):
-        first, second = exact_propagator(sym, xi**2, xi, tb).rows
+    step = max(1, SAMPLE_BLOCK // xi.size)  # times per block of SAMPLE_BLOCK samples
+    for lo in range(0, len(t), step):
+        tb = t[lo:lo + step]
+        first, second = exact_propagator(sym, xi2, xi, tb).rows
         e12 = dict(first).get(1, 0.0)
         env = np.exp(nu * tb) * _specnorm_upper_2x2(first[0][1], e12, second[0][1])
         K = float(np.maximum(K, np.max(env)))  # propagates a NaN sample
@@ -408,15 +461,11 @@ def semigroup_envelope(sym: SymbolMatrix, t_grid, xi_grid,
 
 def write_spectrum_csv(path, sweep: SpectrumSweep) -> None:
     """Spectrum CSV: xi_1..xi_d, then re/im of each eigenvalue, 17 significant digits."""
-    d = sweep.xi.shape[1]
-    n = sweep.eigvals.shape[1]
-    cols = [f"xi_{i + 1}" for i in range(d)]
-    for j in range(n):
-        cols += [f"re_lambda_{j + 1}", f"im_lambda_{j + 1}"]
+    names = [f"xi_{i + 1}" for i in range(sweep.xi.shape[1])]
+    cols = list(sweep.xi.T)
+    for j, ev in enumerate(sweep.eigvals.T):
+        names += [f"re_lambda_{j + 1}", f"im_lambda_{j + 1}"]
+        cols += [ev.real, ev.imag]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for xi_row, ev_row in zip(sweep.xi, sweep.eigvals):
-            vals = [f"{x:.17g}" for x in xi_row]
-            for ev in ev_row:
-                vals += [f"{ev.real:.17g}", f"{ev.imag:.17g}"]
-            fh.write(",".join(vals) + "\n")
+        fh.write(",".join(names) + "\n")
+        write_rows(fh, cols, ",".join(["%.17g"] * len(cols)) + "\n")

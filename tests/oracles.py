@@ -7,14 +7,17 @@ quadrature form of the nonlinearity, finite differences, a sampled
 Lipschitz constant, the numpy front field and its Jacobian, the spatial
 exponents at the end states, the weighted abscissa in closed form, the
 intersection norm of a field, a smallness-threshold scan, the structural
-identities of a norm series, sim.step_imex on a field and a Strang step on
-numpy's n-dimensional real transforms.
+identities of a norm series, sim.step_imex on a field, a Strang step on
+numpy's n-dimensional real transforms, the closed-form propagator and
+semigroup envelope evaluated in one shot over all samples, and the traced
+peak memory of a call.
 frontlab itself calls none of them.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -25,7 +28,8 @@ from frontlab.model import (BlockSystem, ModelParams, check_block_structure, eva
 from frontlab.norms import norm_unweighted, norm_weighted
 from frontlab.sim import (FieldState, Grid, Perturbation, SimulationBlowupError,
                           SimulationError, _propagate, run, step_imex)
-from frontlab.spectral import Propagator
+from frontlab.spectral import (Propagator, SymbolMatrix, _diagonal_curves,
+                               _specnorm_upper_2x2, closed_form_abscissa)
 
 
 def eval_f_combustion(params: ModelParams, u) -> np.ndarray:
@@ -349,3 +353,70 @@ def step_fields(model, grid: Grid, state: FieldState, half: Propagator,
     t = step_imex(model, grid, vh, state.t, half, np.empty_like(vh),
                   np.empty(state.data.shape), steps)
     return FieldState(t=t, data=grid.inverse(vh))
+
+
+def phi1_oneshot(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1)/z as spectral._phi1 evaluated it before blocking: both
+    branches on masked copies, whatever the mask."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-4
+    zs = z[small]
+    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
+    zb = z[~small]
+    x, y = zb.real, zb.imag
+    expm1c = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2
+              ) + 1j * np.exp(x) * np.sin(y)
+    out[~small] = expm1c / zb
+    return out
+
+
+def exact_propagator_oneshot(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
+    """The closed-form branch of spectral.exact_propagator over all samples at
+    once: the reference its blocked evaluation must match bit for bit."""
+    B = sym.B_array
+    n = sym.n
+    diag = _diagonal_curves(sym, xi2, xi1)
+    S = [diag[..., j] for j in range(n)]
+    E = [np.exp(s * dt) for s in S]
+
+    def off(i, j):
+        z = (S[i] - S[j]) * dt
+        flip = z.real > 1.0
+        return B[i, j] * dt * np.where(flip, E[i], E[j]) * phi1_oneshot(np.where(flip, -z, z))
+
+    rows = tuple(
+        ((i, E[i]),) + tuple((j, off(i, j)) for j in range(i + 1, n) if B[i, j] != 0.0)
+        for i in range(n))
+    return Propagator(dt=dt, rows=rows)
+
+
+def semigroup_envelope_oneshot(sym: SymbolMatrix, t_grid, xi_grid) -> float:
+    """K of spectral.semigroup_envelope from one evaluation over every
+    (t, xi) sample: the reference its blocked K must match bit for bit."""
+    nu = -closed_form_abscissa(sym)
+    t = np.asarray(t_grid, dtype=float).reshape(-1, 1)
+    xi = np.asarray(xi_grid, dtype=float).reshape(1, -1)
+    first, second = exact_propagator_oneshot(sym, xi**2, xi, t).rows
+    e12 = dict(first).get(1, 0.0)
+    return float(np.max(np.exp(nu * t) * _specnorm_upper_2x2(first[0][1], e12, second[0][1])))
+
+
+def traced_peak(fn: Callable[[], object]) -> tuple[int, object]:
+    """(peak bytes tracemalloc traces during fn() above its start, result).
+
+    fn runs once untraced first, so one-time allocations (caches, lazy
+    imports) are not counted.
+    """
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()

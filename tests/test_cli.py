@@ -409,6 +409,22 @@ class TestSimulateCommand:
             expect = "".join(f"{v:.17g}\n" for v in data[comp])
             assert (tmp_path / f"snapshot_x_c{comp}.csv").read_bytes() == expect.encode()
 
+    def test_snapshot_written_in_blocks(self, tmp_path):
+        # a verify2d field, 32,768 values a component: 4,128 KiB traced
+        # when each file was formatted whole
+        from frontlab.cli import _write_snapshot
+        from frontlab.sim import FieldState
+        from oracles import traced_peak
+
+        data = np.random.default_rng(7).normal(size=(2, 256, 128)) ** 3
+        data[1, 100, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        state = FieldState(t=2.0, data=data)
+        peak, _ = traced_peak(lambda: _write_snapshot(tmp_path, "y", state, {}))
+        assert peak < 512 * 1024
+        for comp in range(2):
+            expect = "".join(f"{v:.17g}\n" for v in data[comp].ravel())
+            assert (tmp_path / f"snapshot_y_c{comp}.csv").read_bytes() == expect.encode()
+
 
 class TestVerifyCommand:
     def test_linear_only_passes(self, tmp_path):

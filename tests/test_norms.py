@@ -13,6 +13,7 @@ from frontlab.norms import (
     norm_weighted,
     verify_stability_theorem,
     write_norms_csv,
+    write_rows,
 )
 from frontlab.sim import Grid
 from oracles import norm_E, validate_series
@@ -336,6 +337,48 @@ class TestSeriesStructure:
         row = lines[1].split(",")
         assert float(row[0]) == 0.0
         assert float(row[1]) == 1.0
+
+    def test_bytes_match_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(8)
+        t = np.cumsum(rng.uniform(0.0, 0.1, size=3000))
+        v1, v2, va = (rng.normal(size=3000) ** 7 for _ in range(3))
+        v1[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        series = make_series(t, v1, v2, va)
+        write_norms_csv(tmp_path / "norms.csv", series)
+        expect = ["t,norm0_v1,norm0_v2,norm0_v,normalpha_v,normE_v,k"]
+        for k in (0, 1):
+            cols = [series.column(name, k) for name in NormSeries.NAMES]
+            expect += [",".join(f"{x:.17g}" for x in [ti] + [c[i] for c in cols]) + f",{k}"
+                       for i, ti in enumerate(series.times)]
+        assert (tmp_path / "norms.csv").read_text().splitlines() == expect
+
+
+class TestWriteRows:
+    SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0, -1e-300]
+
+    def test_percent_format_is_the_f_string_format(self):
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2**63, size=20000, dtype=np.uint64)
+        values = list(self.SPECIAL) + bits.view(np.float64).tolist()
+        for x in values:
+            for v in (float(x), np.float64(x)):
+                assert "%.17g" % v == f"{v:.17g}"
+
+    def test_blocks_and_row_format(self):
+        import io
+
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=5000), rng.normal(size=5000) ** 9
+        fh = io.StringIO()
+        write_rows(fh, [a, b], "%.17g;%.17g,x\n")
+        assert fh.getvalue() == "".join(f"{x:.17g};{y:.17g},x\n" for x, y in zip(a, b))
+        fh = io.StringIO()
+        write_rows(fh, [np.array(self.SPECIAL)], "%.17g\n")
+        assert fh.getvalue() == "".join(f"{x:.17g}\n" for x in self.SPECIAL)
+        fh = io.StringIO()
+        write_rows(fh, [np.empty(0)], "%.17g\n")
+        assert fh.getvalue() == ""
 
 
 class TestNormRecorder:

@@ -22,8 +22,8 @@ from frontlab.sim import (
     step_imex,
 )
 from frontlab.spectral import SymbolMatrix, eval_symbol
-from oracles import (instability_scan, make_combustion_system, norm_E, step_fields,
-                     step_imex_rfftn, validate_series)
+from oracles import (exact_propagator_oneshot, instability_scan, make_combustion_system,
+                     norm_E, step_fields, step_imex_rfftn, traced_peak, validate_series)
 
 ALPHA = 0.4
 
@@ -194,6 +194,30 @@ class TestLinearExact:
                 expect = E @ vh[:, i, j]
                 got_h = np.fft.fftn(out.data, axes=(1, 2))[:, i, j]
                 assert np.max(np.abs(got_h - expect)) <= 1e-8 * max(1.0, np.abs(expect).max())
+
+
+class TestLinearPropagatorBlocks:
+    """The 2D build writes its entries in row blocks of the half spectrum."""
+
+    GRID = Grid((50.0, 25.0), (256, 128))
+
+    def test_working_set(self):
+        # kept: three complex (256, 65) entries, 780 KiB; 3,277 KiB traced
+        # when the whole half spectrum was evaluated at once
+        peak, prop = traced_peak(lambda: linear_propagator(params(), self.GRID, 0.01))
+        kept = sum(e.nbytes for row in prop.rows for _, e in row)
+        assert kept == 3 * 256 * 65 * 16
+        assert peak < kept + 2**20
+
+    def test_entries_match_one_shot(self):
+        g = self.GRID
+        xi2 = sum(g.rxi(ax) ** 2 for ax in range(2))
+        xi1 = np.broadcast_to(g.rxi(0), g.spectrum_shape)
+        ref = exact_propagator_oneshot(SymbolMatrix.of(params(), d=2), xi2, xi1, 0.01)
+        for row, ref_row in zip(linear_propagator(params(), g, 0.01).rows, ref.rows):
+            for (_, e), (_, r) in zip(row, ref_row):
+                r[g.N[0] // 2] = 0.0
+                assert e.tobytes() == r.tobytes()
 
 
 class TestPropagatorLifetime:

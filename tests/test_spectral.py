@@ -11,7 +11,10 @@ from frontlab.model import (
     make_gasless_system,
 )
 from frontlab.spectral import (
+    SAMPLE_BLOCK,
+    SpectrumSweep,
     SymbolMatrix,
+    _phi1,
     auto_extent,
     closed_form_abscissa,
     block_abscissas,
@@ -23,7 +26,9 @@ from frontlab.spectral import (
     sweep_symbol,
     write_spectrum_csv,
 )
-from oracles import abscissa_weighted
+from frontlab.sim import Grid
+from oracles import (abscissa_weighted, exact_propagator_oneshot, phi1_oneshot,
+                     semigroup_envelope_oneshot, traced_peak)
 
 
 ALPHA = 0.4
@@ -450,6 +455,82 @@ class TestExactPropagator:
         assert abs(E[0, 0, 2]) > 1e-3
 
 
+def assert_same_rows(got, expect):
+    """Two Propagator.rows with the same entries, bit for bit."""
+    assert [[j for j, _ in row] for row in got] == [[j for j, _ in row] for row in expect]
+    for row, ref in zip(got, expect):
+        for (_, e), (_, r) in zip(row, ref):
+            assert e.shape == r.shape and e.tobytes() == r.tobytes()
+
+
+class TestBlockedPropagator:
+    """The closed form in blocks of SAMPLE_BLOCK samples against one
+    evaluation over all samples (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("system", [
+        params, lambda: params(eps=0.1, kappa=2.0, c=1.3), lambda: make_gasless_system(1.0),
+        lambda: make_exo_endo_system(0.5, 0.25, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0)),
+        fast_second_toy, confluent_toy,
+    ], ids=["combustion", "combustion_b", "gasless", "exo_endo", "fast_second", "confluent"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_1d_samples(self, system, alpha):
+        sym = SymbolMatrix.of(system(), d=1, alpha=alpha)
+        xi = np.linspace(-80.0, 80.0, 3 * SAMPLE_BLOCK + 17)  # four blocks
+        for dt in (0.01, 0.35):
+            assert_same_rows(exact_propagator(sym, xi**2, xi, dt).rows,
+                             exact_propagator_oneshot(sym, xi**2, xi, dt).rows)
+
+    @pytest.mark.parametrize("system", [params, fast_second_toy])
+    def test_2d_half_spectrum(self, system):
+        # the linear_propagator layout: 65 samples a row, 63 rows a block
+        grid = Grid((50.0, 25.0), (256, 128))
+        xi2 = sum(grid.rxi(ax) ** 2 for ax in range(2))
+        xi1 = np.broadcast_to(grid.rxi(0), grid.spectrum_shape)
+        sym = SymbolMatrix.of(system(), d=2)
+        for dt in (0.01, 0.15):
+            assert_same_rows(exact_propagator(sym, xi2, xi1, dt).rows,
+                             exact_propagator_oneshot(sym, xi2, xi1, dt).rows)
+
+    def test_dt_array(self):
+        rng = np.random.default_rng(3)
+        sym = SymbolMatrix.of(params(), alpha=ALPHA)
+        xi = np.linspace(-15.0, 15.0, 401).reshape(1, -1)
+        t = rng.uniform(0.0, 40.0, size=(37, 1))  # 10 times a block: four blocks
+        assert_same_rows(exact_propagator(sym, xi**2, xi, t).rows,
+                         exact_propagator_oneshot(sym, xi**2, xi, t).rows)
+        # scalar samples against a 1D dt, and a row longer than the budget
+        assert_same_rows(exact_propagator(sym, 1.0, 0.5, t.ravel()).rows,
+                         exact_propagator_oneshot(sym, 1.0, 0.5, t.ravel()).rows)
+        long = np.linspace(-15.0, 15.0, SAMPLE_BLOCK + 1).reshape(1, -1)
+        assert_same_rows(exact_propagator(sym, long**2, long, t[:3]).rows,
+                         exact_propagator_oneshot(sym, long**2, long, t[:3]).rows)
+
+    def test_phi1_mixed_mask(self):
+        rng = np.random.default_rng(4)
+        small = 1e-5 * (rng.normal(size=500) + 1j * rng.normal(size=500))
+        large = 3.0 * rng.normal(size=500) + 1j * rng.normal(size=500)
+        z = np.concatenate([small, large, [0.0, 1e-4, -1e-4j]])
+        rng.shuffle(z)
+        for sample in (z, z[np.abs(z) < 1e-4], z[np.abs(z) >= 1e-4], z[:1000].reshape(20, 50)):
+            assert _phi1(sample).tobytes() == phi1_oneshot(sample).tobytes()
+        # off-diagonal arguments below 1e-4 near xi = 0 and above it elsewhere
+        sym = upper_symbol((1.0, 0.999), ((-0.2, 0.7), (0.0, -0.2)))
+        xi = np.linspace(-3.0, 3.0, 2 * SAMPLE_BLOCK + 1)
+        z = 0.4 * (1.0 - 0.999) * xi**2  # |dt (S_11 - S_22)|
+        assert np.any(z < 1e-4) and np.any(z > 1e-4)
+        assert_same_rows(exact_propagator(sym, xi**2, xi, 0.4).rows,
+                         exact_propagator_oneshot(sym, xi**2, xi, 0.4).rows)
+
+    def test_flip_branch(self):
+        # Re dt (S_11 - S_22) > 1 on most samples: the E_11 form is taken there
+        sym = SymbolMatrix.of(fast_second_toy(), d=1)
+        xi = np.linspace(-80.0, 80.0, 2 * SAMPLE_BLOCK + 3)
+        rows = exact_propagator(sym, xi**2, xi, 0.15).rows
+        assert np.mean(0.15 * xi**2 > 1.0) > 0.9
+        assert_same_rows(rows, exact_propagator_oneshot(sym, xi**2, xi, 0.15).rows)
+        assert np.all(np.isfinite(rows[0][1][1]))
+
+
 class TestSemigroupEnvelope:
     def test_pure_heat_symbol_gives_one(self):
         # B = 0, D = I, alpha = 0 analog: kappa e^-kappa coupling removed by
@@ -490,6 +571,32 @@ class TestSemigroupEnvelope:
             semigroup_envelope(SymbolMatrix.of(p, alpha=ALPHA), np.linspace(0, 5, 6), [0.0],
                                cap=0.5)
 
+    @pytest.mark.parametrize("empty", ["t", "xi"])
+    def test_empty_grid_rejected(self, empty):
+        sym = SymbolMatrix.of(params(), alpha=ALPHA)
+        t, xi = ([] if empty == "t" else [0.0, 1.0]), ([] if empty == "xi" else [0.0])
+        with pytest.raises(ValueError, match="t_grid and xi_grid must be nonempty"):
+            semigroup_envelope(sym, t, xi)
+
+    @pytest.mark.parametrize("system,alpha", [
+        (params, ALPHA), (lambda: make_gasless_system(1.0), 0.3), (fast_second_toy, 0.3)])
+    def test_blocked_K_is_the_one_shot_K(self, system, alpha):
+        sym = SymbolMatrix.of(system(), alpha=alpha)
+        t = np.linspace(0.0, 40.0, 161)
+        xi = np.linspace(-15.0, 15.0, 401)
+        K, _ = semigroup_envelope(sym, t, xi)
+        assert K == semigroup_envelope_oneshot(sym, t, xi)
+
+    def test_working_set_on_the_shipped_grid(self):
+        # 801 times x 401 frequencies, the spectrum command's grid: blocks of
+        # 10 times (5,060 KiB traced when blocks held 64 times)
+        sym = SymbolMatrix.of(params(), alpha=ALPHA)
+        t = np.linspace(0.0, 40.0, 801)
+        xi = np.linspace(-15.0, 15.0, 401)
+        peak, (K, _) = traced_peak(lambda: semigroup_envelope(sym, t, xi))
+        assert peak < 2 * 2**20
+        assert K == semigroup_envelope_oneshot(sym, t, xi)
+
 
 class TestSpectrumCsv:
     def test_format(self, tmp_path):
@@ -505,3 +612,21 @@ class TestSpectrumCsv:
         # 17 significant digits round-trip exactly
         for tok in first[1:]:
             assert float(tok) == float(f"{float(tok):.17g}")
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bytes_match_per_cell_format(self, tmp_path, d):
+        # more rows than one formatting block, and the special values
+        rng = np.random.default_rng(6)
+        rows = 2500
+        xi = rng.normal(size=(rows, d))
+        ev = rng.normal(size=(rows, 2)) ** 5 + 1j * rng.normal(size=(rows, 2))
+        ev[:4, 0] = [np.nan, np.inf, -np.inf, -0.0]
+        ev[:4, 1] = [complex(-0.0, np.nan), 5e-324, 1e300j, -1e-300]
+        sw = SpectrumSweep(xi=xi, eigvals=ev, realized_abscissa=0.0, extent=1.0,
+                           certified=True)
+        write_spectrum_csv(tmp_path / "s.csv", sw)
+        lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        expect = [",".join([f"{x:.17g}" for x in xr]
+                           + [f"{v:.17g}" for e in er for v in (e.real, e.imag)])
+                  for xr, er in zip(xi, ev)]
+        assert lines == expect
