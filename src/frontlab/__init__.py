@@ -4,7 +4,8 @@ Modules map onto the pipeline: `model` (reaction terms, block systems,
 the Model interface), `spectral` (Fourier symbols, abscissas, sweeps, exact
 propagators), `front` (traveling-wave ODE and shooting), `sim` (periodic
 pseudo-spectral IMEX evolution), `norms` (weighted/unweighted measurements,
-decay fits, theorem verdicts), `cli` (scenario-driven command line).
+decay fits, theorem verdicts), `cli` (scenario-driven command line), and
+`blocks` (the sample budget of blocked evaluation, the CSV row writer).
 """
 
 from .front import FrontProfile, OrbitResult, integrate_orbit, shoot_speed

@@ -30,6 +30,7 @@ from . import front as _front
 from . import norms as _norms
 from . import sim as _sim
 from . import spectral as _spectral
+from .blocks import write_rows
 from .model import Model, ModelParams, make_exo_endo_system, make_gasless_system
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "cmd_spectrum", "cmd_front",
@@ -355,7 +356,7 @@ def _write_snapshot(outdir: Path, tag: str, state: _sim.FieldState, meta: dict) 
     component count of state."""
     for comp in range(state.data.shape[0]):
         with open(outdir / f"snapshot_{tag}_c{comp}.csv", "w", newline="") as fh:
-            _norms.write_rows(fh, [state.data[comp].ravel()], "%.17g\n")
+            write_rows(fh, [state.data[comp].ravel()], "%.17g\n")
     meta = dict(meta, t=state.t, components=int(state.data.shape[0]))
     (outdir / f"snapshot_{tag}_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")

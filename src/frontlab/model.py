@@ -50,8 +50,10 @@ class Model(Protocol):
     c, n, n1      : wave speed, component count, size of the first block
     diffusion, linearization : the diagonal of D, shape (n,), and B = Df(0)
     stage_rate(v) : bound on |D(N(v) v)|_inf over a field v of shape (n, ...)
-    midpoint_stage(u, dt) : advances u in place to u + dt N(u + dt/2 N(u))
-                    and returns the stage_rate of the u it was given
+    midpoint_stage(u, dt, work) : advances u in place to u + dt N(u + dt/2
+                    N(u)) and returns the stage_rate of the u it was given;
+                    work, of shape (n + 1, *u.shape[1:]), is scratch it may
+                    overwrite
     describe()    : the model's settings, for snapshot metadata
     """
 
@@ -66,7 +68,7 @@ class Model(Protocol):
     @property
     def linearization(self) -> np.ndarray: ...
     def stage_rate(self, v: np.ndarray) -> float: ...
-    def midpoint_stage(self, u: np.ndarray, dt: float) -> float: ...
+    def midpoint_stage(self, u: np.ndarray, dt: float, work: np.ndarray) -> float: ...
     def describe(self) -> dict: ...
 
 
@@ -117,33 +119,36 @@ class ModelParams:
         m = eval_g(1.0 / self.kappa + v[0]) - np.exp(-self.kappa)
         return max(1.0, self.kappa) * float(np.max(np.abs(v[1] * gp) + np.abs(m)))
 
-    def midpoint_stage(self, u, dt: float) -> float:
+    def midpoint_stage(self, u, dt: float, work) -> float:
         """Advance u, of shape (2, ...), in place to u + dt H(u + dt/2 H(u))
         and return stage_rate(u), from one g evaluation per point.
 
         g(x) at x = 1/kappa + u1 gives g' = g / x^2, the rate and H(u); g at
-        the midpoint, which lives in the scratch of the rate, gives the step.
+        the midpoint gives the step.  The three rows of work, each shaped
+        like a component of u, hold every intermediate, so the stage
+        allocates no array.
         Every operation of H and stage_rate is kept, in their order: the
         result is theirs bit for bit.
         """
         kappa = self.kappa
         ek = np.exp(-kappa)
-        x = 1.0 / kappa + u[:1]  # row slices keep a single state (2,) an array
-        m = eval_g(x)
+        x, m, y = work[0:1], work[1:2], work[2:3]  # row slices: arrays also for u of shape (2,)
+        np.add(1.0 / kappa, u[:1], out=x)
+        _exp_minus(1.0, x, out=m)  # g(x)
         np.multiply(x, x, out=x)
-        gp = np.divide(m, np.fmax(x, 5e-324, out=x))  # 0 / floor = 0 where g is 0
+        gp = np.divide(m, np.fmax(x, 5e-324, out=x), out=x)  # 0 / floor = 0 where g is 0
         m -= ek
         np.multiply(u[1:], gp, out=gp)
         np.abs(gp, out=gp)
-        gp += np.abs(m, out=x)
+        gp += np.abs(m, out=y)
         rate = max(1.0, kappa) * float(np.max(gp))
         r = np.multiply(m, u[1:], out=m)  # H(u) = (1, -kappa)^T r
-        np.add(np.multiply(r, 0.5 * dt, out=x), u[:1], out=x)  # the midpoint in (x, gp)
-        np.add(np.multiply(np.multiply(r, -kappa, out=gp), 0.5 * dt, out=gp), u[1:], out=gp)
-        m = eval_g(np.add(x, 1.0 / kappa, out=x))
-        m -= ek
-        r = np.multiply(m, gp, out=m)
-        u[1:] += np.multiply(np.multiply(r, -kappa, out=x), dt, out=x)
+        np.add(np.multiply(r, 0.5 * dt, out=x), u[:1], out=x)  # the midpoint in (x, m)
+        np.add(np.multiply(np.multiply(r, -kappa, out=m), 0.5 * dt, out=m), u[1:], out=m)
+        r = _exp_minus(1.0, np.add(x, 1.0 / kappa, out=x), out=x)
+        r -= ek
+        np.multiply(r, m, out=r)
+        u[1:] += np.multiply(np.multiply(r, -kappa, out=m), dt, out=m)
         u[:1] += np.multiply(r, dt, out=r)
         return rate
 
@@ -229,10 +234,10 @@ class BlockSystem:
         J = self.jac(peak) - self.B
         return float(np.max(np.sum(np.abs(J), axis=1)))
 
-    def midpoint_stage(self, u, dt: float) -> float:
+    def midpoint_stage(self, u, dt: float, work) -> float:
         """Advance u in place to u + dt N(u + dt/2 N(u)) and return
-        stage_rate(u), working over the arrays eval_N_times_v_exact returns:
-        bit for bit the out-of-place form."""
+        stage_rate(u), working over the arrays eval_N_times_v_exact returns
+        (work is not used): bit for bit the out-of-place form."""
         rate = self.stage_rate(u)
         mid = eval_N_times_v_exact(self, u)
         mid *= 0.5 * dt
@@ -246,15 +251,16 @@ class BlockSystem:
         return {"kind": self.name, "c": self.c, "zero_diffusion": self.zero_diffusion}
 
 
-def _exp_minus(b: float, u: np.ndarray) -> np.ndarray:
-    """exp(-b/u) for u > 0, exactly 0 for u <= 0, as a new array.
+def _exp_minus(b: float, u: np.ndarray, out=None) -> np.ndarray:
+    """exp(-b/u) for u > 0, exactly 0 for u <= 0, in out (which may be u)
+    or a new array.
 
     fmax lifts u <= b 1e-4 (so also u <= 0, -0.0, -inf, NaN and every
     subnormal u) to b 1e-4, where -b/u = -1e4 and exp gives the exact 0, as
     it does for every u up to b 1e-4.  No division overflows or meets a
     subnormal divisor while b 1e-4 is normal (b >= 1e-300; eval_g has b = 1).
     """
-    out = np.fmax(u, b * 1e-4, out=np.empty_like(u))
+    out = np.fmax(u, b * 1e-4, out=np.empty_like(u) if out is None else out)
     np.divide(-b, out, out=out)
     return np.exp(out, out=out)
 

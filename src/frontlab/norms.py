@@ -24,6 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blocks import write_rows
+
 __all__ = [
     "NormSeries",
     "DecayFit",
@@ -36,7 +38,6 @@ __all__ = [
     "fit_decay",
     "verify_stability_theorem",
     "write_norms_csv",
-    "write_rows",
 ]
 
 WEIGHT_OVERFLOW_LIMIT = 700.0
@@ -46,7 +47,6 @@ SUPPORT_CUTOFF = 1e-300
 WINDOW_EDGE_RTOL = 1e-9
 FIT_SKIP_FRACTION = 0.1   # share of the time range the default fit window drops
 MIN_FIT_SAMPLES = 10      # fewest samples fit_decay fits a rate to
-CSV_BLOCK = 4096          # values write_rows formats in one % operation
 VERDICT_SOBOLEV_K = 0     # the verdict's norms are H^0
 
 
@@ -446,19 +446,6 @@ def verify_stability_theorem(series: NormSeries, eta: float, delta: float,
     context = dict(eta=float(eta), initial_E_norm=e0, rate_floor=rate_floor,
                    sobolev_k=k)
     return VerdictReport(items=items, overall=overall, context=context)
-
-
-def write_rows(fh, columns: Sequence, row_format: str) -> None:
-    """Rows of equal-length float columns to fh, each as row_format % row.
-
-    One % operation formats a block of rows of about CSV_BLOCK values, so
-    the strings in flight stay small.  "%.17g" % x is f"{x:.17g}" for every
-    float, nan, +-inf and -0.0 included.
-    """
-    step = max(1, CSV_BLOCK // len(columns))
-    for lo in range(0, len(columns[0]), step):
-        block = np.column_stack([col[lo:lo + step] for col in columns])
-        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_norms_csv(path, series: NormSeries) -> None:

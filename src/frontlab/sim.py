@@ -271,7 +271,7 @@ def linear_propagator(model: Model, grid: Grid, dt: float) -> Propagator:
     zero (its content is below rounding for resolved fields).  Its index
     N_z / 2 is the same in 1D, where z is the halved axis, and in 2D, where
     z is the full first axis.  exact_propagator writes the entries into the
-    arrays kept here, in row blocks of spectral.SAMPLE_BLOCK samples.
+    arrays kept here, in row blocks of blocks.SAMPLE_BLOCK samples.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -336,17 +336,19 @@ def step_imex(model: Model, grid: Grid, vh: np.ndarray, t: float, half: Propagat
     half is linear_propagator(model, grid, dt / 2), applied twice in Fourier
     space between two explicit stages, so a step costs one real-transform
     round trip: grid.inverse into the field u, of shape (model.n,
-    *grid.shape), model.midpoint_stage in place on u, and grid.forward of u
-    into spare, shaped like vh.  dt is checked against the dt_max bound of
+    *grid.shape), model.midpoint_stage in place on u (one scratch array
+    serves all the steps), and grid.forward of u into spare, shaped like
+    vh.  dt is checked against the dt_max bound of
     each stage's field, from the rate midpoint_stage returns (ValueError); a
     non-finite spectrum aborts with the time of the step it appeared in.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 2.0 * half.dt
+    work = np.empty((model.n + 1,) + u.shape[1:])
     for _ in range(steps):
         grid.inverse(_propagate(half, vh, spare), u, vh)
-        rate = model.midpoint_stage(u, dt)
+        rate = model.midpoint_stage(u, dt, work)
         _check_stage_bound(_stage_bound(rate), dt, t)
         _propagate(half, grid.forward(u, spare), vh)
         t = t + dt

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from .blocks import SAMPLE_BLOCK, write_rows
 from .model import Model
-from .norms import write_rows
 
 __all__ = [
     "SymbolMatrix",
@@ -57,9 +57,6 @@ __all__ = [
 
 EXTENT_MARGIN = 1e-9   # room auto_extent leaves in its abscissa bound
 EXTENT_FLOOR = 4.0     # smallest auto_extent; also the extent of an uncertified sweep
-# samples per block of the propagator build and the envelope: 64 KiB per
-# complex array, which bounds their temporaries on any sample set
-SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -289,29 +286,18 @@ def sweep_symbol(sym: SymbolMatrix, R: Optional[float] = None, m: int = 401) -> 
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z elementwise, series for small |z|, expm1-based otherwise;
-    masked copies of z only where the two kinds mix."""
+    """(e^z - 1)/z elementwise, series for small |z|, expm1-based otherwise."""
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    if small.all():
-        return _phi1_series(z)
-    if not small.any():
-        return _phi1_expm1(z)
     out = np.empty_like(z)
-    out[small] = _phi1_series(z[small])
-    out[~small] = _phi1_expm1(z[~small])
-    return out
-
-
-def _phi1_series(z: np.ndarray) -> np.ndarray:
-    return 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
-
-
-def _phi1_expm1(z: np.ndarray) -> np.ndarray:
-    x, y = z.real, z.imag
+    small = np.abs(z) < 1e-4
+    zs = z[small]
+    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
+    zb = z[~small]
+    x, y = zb.real, zb.imag
     expm1c = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2
               ) + 1j * np.exp(x) * np.sin(y)
-    return expm1c / z
+    out[~small] = expm1c / zb
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,49 +318,56 @@ def _closed_form_exponential(sym: SymbolMatrix) -> bool:
     return sym.is_triangular and not np.any(N @ N)
 
 
-def _closed_form_rows(sym: SymbolMatrix, xi2, xi1, dt) -> tuple:
-    """Propagator.rows of the closed-form exponential (see exact_propagator).
-
-    Each entry is allocated once at the broadcast shape of the samples and
-    dt, and filled in blocks of leading-axis rows of at most SAMPLE_BLOCK
-    samples (at least one row), so the temporaries stay at block size.
-    """
+def _closed_form(sym: SymbolMatrix, xi2, xi1, dt) -> tuple:
+    """Propagator.rows of the closed-form exponential (see exact_propagator),
+    in one evaluation over the samples."""
     B = sym.B_array
     n = sym.n
-    xi2, xi1 = np.atleast_1d(xi2), np.atleast_1d(xi1)
-    shape = np.broadcast_shapes(xi2.shape, xi1.shape, np.shape(dt))
-    E = [np.empty(shape, dtype=complex) for _ in range(n)]
-    off = {(i, j): np.empty(shape, dtype=complex)
-           for i in range(n) for j in range(i + 1, n) if B[i, j] != 0.0}
-    step = max(1, SAMPLE_BLOCK // max(1, math.prod(shape[1:])))
-    for lo in range(0, shape[0], step):
-        rows = slice(lo, lo + step)
-        # an input constant along the leading axis is used whole
-        block = [a[rows] if np.ndim(a) == len(shape) and np.shape(a)[0] > 1 else a
-                 for a in (xi2, xi1, dt)]
-        _closed_form_block(sym, *block, [e[rows] for e in E],
-                           {pair: e[rows] for pair, e in off.items()})
-    return tuple(((i, E[i]),) + tuple((j, e) for (r, j), e in off.items() if r == i)
-                 for i in range(n))
-
-
-def _closed_form_block(sym: SymbolMatrix, xi2, xi1, dt, E: list, off: dict) -> None:
-    """The closed-form entries at one block of samples, written to E[j] and
-    off[i, j].  The operations on each sample, and their order, are those of
-    one evaluation over all samples, so no entry depends on the block."""
-    B = sym.B_array
     diag = _diagonal_curves(sym, xi2, xi1)
-    S = [diag[..., j] for j in range(sym.n)]
-    for s, e in zip(S, E):
-        np.exp(np.multiply(s, dt, out=e), out=e)
-    for (i, j), out in off.items():
-        # B_ij dt E_jj phi1(z), and B_ij dt E_ii phi1(-z) where Re z > 1
+    S = [diag[..., j] for j in range(n)]
+    E = [np.exp(s * dt) for s in S]
+
+    def off(i, j):
         z = (S[i] - S[j]) * dt
         flip = z.real > 1.0
-        np.negative(z, out=z, where=flip)
-        np.multiply(B[i, j] * dt, E[j], out=out)
-        np.multiply(B[i, j] * dt, E[i], out=out, where=flip)
-        out *= _phi1(z)
+        return B[i, j] * dt * np.where(flip, E[i], E[j]) * _phi1(np.where(flip, -z, z))
+
+    return tuple(
+        ((i, E[i]),) + tuple((j, off(i, j)) for j in range(i + 1, n) if B[i, j] != 0.0)
+        for i in range(n))
+
+
+def _closed_form_rows(sym: SymbolMatrix, xi2, xi1, dt) -> tuple:
+    """_closed_form in blocks of leading-axis rows of at most SAMPLE_BLOCK
+    samples (at least one row), each copied into entries allocated once at
+    the broadcast shape of the samples and dt, so the temporaries stay at
+    block size.  Every operation is elementwise: no entry depends on the
+    blocks.  One block's worth of samples is evaluated whole.
+    """
+    shape = np.broadcast_shapes(np.shape(xi2), np.shape(xi1), np.shape(dt))
+    if math.prod(shape) <= SAMPLE_BLOCK:
+        return _closed_form(sym, xi2, xi1, dt)
+    step = max(1, SAMPLE_BLOCK // math.prod(shape[1:]))
+    rows = None
+    for lo in range(0, shape[0], step):
+        cut = slice(lo, lo + step)
+        # an input constant along the leading axis is used whole
+        block = [a[cut] if np.ndim(a) == len(shape) and np.shape(a)[0] > 1 else a
+                 for a in (xi2, xi1, dt)]
+        rows = _fill_rows(rows, shape, cut, _closed_form(sym, *block))
+    return rows
+
+
+def _fill_rows(rows, shape: tuple, cut: slice, part: tuple) -> tuple:
+    """The block part written into rows at cut; rows None is allocated at
+    shape, with the entries of part."""
+    if rows is None:
+        rows = tuple(tuple((j, np.empty(shape, dtype=e.dtype)) for j, e in row)
+                     for row in part)
+    for row, got in zip(rows, part):
+        for (_, e), (_, g) in zip(row, got):
+            e[cut] = g
+    return rows
 
 
 def exact_propagator(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:

@@ -28,8 +28,8 @@ from frontlab.model import (BlockSystem, ModelParams, check_block_structure, eva
 from frontlab.norms import norm_unweighted, norm_weighted
 from frontlab.sim import (FieldState, Grid, Perturbation, SimulationBlowupError,
                           SimulationError, _propagate, run, step_imex)
-from frontlab.spectral import (Propagator, SymbolMatrix, _diagonal_curves,
-                               _specnorm_upper_2x2, closed_form_abscissa)
+from frontlab.spectral import (Propagator, SymbolMatrix, _closed_form, _specnorm_upper_2x2,
+                               closed_form_abscissa)
 
 
 def eval_f_combustion(params: ModelParams, u) -> np.ndarray:
@@ -329,11 +329,11 @@ def step_imex_rfftn(model, grid: Grid, state: FieldState, half: Propagator,
     t = state.t
     vh = np.fft.rfftn(state.data, axes=axes)
     spare = np.empty_like(vh)
-    u = np.empty(state.data.shape)
+    u, work = np.empty(state.data.shape), np.empty((model.n + 1,) + grid.shape)
     for _ in range(steps):
         vh, spare = _propagate(half, vh, spare), vh
         np.fft.irfftn(vh, s=grid.shape, axes=axes, out=u)
-        rate = model.midpoint_stage(u, dt)
+        rate = model.midpoint_stage(u, dt, work)
         if dt > (math.inf if rate == 0.0 else 0.5 / rate):
             raise ValueError(f"dt = {dt} exceeds the explicit-stage stability bound")
         np.fft.rfftn(u, axes=axes, out=vh)
@@ -355,40 +355,11 @@ def step_fields(model, grid: Grid, state: FieldState, half: Propagator,
     return FieldState(t=t, data=grid.inverse(vh))
 
 
-def phi1_oneshot(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z as spectral._phi1 evaluated it before blocking: both
-    branches on masked copies, whatever the mask."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zb = z[~small]
-    x, y = zb.real, zb.imag
-    expm1c = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2
-              ) + 1j * np.exp(x) * np.sin(y)
-    out[~small] = expm1c / zb
-    return out
-
-
 def exact_propagator_oneshot(sym: SymbolMatrix, xi2, xi1, dt) -> Propagator:
-    """The closed-form branch of spectral.exact_propagator over all samples at
-    once: the reference its blocked evaluation must match bit for bit."""
-    B = sym.B_array
-    n = sym.n
-    diag = _diagonal_curves(sym, xi2, xi1)
-    S = [diag[..., j] for j in range(n)]
-    E = [np.exp(s * dt) for s in S]
-
-    def off(i, j):
-        z = (S[i] - S[j]) * dt
-        flip = z.real > 1.0
-        return B[i, j] * dt * np.where(flip, E[i], E[j]) * phi1_oneshot(np.where(flip, -z, z))
-
-    rows = tuple(
-        ((i, E[i]),) + tuple((j, off(i, j)) for j in range(i + 1, n) if B[i, j] != 0.0)
-        for i in range(n))
-    return Propagator(dt=dt, rows=rows)
+    """The closed-form branch of spectral.exact_propagator in one evaluation
+    over all samples: the reference its blocked evaluation must match bit
+    for bit."""
+    return Propagator(dt=dt, rows=_closed_form(sym, xi2, xi1, dt))
 
 
 def semigroup_envelope_oneshot(sym: SymbolMatrix, t_grid, xi_grid) -> float:

@@ -25,6 +25,7 @@ from oracles import (
     lipschitz_probe,
     make_combustion_system,
     midpoint_composition,
+    traced_peak,
 )
 
 
@@ -384,7 +385,7 @@ class TestBlockSystemConstants:
         assert calls["f"][1:] == [(3, 1000)]  # one vectorised probe
         u = np.random.default_rng(31).normal(scale=0.5, size=(3, 16))
         for _ in range(3):
-            sys.midpoint_stage(u, 0.05)
+            sys.midpoint_stage(u, 0.05, np.empty((4, 16)))
         assert calls["jac"][1:] == [(3,)] * 3  # only the rate's peak state
         assert calls["f"][2:] == [(3, 16)] * 6
         assert np.array_equal(sys.linearization, base.jac(np.zeros(3)))
@@ -486,13 +487,14 @@ def _rotation_toy() -> BlockSystem:
 
 class TestMidpointStage:
     """midpoint_stage leaves in u, bit for bit, the out-of-place composition
-    of the nonlinearity, and returns the stage_rate of the u it was given."""
+    of the nonlinearity, and returns the stage_rate of the u it was given,
+    whatever its scratch array holds."""
 
     @staticmethod
     def assert_composition(model, u, dt):
         with np.errstate(all="ignore"):
             expect, expect_rate = midpoint_composition(model, u, dt)
-            rate = model.midpoint_stage(u, dt)
+            rate = model.midpoint_stage(u, dt, np.full((model.n + 1,) + u.shape[1:], np.nan))
         assert isinstance(rate, float)
         assert np.array_equal(u, expect, equal_nan=True)
         assert np.array_equal(rate, expect_rate, equal_nan=True)
@@ -520,6 +522,15 @@ class TestMidpointStage:
         assert 1.0 / p.kappa + u1[0] == 2.0**-1074
         u = np.stack([u1, np.full_like(u1, 1e-310)])
         self.assert_composition(p, u, 0.01)
+
+    def test_combustion_allocates_no_field(self):
+        # a verify2d field, 256 KiB a component: every intermediate lives in
+        # work (1 MiB of temporaries when the stage made its own)
+        u = np.random.default_rng(26).normal(scale=0.5, size=(2, 256, 128))
+        work = np.empty((3, 256, 128))
+        p = params(kappa=1.0)
+        peak, _ = traced_peak(lambda: p.midpoint_stage(u, 1e-4, work))
+        assert peak < 16 * 1024
 
     @pytest.mark.parametrize("u", [[0.1, 0.2], [-1.0, 0.5], [0.0, 0.0], [np.nan, 1.0]])
     def test_combustion_single_state(self, u):

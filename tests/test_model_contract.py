@@ -66,7 +66,7 @@ class LinearModel:
     def stage_rate(self, v) -> float:
         return 0.0
 
-    def midpoint_stage(self, u, dt: float) -> float:
+    def midpoint_stage(self, u, dt: float, work) -> float:
         return 0.0
 
     def describe(self) -> dict:
