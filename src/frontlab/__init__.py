@@ -14,7 +14,6 @@ from .model import (
     Model,
     ModelParams,
     eval_g,
-    jacobian_at_minus,
     make_exo_endo_system,
     make_gasless_system,
 )
@@ -41,7 +40,6 @@ from .spectral import (
     SpectrumSweep,
     SymbolMatrix,
     block_abscissas,
-    eigvals_symbol,
     eval_symbol,
     exact_propagator,
     optimal_weight,
@@ -54,8 +52,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BlockSystem", "Model", "ModelParams", "eval_g",
-    "jacobian_at_minus", "make_exo_endo_system", "make_gasless_system",
-    "SpectrumSweep", "SymbolMatrix", "block_abscissas", "eigvals_symbol",
+    "make_exo_endo_system", "make_gasless_system",
+    "SpectrumSweep", "SymbolMatrix", "block_abscissas",
     "eval_symbol", "exact_propagator", "optimal_weight", "semigroup_envelope",
     "sweep_symbol",
     "FrontProfile", "OrbitResult", "integrate_orbit", "shoot_speed",

@@ -30,7 +30,7 @@ from . import front as _front
 from . import norms as _norms
 from . import sim as _sim
 from . import spectral as _spectral
-from .blocks import write_rows
+from .blocks import format_value, write_rows
 from .model import Model, ModelParams, make_exo_endo_system, make_gasless_system
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "cmd_spectrum", "cmd_front",
@@ -57,13 +57,13 @@ class Scenario:
         except (configparser.NoSectionError, configparser.NoOptionError):
             if default is _REQUIRED:
                 raise ConfigError(f"missing required setting [{section}] {key}")
-            self.resolved[f"{section}.{key}"] = _fmt_value(default)
+            self.resolved[f"{section}.{key}"] = format_value(default)
             return default
         try:
             value = _parse_value(text, kind)
         except (ValueError, OverflowError) as exc:  # int("inf") overflows
             raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-        self.resolved[f"{section}.{key}"] = _fmt_value(value)
+        self.resolved[f"{section}.{key}"] = format_value(value)
         return value
 
     def has(self, section: str, key: str) -> bool:
@@ -98,16 +98,6 @@ def _parse_value(text: str, kind):
     if kind == "ints":
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     return text
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ", ".join(_fmt_value(v) for v in value)
-    return str(value)
 
 
 def load_scenario(path) -> Scenario:
@@ -188,7 +178,7 @@ def _build_perturbation(scenario: Scenario, grid: _sim.Grid, ncomp: int) -> _sim
 
 def _write_summary(outdir: Path, scenario: Scenario, metrics: dict) -> None:
     lines = [f"scenario.{k}: {v}" for k, v in sorted(scenario.resolved.items())]
-    lines += [f"{k}: {_fmt_value(v)}" for k, v in metrics.items()]
+    lines += [f"{k}: {format_value(v)}" for k, v in metrics.items()]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -523,7 +513,7 @@ def cmd_sweep(scenario: Scenario, outdir: Path) -> tuple[int, dict]:
 
 def _csv_cell(value) -> str:
     """One sweep-table cell; free-text values must not break the row format."""
-    text = _fmt_value(value)
+    text = format_value(value)
     return text.replace(",", ";").replace("\n", " ")
 
 

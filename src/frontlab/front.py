@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .blocks import write_rows
 from .model import ModelParams
 
 __all__ = [
@@ -479,11 +480,10 @@ def write_profile_csv(path, z, states, k_drift) -> None:
     states holds 3 (eps = 0, phi4 written as 0) or 4 columns; k_drift is the
     first integral minus its reference value at each sample.
     """
+    phi4 = states[:, 3] if states.shape[1] == 4 else np.zeros(len(z))
     with open(path, "w", newline="") as fh:
         fh.write("z,phi1,phi2,phi3,phi4,k_drift\n")
-        for zi, s, dk in zip(z, states, k_drift):
-            row = [zi, s[0], s[1], s[2], s[3] if s.size == 4 else 0.0, dk]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_rows(fh, [z, *states[:, :3].T, phi4, k_drift], ",".join(["%.17g"] * 6) + "\n")
 
 
 def write_shots_csv(path, shots) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "BlockSystem",
     "eval_g",
     "eval_g_prime",
-    "jacobian_at_minus",
     "eval_N_times_v_exact",
     "make_exo_endo_system",
     "make_gasless_system",
@@ -98,20 +97,16 @@ class ModelParams:
             raise ValueError(f"c must be positive and finite, got {self.c}")
 
     @property
-    def u_minus(self) -> np.ndarray:
-        return np.array([1.0 / self.kappa, 0.0])
-
-    @property
-    def u_plus(self) -> np.ndarray:
-        return np.array([0.0, 1.0])
-
-    @property
     def diffusion(self) -> np.ndarray:
         return np.array([1.0, self.epsilon])
 
     @property
     def linearization(self) -> np.ndarray:
-        return jacobian_at_minus(self)
+        """Jacobian of f at u_minus = (1/kappa, 0), in closed form
+        ((0, e^-kappa), (0, -kappa e^-kappa)); the zero first column is the
+        source of the triangular structure."""
+        ek = np.exp(-self.kappa)
+        return np.array([[0.0, ek], [0.0, -self.kappa * ek]])
 
     def stage_rate(self, v) -> float:
         """Bound on |DH|_inf over the field v of shape (2, ...)."""
@@ -157,32 +152,32 @@ class ModelParams:
                 "c": self.c}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSystem:
     """General block-triangular reaction-diffusion system in shifted coordinates.
 
-    The state v in R^(n1+n2) measures the deviation from the steady state, so
-    f(0) = 0 and the first block satisfies f(v1, 0) = (A1 v1, 0) for a
-    constant matrix A1.  Construction does not check this:
-    check_block_structure probes it, and make_exo_endo_system calls it.
+    The state v in R^n measures the deviation from the steady state, so
+    f(0) = 0, and its first n1 components form the first block:
+    f(v1, 0) = (B11 v1, 0), where B11 = B[:n1, :n1] is the first block of
+    B = Df(0) (the hypothesis forces it).  Construction does not check
+    this: check_block_structure probes it, and make_exo_endo_system calls it.
+
+    diffusion is the diagonal of the nonnegative diffusion matrix D, shape
+    (n,); the second block is diffusion[n1:].  A zero entry (a reactant that
+    does not diffuse) is allowed and flagged via :attr:`zero_diffusion`
+    rather than rejected.
 
     f and jac must be stateless callables; f maps an array of shape
     (n, ...) to the same shape (broadcasting over trailing axes), jac maps a
     single state of shape (n,) to the (n, n) Jacobian.
 
-    d1, d2 hold the diagonals of the nonnegative diffusion blocks.  A zero
-    entry in d2 (a reactant that does not diffuse) is allowed and flagged
-    via :attr:`zero_diffusion` rather than rejected.
-
-    B = Df(0) and f0 = f(0) are evaluated once, at construction, and stored
-    read-only.
+    diffusion, B = Df(0) and f0 = f(0) are stored read-only; B and f0 are
+    evaluated once, at construction.  Two systems are equal only if they
+    are the same object (f and jac cannot be compared).
     """
 
     n1: int
-    n2: int
-    d1: np.ndarray
-    d2: np.ndarray
-    A1: np.ndarray
+    diffusion: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     c: float = 1.0
@@ -191,31 +186,25 @@ class BlockSystem:
     f0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "d1", np.atleast_1d(np.asarray(self.d1, dtype=float)))
-        object.__setattr__(self, "d2", np.atleast_1d(np.asarray(self.d2, dtype=float)))
-        object.__setattr__(self, "A1", np.atleast_2d(np.asarray(self.A1, dtype=float)))
-        if self.d1.shape != (self.n1,) or self.d2.shape != (self.n2,):
-            raise ValueError("diffusion diagonals must match the block sizes")
-        if np.any(self.d1 < 0.0) or np.any(self.d2 < 0.0):
+        diffusion = np.array(self.diffusion, dtype=float, ndmin=1)
+        if diffusion.ndim != 1:
+            raise ValueError(f"diffusion must be a diagonal of shape (n,), got {diffusion.shape}")
+        if self.n1 not in range(1, len(diffusion) + 1):
+            raise ValueError(f"n1 must be an integer in 1..{len(diffusion)}, got {self.n1}")
+        if not np.all(diffusion >= 0.0):
             raise ValueError("diffusion coefficients must be nonnegative")
-        if self.A1.shape != (self.n1, self.n1):
-            raise ValueError("A1 must be n1 x n1")
         if not 0.0 < self.c < np.inf:
             raise ValueError(f"wave speed c must be positive and finite, got {self.c}")
-        zero = np.zeros(self.n)
-        for name, value in (("B", self.jac(zero)), ("f0", self.f(zero))):
+        zero = np.zeros(len(diffusion))
+        for name, value in (("diffusion", diffusion), ("B", self.jac(zero)),
+                            ("f0", self.f(zero))):
             value = np.array(value, dtype=float)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def diffusion(self) -> np.ndarray:
-        """Full diagonal of the diffusion matrix D."""
-        return np.concatenate([self.d1, self.d2])
+        return len(self.diffusion)
 
     @property
     def zero_diffusion(self) -> bool:
@@ -306,16 +295,6 @@ def eval_g_prime(u1):
     return out
 
 
-def jacobian_at_minus(params: ModelParams) -> np.ndarray:
-    """Jacobian of f at the burned end state u_minus = (1/kappa, 0).
-
-    Closed form ((0, e^-kappa), (0, -kappa e^-kappa)); the zero first column
-    is the source of the triangular structure.
-    """
-    ek = np.exp(-params.kappa)
-    return np.array([[0.0, ek], [0.0, -params.kappa * ek]])
-
-
 def eval_N_times_v_exact(sys: BlockSystem, v) -> np.ndarray:
     """Closed form N(v) v = f(v) - f(0) - Df(0) v of the integral
     N(v) = int_0^1 (Df(t v) - Df(0)) dt, with no quadrature.
@@ -351,8 +330,9 @@ def make_exo_endo_system(
         y2_t = d2 lap(y2) - y2 f2(y1)
         y3_t = d3 lap(y3) - tau y3 f3(y1)
 
-    Block split n1 = 1 (temperature), n2 = 2; A1 = 0 since the reactions
-    switch off when the reactants vanish or the temperature is nonpositive.
+    Block split n1 = 1 (temperature) and the two reactants; B11 = 0 since
+    the reactions switch off when the reactants vanish or the temperature
+    is nonpositive.
     """
     a2, a3 = a
     b2, b3 = b
@@ -379,17 +359,7 @@ def make_exo_endo_system(
             ]
         )
 
-    sys = BlockSystem(
-        n1=1,
-        n2=2,
-        d1=np.array([1.0]),
-        d2=np.array([d2, d3]),
-        A1=np.zeros((1, 1)),
-        f=f,
-        jac=jac,
-        c=c,
-        name="exo-endo",
-    )
+    sys = BlockSystem(n1=1, diffusion=[1.0, d2, d3], f=f, jac=jac, c=c, name="exo-endo")
     check_block_structure(sys)
     return sys
 
@@ -408,7 +378,8 @@ def make_gasless_system(beta: float, c: float = 1.0) -> ModelParams:
 
 def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
                           tol: float = 1e-12) -> float:
-    """Randomized probe of f(v1, 0) = (A1 v1, 0) over `trials` draws.
+    """Randomized probe of f(v1, 0) = (B11 v1, 0), B11 = B[:n1, :n1] the
+    first block of the stored B = Df(0), over `trials` draws.
 
     The draws are N(0, 2^2) from the stdlib random.Random(seed), which
     spares building a block system the import of numpy.random.  Returns
@@ -420,11 +391,11 @@ def check_block_structure(sys: BlockSystem, trials: int = 1000, seed: int = 0,
     v = np.zeros((sys.n, trials))
     v[:sys.n1] = v1
     expect = np.zeros((sys.n, trials))
-    expect[:sys.n1] = sys.A1 @ v1
+    expect[:sys.n1] = sys.B[:sys.n1, :sys.n1] @ v1
     worst = float(np.max(np.abs(sys.f(v) - expect)))  # one vectorised f call
     if not worst <= tol:
         raise ValueError(
-            f"block structure violated: f(v1, 0) differs from (A1 v1, 0) "
-            f"by {worst:.3e} > {tol:.1e}"
+            f"block structure violated: f(v1, 0) differs from (B11 v1, 0), "
+            f"B11 = Df(0)[:n1, :n1], by {worst:.3e} > {tol:.1e}"
         )
     return worst

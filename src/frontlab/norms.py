@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import write_rows
+from .blocks import format_value, write_rows
 
 __all__ = [
     "NormSeries",
@@ -358,21 +358,13 @@ class VerdictReport:
     def to_text(self) -> str:
         lines = []
         for key, val in self.context.items():
-            lines.append(f"{key}: {_fmt(val)}")
+            lines.append(f"{key}: {format_value(val)}")
         for name in sorted(self.items):
             item = self.items[name]
             for key, val in item.items():
-                lines.append(f"{name}_{key}: {_fmt(val)}")
+                lines.append(f"{name}_{key}: {format_value(val)}")
         lines.append(f"overall_pass: {str(self.overall).lower()}")
         return "\n".join(lines) + "\n"
-
-
-def _fmt(val) -> str:
-    if isinstance(val, bool):
-        return str(val).lower()
-    if isinstance(val, float):
-        return f"{val:.17g}"
-    return str(val)
 
 
 def verify_stability_theorem(series: NormSeries, eta: float, delta: float,

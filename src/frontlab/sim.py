@@ -371,7 +371,8 @@ def _boundary_mass_fractions(grid: Grid, fields: np.ndarray, alpha: float) -> np
     nonzero = np.any(fields != 0.0, axis=(1,) + tuple(range(3, fields.ndim)))
     z_ref = z[z.size - 1 - np.argmax(nonzero[:, ::-1], axis=1)]
     gamma2 = np.exp(2.0 * alpha * np.minimum(z - z_ref[:, None], 0.0))
-    w = np.square(fields) * gamma2.reshape(gamma2.shape[:1] + (1, z.size) + (1,) * (grid.d - 1))
+    w = np.square(fields)  # weighted in place: one field-sized temporary, not two
+    w *= gamma2.reshape(gamma2.shape[:1] + (1, z.size) + (1,) * (grid.d - 1))
     per_record = tuple(range(1, fields.ndim))
     total = np.sum(w, axis=per_record)
     with np.errstate(invalid="ignore"):

@@ -43,7 +43,6 @@ __all__ = [
     "SpectrumSweep",
     "Propagator",
     "eval_symbol",
-    "eigvals_symbol",
     "family_real_parts",
     "closed_form_abscissa",
     "optimal_weight",
@@ -59,7 +58,7 @@ EXTENT_MARGIN = 1e-9   # room auto_extent leaves in its abscissa bound
 EXTENT_FLOOR = 4.0     # smallest auto_extent; also the extent of an uncertified sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolMatrix:
     """Evaluation rule xi -> S(xi) for one linearized end-state operator.
 
@@ -68,12 +67,14 @@ class SymbolMatrix:
     c     : frame speed
     B     : reaction Jacobian at the end state, shape (n, n)
     alpha : weight exponent (0 for the unweighted symbol)
+
+    D and B are kept as read-only float arrays.
     """
 
     d: int
-    D: tuple
+    D: np.ndarray
     c: float
-    B: tuple
+    B: np.ndarray
     alpha: float = 0.0
 
     def __post_init__(self):
@@ -81,6 +82,10 @@ class SymbolMatrix:
             raise ValueError("space dimension must be >= 1")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
+        for name, value in (("D", self.D), ("B", np.atleast_2d(self.B))):
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, model: Model, d: int = 1, alpha: float = 0.0) -> "SymbolMatrix":
@@ -88,29 +93,17 @@ class SymbolMatrix:
 
         alpha = 0 gives the unweighted symbol.
         """
-        return cls(d=d, D=tuple(float(x) for x in model.diffusion), c=model.c,
-                   B=_freeze(model.linearization), alpha=float(alpha))
+        return cls(d=d, D=model.diffusion, c=model.c, B=model.linearization,
+                   alpha=float(alpha))
 
     @property
     def n(self) -> int:
         return len(self.D)
 
     @property
-    def D_array(self) -> np.ndarray:
-        return np.asarray(self.D, dtype=float)
-
-    @property
-    def B_array(self) -> np.ndarray:
-        return np.asarray(self.B, dtype=float)
-
-    @property
     def is_triangular(self) -> bool:
         """Upper-triangular B makes S(xi) upper triangular for every xi."""
-        return bool(np.all(np.tril(self.B_array, -1) == 0.0))
-
-
-def _freeze(mat: np.ndarray) -> tuple:
-    return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(mat))
+        return bool(np.all(np.tril(self.B, -1) == 0.0))
 
 
 def _frequency(sym: SymbolMatrix, xi) -> np.ndarray:
@@ -123,12 +116,10 @@ def _frequency(sym: SymbolMatrix, xi) -> np.ndarray:
 
 def _diagonal_curves(sym: SymbolMatrix, xi2, xi1):
     """Diagonal entries of S(xi) for broadcastable |xi|^2 and xi_1 arrays."""
-    D = sym.D_array
-    Bdiag = np.diag(sym.B_array)
     xi2 = np.atleast_1d(np.asarray(xi2, dtype=float))[..., None]
     xi1 = np.atleast_1d(np.asarray(xi1, dtype=float))[..., None]
-    return (-xi2 * D + (1j * sym.c * xi1 - sym.alpha * sym.c)
-            + (sym.alpha**2 - 2j * xi1 * sym.alpha) * D + Bdiag)
+    return (-xi2 * sym.D + (1j * sym.c * xi1 - sym.alpha * sym.c)
+            + (sym.alpha**2 - 2j * xi1 * sym.alpha) * sym.D + np.diag(sym.B))
 
 
 def _symbol_stack(sym: SymbolMatrix, xi2, xi1) -> np.ndarray:
@@ -137,7 +128,7 @@ def _symbol_stack(sym: SymbolMatrix, xi2, xi1) -> np.ndarray:
     The diagonal is _diagonal_curves; off the diagonal S(xi) is B at every xi.
     """
     diag = _diagonal_curves(sym, xi2, xi1)
-    B = sym.B_array
+    B = sym.B
     n = sym.n
     S = np.zeros(diag.shape + (n,), dtype=complex)
     S[...] = B - np.diag(np.diag(B))
@@ -150,13 +141,19 @@ def _sorted_eigvals(sym: SymbolMatrix, xi2, xi1) -> np.ndarray:
 
     Triangular symbols give their diagonal exactly; any other symbol takes
     one batched dense solve, whose non-convergence surfaces as
-    numpy.linalg.LinAlgError.
+    numpy.linalg.LinAlgError.  Its real parts are compared rounded to 40
+    bits of the sample's largest |lambda|, so a pair whose real parts tie
+    in exact arithmetic does not come in round-off order: ties go by
+    descending imaginary part.
     """
     if sym.is_triangular:
         vals = _diagonal_curves(sym, xi2, xi1)
+        order = np.argsort(-vals.real, axis=-1, kind="stable")
     else:
         vals = np.linalg.eigvals(_symbol_stack(sym, xi2, xi1))
-    order = np.argsort(-vals.real, axis=-1, kind="stable")
+        unit = np.ldexp(np.max(np.abs(vals), axis=-1, keepdims=True), -40)
+        real = np.round(vals.real / np.where(unit > 0.0, unit, 1.0))
+        order = np.lexsort((-vals.imag, -real), axis=-1)
     return np.take_along_axis(vals, order, axis=-1)
 
 
@@ -169,12 +166,6 @@ def eval_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
     return _symbol_stack(sym, np.dot(xi, xi), xi[0])[0]
 
 
-def eigvals_symbol(sym: SymbolMatrix, xi) -> np.ndarray:
-    """Eigenvalues of S(xi), sorted by descending real part (see _sorted_eigvals)."""
-    xi = _frequency(sym, xi)
-    return _sorted_eigvals(sym, np.dot(xi, xi), xi[0])[0]
-
-
 def family_real_parts(sym: SymbolMatrix) -> np.ndarray:
     """Per-family abscissas of a triangular symbol (vertex of each parabola).
 
@@ -183,7 +174,7 @@ def family_real_parts(sym: SymbolMatrix) -> np.ndarray:
     """
     if not sym.is_triangular:
         raise ValueError("closed-form family abscissas require a triangular symbol")
-    return sym.alpha**2 * sym.D_array - sym.alpha * sym.c + np.diag(sym.B_array)
+    return sym.alpha**2 * sym.D - sym.alpha * sym.c + np.diag(sym.B)
 
 
 def closed_form_abscissa(sym: SymbolMatrix) -> Optional[float]:
@@ -237,7 +228,7 @@ def auto_extent(sym: SymbolMatrix) -> tuple[float, bool]:
     is reported as uncertified.  The extent is at least EXTENT_FLOOR and
     leaves EXTENT_MARGIN of room in the bound.
     """
-    D = sym.D_array
+    D = sym.D
     if sym.is_triangular:
         fams = family_real_parts(sym)
         A = float(np.max(fams))
@@ -247,7 +238,7 @@ def auto_extent(sym: SymbolMatrix) -> tuple[float, bool]:
                 r2 = max(r2, (fam - A + EXTENT_MARGIN) / dj)
         return max(EXTENT_FLOOR, float(np.sqrt(max(r2, 0.0)))), True
     dmin = float(np.min(D))
-    B = sym.B_array
+    B = sym.B
     herm_top = float(np.max(np.linalg.eigvalsh(0.5 * (B + B.T))))
     a0 = float(np.max(np.linalg.eigvals(eval_symbol(sym, np.zeros(sym.d))).real))
     if dmin <= 0.0:
@@ -314,14 +305,14 @@ class Propagator:
 
 def _closed_form_exponential(sym: SymbolMatrix) -> bool:
     """Upper-triangular B whose strictly upper part N has |N| |N| = 0."""
-    N = np.abs(np.triu(sym.B_array, 1))
+    N = np.abs(np.triu(sym.B, 1))
     return sym.is_triangular and not np.any(N @ N)
 
 
 def _closed_form(sym: SymbolMatrix, xi2, xi1, dt) -> tuple:
     """Propagator.rows of the closed-form exponential (see exact_propagator),
     in one evaluation over the samples."""
-    B = sym.B_array
+    B = sym.B
     n = sym.n
     diag = _diagonal_curves(sym, xi2, xi1)
     S = [diag[..., j] for j in range(n)]

@@ -9,8 +9,8 @@ exponents at the end states, the weighted abscissa in closed form, the
 intersection norm of a field, a smallness-threshold scan, the structural
 identities of a norm series, sim.step_imex on a field, a Strang step on
 numpy's n-dimensional real transforms, the closed-form propagator and
-semigroup envelope evaluated in one shot over all samples, and the traced
-peak memory of a call.
+semigroup envelope evaluated in one shot over all samples, the box-free
+norms of a linear run, and the traced peak memory of a call.
 frontlab itself calls none of them.
 """
 
@@ -24,12 +24,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from frontlab.model import (BlockSystem, ModelParams, check_block_structure, eval_g,
-                            eval_g_prime, eval_N_times_v_exact, jacobian_at_minus)
+                            eval_g_prime, eval_N_times_v_exact)
 from frontlab.norms import norm_unweighted, norm_weighted
 from frontlab.sim import (FieldState, Grid, Perturbation, SimulationBlowupError,
-                          SimulationError, _propagate, run, step_imex)
+                          SimulationError, _propagate, build_perturbation, run, step_imex)
 from frontlab.spectral import (Propagator, SymbolMatrix, _closed_form, _specnorm_upper_2x2,
-                               closed_form_abscissa)
+                               closed_form_abscissa, exact_propagator)
 
 
 def eval_f_combustion(params: ModelParams, u) -> np.ndarray:
@@ -100,17 +100,8 @@ def make_combustion_system(params: ModelParams) -> BlockSystem:
     def jac(v):
         return jacobian_combustion(params, np.asarray(v, dtype=float) + u_minus)
 
-    sys = BlockSystem(
-        n1=1,
-        n2=1,
-        d1=np.array([1.0]),
-        d2=np.array([params.epsilon]),
-        A1=np.zeros((1, 1)),
-        f=f,
-        jac=jac,
-        c=params.c,
-        name="combustion",
-    )
+    sys = BlockSystem(n1=1, diffusion=[1.0, params.epsilon], f=f, jac=jac, c=params.c,
+                      name="combustion")
     check_block_structure(sys)
     return sys
 
@@ -244,7 +235,7 @@ def spatial_eigenvalues(params: ModelParams, which: str = "minus") -> np.ndarray
     quadratic (or linear, when the diffusion entry vanishes) per component.
     """
     if which == "minus":
-        B = jacobian_at_minus(params)
+        B = params.linearization
     elif which == "plus":
         B = np.zeros((2, 2))  # g and g' vanish at the cold unburned state
     else:
@@ -371,6 +362,45 @@ def semigroup_envelope_oneshot(sym: SymbolMatrix, t_grid, xi_grid) -> float:
     first, second = exact_propagator_oneshot(sym, xi**2, xi, t).rows
     e12 = dict(first).get(1, 0.0)
     return float(np.max(np.exp(nu * t) * _specnorm_upper_2x2(first[0][1], e12, second[0][1])))
+
+
+REFERENCE_PAD = 16  # the reference box is this many run boxes long along z
+
+
+def reference_series(model, grid: Grid, pert: Perturbation, alpha: float, times) -> dict:
+    """Box-free norms of the linear flow of model from pert, at each of times.
+
+    w0 = e^(alpha z) v0 and v0, sampled on grid, are zero-padded along z to
+    a box REFERENCE_PAD times as long at the same spacing, grid's box at its
+    centre, and each is taken from t = 0 to every time in one step of
+    exact_propagator, of the weighted and the unweighted symbol.  On the
+    long box nothing reaches the seam, and the weight is applied before the
+    evolution, so neither wraparound nor amplified round-off enters.
+    Returns the NormSeries columns (k = 0) normalpha_v = |w|_0, norm0_v,
+    norm0_v1 and norm0_v2 as arrays over times.
+    """
+    state, _ = build_perturbation(grid, pert, model, alpha)
+    big = Grid(L=(REFERENCE_PAD * grid.L[0],) + grid.L[1:],
+               N=(REFERENCE_PAD * grid.N[0],) + grid.N[1:])
+    box = slice((REFERENCE_PAD - 1) * grid.N[0] // 2, (REFERENCE_PAD + 1) * grid.N[0] // 2)
+    xi2 = sum(big.rxi(ax) ** 2 for ax in range(big.d))
+    xi1 = np.broadcast_to(big.rxi(0), big.spectrum_shape)
+
+    def evolve(field, a):
+        padded = np.zeros((model.n,) + big.shape)
+        padded[:, box] = field
+        vh = big.forward(padded)
+        sym = SymbolMatrix.of(model, big.d, a)
+        for t in times:
+            yield big.inverse(_propagate(exact_propagator(sym, xi2, xi1, t), vh,
+                                         np.empty_like(vh)))
+
+    weight = np.exp(alpha * grid.coords(0)).reshape((-1,) + (1,) * (grid.d - 1))
+    w = [norm_unweighted(big, f) for f in evolve(state.data * weight, alpha)]
+    v = np.array([[norm_unweighted(big, part) for part in (f, f[:model.n1], f[model.n1:])]
+                  for f in evolve(state.data, 0.0)])
+    return {"normalpha_v": np.array(w), "norm0_v": v[:, 0], "norm0_v1": v[:, 1],
+            "norm0_v2": v[:, 2]}
 
 
 def traced_peak(fn: Callable[[], object]) -> tuple[int, object]:

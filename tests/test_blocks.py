@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 
-from frontlab.blocks import SAMPLE_BLOCK, write_rows
+from frontlab.blocks import SAMPLE_BLOCK, format_value, write_rows
 
 
 class TestWriteRows:
@@ -30,3 +30,10 @@ class TestWriteRows:
         fh = io.StringIO()
         write_rows(fh, [np.empty(0)], "%.17g\n")
         assert fh.getvalue() == ""
+
+
+def test_format_value():
+    # summary.txt and verdict.txt write every value through this one form
+    assert [format_value(v) for v in (True, False, 0.1, -0.0, float("nan"), 3, "a, b")] == [
+        "true", "false", "0.10000000000000001", "-0", "nan", "3", "a, b"]
+    assert format_value((1.5, (2, True), "x")) == "1.5, 2, true, x"

@@ -974,7 +974,7 @@ class TestVerifyEveryKind:
         from frontlab.model import BlockSystem
 
         B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
-        toy = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+        toy = BlockSystem(n1=2, diffusion=[1.0, 0.5, 0.2],
                           f=lambda v: np.tensordot(B, v, axes=(1, 0)),
                           jac=lambda v: B.copy(), name="rotation-toy")
         monkeypatch.setattr(cli, "_build_model", lambda scenario: (toy, 0.3))

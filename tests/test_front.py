@@ -538,3 +538,14 @@ class TestShooting:
         reduced = tmp_path / "reduced.csv"
         write_profile_csv(reduced, profile.z, profile.states[:, :3], drift)
         assert reduced.read_bytes() == path.read_bytes()
+
+    def test_profile_csv_cells(self, tmp_path):
+        # every cell as f"{x:.17g}", special values included
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1e300]
+        z = np.arange(len(special), dtype=float)
+        states = np.stack([special, special[::-1], z, -z], axis=1)
+        path = tmp_path / "cells.csv"
+        write_profile_csv(path, z, states, np.array(special[3:] + special[:3]))
+        expect = "".join(",".join(f"{x:.17g}" for x in (zi, *s, dk)) + "\n"
+                         for zi, s, dk in zip(z, states, special[3:] + special[:3]))
+        assert path.read_text() == "z,phi1,phi2,phi3,phi4,k_drift\n" + expect

@@ -11,7 +11,6 @@ from frontlab.model import (
     eval_N_times_v_exact,
     eval_g,
     eval_g_prime,
-    jacobian_at_minus,
     make_exo_endo_system,
     make_gasless_system,
 )
@@ -36,8 +35,7 @@ def params(eps=0.5, kappa=1.0, c=1.0):
 class TestParams:
     def test_valid(self):
         p = params()
-        assert p.u_minus[0] == 1.0
-        assert tuple(p.u_plus) == (0.0, 1.0)
+        assert (p.epsilon, p.kappa, p.c) == (0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -130,8 +128,8 @@ class TestIgnitionRate:
 class TestReactionTerm:
     def test_end_states_are_zeros(self):
         for p in (params(), params(kappa=2.5)):
-            assert np.all(eval_f_combustion(p, p.u_minus) == 0.0)
-            assert np.all(eval_f_combustion(p, p.u_plus) == 0.0)
+            assert np.all(eval_f_combustion(p, [1.0 / p.kappa, 0.0]) == 0.0)  # u_minus
+            assert np.all(eval_f_combustion(p, [0.0, 1.0]) == 0.0)  # u_plus
 
     def test_direct_value(self):
         p = params(kappa=1.0)
@@ -153,24 +151,24 @@ class TestEndStates:
     def test_combustion_pair_annihilates_f(self):
         for kappa in (0.5, 1.0, 3.0):
             p = params(kappa=kappa)
-            r_minus = np.max(np.abs(eval_f_combustion(p, p.u_minus)))
-            r_plus = np.max(np.abs(eval_f_combustion(p, p.u_plus)))
+            r_minus = np.max(np.abs(eval_f_combustion(p, [1.0 / kappa, 0.0])))
+            r_plus = np.max(np.abs(eval_f_combustion(p, [0.0, 1.0])))
             assert r_minus <= 1e-14 and r_plus <= 1e-14
 
 class TestJacobian:
     def test_closed_form_kappa1(self):
-        J = jacobian_at_minus(params(kappa=1.0))
+        J = params(kappa=1.0).linearization
         expect = np.array([[0.0, 0.3678794411714423], [0.0, -0.3678794411714423]])
         assert np.allclose(J, expect, atol=1e-12)
 
     def test_closed_form_kappa2(self):
-        J = jacobian_at_minus(params(kappa=2.0))
+        J = params(kappa=2.0).linearization
         assert J[0, 1] == pytest.approx(0.1353352832366127, rel=1e-12)
         assert J[1, 1] == pytest.approx(-0.2706705664732254, rel=1e-12)
 
     def test_first_column_zero(self):
         for kappa in (0.3, 1.0, 4.2):
-            J = jacobian_at_minus(params(kappa=kappa))
+            J = params(kappa=kappa).linearization
             assert J[0, 0] == 0.0 and J[1, 0] == 0.0
 
     def test_matches_difference_quotients(self):
@@ -238,10 +236,7 @@ class TestIntegralNonlinearity:
         def f(v):
             return np.tensordot(A, np.asarray(v, dtype=float), axes=(1, 0))
 
-        sys = BlockSystem(
-            n1=1, n2=1, d1=[1.0], d2=[0.5],
-            A1=A[:1, :1], f=f, jac=lambda v: A,
-        )
+        sys = BlockSystem(n1=1, diffusion=[1.0, 0.5], f=f, jac=lambda v: A)
         rng = np.random.default_rng(3)
         for _ in range(20):
             v = rng.normal(size=2)
@@ -364,6 +359,74 @@ class TestExoEndoSystem:
                                atol=1e-6)
 
 
+def _linear_system(M, n1=1, diffusion=(1.0, 0.5)):
+    M = np.asarray(M, dtype=float)
+    return BlockSystem(n1=n1, diffusion=list(diffusion),
+                       f=lambda v: np.tensordot(M, np.asarray(v, dtype=float), axes=(1, 0)),
+                       jac=lambda v: M.copy())
+
+
+class TestBlockSystemDeclaration:
+    """A block system is declared by n1, one diffusion diagonal, f, jac, c
+    and name; n, the second block and the first block of B follow."""
+
+    def test_init_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(BlockSystem) if f.init] == [
+            "n1", "diffusion", "f", "jac", "c", "name"]
+
+    def test_derived_quantities(self):
+        sys = _linear_system([[0.3, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]],
+                             n1=1, diffusion=(1.0, 0.5, 0.0))
+        assert (sys.n, sys.n1) == (3, 1)
+        assert sys.diffusion.tolist() == [1.0, 0.5, 0.0] and sys.zero_diffusion
+        assert not sys.diffusion.flags.writeable
+        assert check_block_structure(sys) == 0.0  # B[:1, :1] = 0.3 is the first block
+
+    @pytest.mark.parametrize("n1", [0, -1, 3, 1.5])
+    def test_rejects_n1_outside_1_to_n(self, n1):
+        with pytest.raises(ValueError, match="n1"):
+            _linear_system(np.eye(2), n1=n1)
+
+    def test_compares_and_hashes_by_identity(self):
+        # a generated == would compare the array fields and raise, and hash fail
+        a, b = (_linear_system(np.eye(2)) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_first_block_may_be_everything(self):
+        assert _linear_system(np.eye(2), n1=2).n1 == 2
+
+    @pytest.mark.parametrize("diffusion", [(1.0, -0.5), (-1e-300, 1.0), (np.nan, 1.0)])
+    def test_rejects_negative_diffusion(self, diffusion):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _linear_system(np.eye(2), diffusion=diffusion)
+
+    def test_rejects_a_diffusion_matrix(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            _linear_system(np.eye(2), diffusion=np.eye(2))
+
+    def test_probe_rejects_a_second_block_part(self):
+        # f(v1, 0) = (0.3 v1, 0.2 v1): the first block feeds the second
+        sys = _linear_system([[0.3, 1.0], [0.2, -1.0]])
+        with pytest.raises(ValueError, match="block structure violated"):
+            check_block_structure(sys)
+
+    def test_probe_rejects_a_nonlinear_first_block(self):
+        # f(v1, 0) = (v1^2, 0) while B[:1, :1] = Df(0)[:1, :1] = 0
+        def f(v):
+            v = np.asarray(v, dtype=float)
+            return np.stack([v[0] ** 2 + v[1], -v[1]])
+
+        def jac(v):
+            return np.array([[2.0 * v[0], 1.0], [0.0, -1.0]])
+
+        sys = BlockSystem(n1=1, diffusion=[1.0, 0.5], f=f, jac=jac)
+        with pytest.raises(ValueError, match="block structure violated"):
+            check_block_structure(sys)
+
+
 class TestBlockSystemConstants:
     def test_df0_and_f0_taken_once(self):
         import dataclasses
@@ -379,7 +442,7 @@ class TestBlockSystemConstants:
             calls["jac"].append(np.shape(v))
             return base.jac(v)
 
-        sys = BlockSystem(n1=1, n2=2, d1=base.d1, d2=base.d2, A1=base.A1, f=f, jac=jac)
+        sys = BlockSystem(n1=1, diffusion=base.diffusion, f=f, jac=jac)
         assert calls == {"f": [(3,)], "jac": [(3,)]}
         check_block_structure(sys, trials=1000)
         assert calls["f"][1:] == [(3, 1000)]  # one vectorised probe
@@ -441,8 +504,7 @@ class TestGaslessSystem:
 class TestLipschitzProbe:
     def test_affine_gives_zero(self):
         A = np.array([[0.0, 1.0], [0.0, -2.0]])
-        sys = BlockSystem(n1=1, n2=1, d1=[1.0], d2=[0.1],
-                          A1=np.zeros((1, 1)),
+        sys = BlockSystem(n1=1, diffusion=[1.0, 0.1],
                           f=lambda v: np.tensordot(A, np.asarray(v, float), axes=(1, 0)),
                           jac=lambda v: A)
         assert lipschitz_probe(sys, 1.0, 500, seed=0) <= 1e-13
@@ -481,7 +543,7 @@ def _rotation_toy() -> BlockSystem:
         return B + np.array([[v[2], 0.0, v[0]], [0.0, -v[2], -v[1]],
                              [0.0, 0.0, 0.6 * v[2]]])
 
-    return BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+    return BlockSystem(n1=2, diffusion=[1.0, 0.5, 0.2],
                        f=f, jac=jac, name="rotation-toy")
 
 
@@ -554,10 +616,10 @@ class TestMidpointStage:
         self.assert_composition(_rotation_toy(), rng.normal(size=(3, 24)), 0.1)
 
     def test_f_returning_its_argument_is_not_written_over(self):
-        # f(v) = v is a valid block system (A1 = 1, B = I) with N = 0, so the
+        # f(v) = v is a valid block system (B = I, first block 1) with N = 0, so the
         # stage leaves u as it was; it works in place on what f returns,
         # which here is the field it is given
-        ident = BlockSystem(n1=1, n2=1, d1=[1.0], d2=[0.5], A1=[[1.0]],
+        ident = BlockSystem(n1=1, diffusion=[1.0, 0.5],
                             f=lambda v: v, jac=lambda v: np.eye(2))
         u = np.random.default_rng(25).normal(size=(2, 16))
         kept = u.copy()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontlab.model import ModelParams, jacobian_at_minus
+from frontlab.model import ModelParams
 from frontlab.sim import Grid, Perturbation, run
 
 SIM = Path(__file__).resolve().parents[1] / "src" / "frontlab" / "sim.py"
@@ -61,7 +61,7 @@ class LinearModel:
     n = 2
     n1 = 1
     diffusion = np.array([1.0, 0.5])
-    linearization = jacobian_at_minus(ModelParams(0.5, 1.0, 1.0))
+    linearization = ModelParams(0.5, 1.0, 1.0).linearization
 
     def stage_rate(self, v) -> float:
         return 0.0

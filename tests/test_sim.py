@@ -286,7 +286,7 @@ class TestPropagatorLifetime:
         from frontlab.model import BlockSystem
 
         B = np.array([[0.0, 1.0], [0.0, -0.5]])
-        model = BlockSystem(n1=1, n2=1, d1=[0.0], d2=[1.0], A1=[[0.0]],
+        model = BlockSystem(n1=1, diffusion=[0.0, 1.0],
                             f=lambda v: np.tensordot(B, v, axes=(1, 0)),
                             jac=lambda v: B.copy(), name="fast-second-toy")
         g = Grid(L=10.0, N=512)  # |xi| up to 80: dt/2 |xi|^2 = 960
@@ -299,7 +299,7 @@ class TestPropagatorLifetime:
         from frontlab.model import BlockSystem
 
         B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
-        model = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+        model = BlockSystem(n1=2, diffusion=[1.0, 0.5, 0.2],
                             f=lambda v: np.tensordot(B, v, axes=(1, 0)),
                             jac=lambda v: B.copy(), name="rotation-toy")
         g = Grid(L=8.0, N=32)
@@ -587,7 +587,7 @@ class TestRun:
         from frontlab.model import BlockSystem
 
         B = np.array([[-0.1, 0.0, 0.4], [0.0, -0.2, 0.3], [0.0, 0.0, -0.5]])
-        model = BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+        model = BlockSystem(n1=2, diffusion=[1.0, 0.5, 0.2],
                             f=lambda v: np.tensordot(B, v, axes=(1, 0)),
                             jac=lambda v: B.copy(), name="split-toy")
         g = Grid(L=15.0, N=128)
@@ -626,7 +626,7 @@ class TestRun:
         from frontlab.model import BlockSystem
 
         B = np.array([[0.0, 0.0], [0.0, 400.0]])
-        model = BlockSystem(n1=1, n2=1, d1=[1.0], d2=[1.0], A1=B[:1, :1],
+        model = BlockSystem(n1=1, diffusion=[1.0, 1.0],
                             f=lambda v: np.tensordot(B, v, axes=(1, 0)),
                             jac=lambda v: B.copy(), name="growing")
         g = Grid(L=10.0, N=64)
@@ -805,6 +805,14 @@ class TestRun:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         assert got[1] > 0.5 and got[2] > 0.5 and got[0] == want[0] and got[5] == 0.0
 
+    def test_boundary_fractions_take_one_field_of_temporaries(self):
+        # a verify2d record: the weighted squares are the one field-sized
+        # temporary (two, 1 MiB here, when the weighting was not in place)
+        grid = Grid(L=(50.0, 25.0), N=(256, 128))
+        fields = np.random.default_rng(9).normal(size=(1, 2) + grid.shape)
+        peak, _ = traced_peak(lambda: sim._boundary_mass_fractions(grid, fields, ALPHA))
+        assert peak < 1.25 * fields.nbytes
+
     def test_snapshots_bracket_run(self):
         g = Grid(L=10.0, N=64)
         res = run(params(), g, Perturbation(eta=1e-3, widths=(1.0,), mask=(0, 1)), ALPHA,
@@ -978,7 +986,7 @@ class TestGeneralBlockExperiment:
                 [g * np.cos(v[0]) * v[1], b22 + g * np.sin(v[0])],
             ])
 
-        return BlockSystem(n1=1, n2=1, d1=[1.0], d2=[0.3], A1=np.zeros((1, 1)),
+        return BlockSystem(n1=1, diffusion=[1.0, 0.3],
                            f=f, jac=jac, c=1.0, name="toy-triangular")
 
     def test_spectral_abscissas(self):

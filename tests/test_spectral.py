@@ -14,10 +14,10 @@ from frontlab.blocks import SAMPLE_BLOCK
 from frontlab.spectral import (
     SpectrumSweep,
     SymbolMatrix,
+    _sorted_eigvals,
     auto_extent,
     closed_form_abscissa,
     block_abscissas,
-    eigvals_symbol,
     eval_symbol,
     exact_propagator,
     optimal_weight,
@@ -35,6 +35,12 @@ ALPHA = 0.4
 
 def params(eps=0.5, kappa=1.0, c=1.0):
     return ModelParams(epsilon=eps, kappa=kappa, c=c)
+
+
+def eigvals_at(sym, xi) -> np.ndarray:
+    """Eigenvalues of S(xi) at one frequency xi, by descending real part."""
+    xi = np.asarray(xi, dtype=float)
+    return _sorted_eigvals(sym, np.dot(xi, xi), xi[0])[0]
 
 
 def expm_series(M: np.ndarray, t: float) -> np.ndarray:
@@ -116,7 +122,7 @@ class TestEigvals:
         for _ in range(50):
             xi = rng.normal(scale=4.0, size=2)
             xi2 = np.dot(xi, xi)
-            lam = eigvals_symbol(sym, xi)
+            lam = eigvals_at(sym, xi)
             expect = sorted(
                 [
                     -xi2 + 1j * p.c * xi[0],
@@ -129,11 +135,11 @@ class TestEigvals:
     def test_diagonal_and_involution(self):
         diag = SymbolMatrix(d=1, D=(0.0, 0.0), c=1.0,
                             B=((-0.5, 0.0), (0.0, -2.0)), alpha=0.0)
-        lam = eigvals_symbol(diag, [0.0])
+        lam = eigvals_at(diag, [0.0])
         assert np.allclose(lam, [-0.5, -2.0], atol=1e-14)
         invol = SymbolMatrix(d=1, D=(0.0, 0.0), c=1.0,
                              B=((0.0, 1.0), (1.0, 0.0)), alpha=0.0)
-        lam = eigvals_symbol(invol, [0.0])
+        lam = eigvals_at(invol, [0.0])
         assert np.allclose(sorted(lam.real), [-1.0, 1.0], atol=1e-12)
         assert np.allclose(lam.imag, 0.0, atol=1e-12)
 
@@ -144,8 +150,8 @@ class TestEigvals:
                     SymbolMatrix.of(p, d=2, alpha=ALPHA)):
             for _ in range(30):
                 xi = rng.normal(scale=3.0, size=2)
-                lp = np.sort_complex(eigvals_symbol(sym, xi))
-                lm = np.sort_complex(np.conj(eigvals_symbol(sym, -xi)))
+                lp = np.sort_complex(eigvals_at(sym, xi))
+                lm = np.sort_complex(np.conj(eigvals_at(sym, -xi)))
                 assert np.allclose(lp, lm, atol=1e-12)
 
     def test_dense_path_matches_triangular(self):
@@ -155,7 +161,7 @@ class TestEigvals:
         general = SymbolMatrix(d=1, D=sym.D, c=sym.c,
                                B=((0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.0, 0.0, -1.0)),
                                alpha=0.2)
-        lam = eigvals_symbol(general, [0.7])
+        lam = eigvals_at(general, [0.7])
         M = eval_symbol(general, [0.7])
         assert np.allclose(np.sort_complex(lam), np.sort_complex(np.linalg.eigvals(M)),
                            atol=1e-12)
@@ -282,8 +288,8 @@ class TestSweepMachinery:
         for _ in range(20):
             x = rng.normal(scale=3.0)
             eta = rng.normal(scale=3.0)
-            lam1 = eigvals_symbol(sym1, [x])
-            lam2 = eigvals_symbol(sym2, [x, 0.0])
+            lam1 = eigvals_at(sym1, [x])
+            lam2 = eigvals_at(sym2, [x, 0.0])
             assert np.allclose(lam1, lam2, atol=1e-14)
             # transverse frequency shifts each family curve by -D_j eta^2
             fam_1d = np.diag(eval_symbol(sym2, [x, 0.0]))
@@ -351,7 +357,7 @@ class TestTriangularPropagator:
 def confluent_toy():
     """d1 = d2, B11 = B22, B12 != 0: S_11 - S_22 vanishes at every frequency."""
     B = np.array([[-0.3, 0.8], [0.0, -0.3]])
-    return BlockSystem(n1=1, n2=1, d1=[0.7], d2=[0.7], A1=[[-0.3]],
+    return BlockSystem(n1=1, diffusion=[0.7, 0.7],
                        f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
                        jac=lambda v: B.copy(), name="confluent-toy")
 
@@ -359,7 +365,7 @@ def confluent_toy():
 def rotation_toy():
     """n1 = 2 with a rotation A1: B is not triangular, so expm is used."""
     B = np.array([[0.0, -0.9, 0.4], [0.9, 0.0, -0.2], [0.0, 0.0, -0.5]])
-    return BlockSystem(n1=2, n2=1, d1=[1.0, 0.5], d2=[0.2], A1=B[:2, :2],
+    return BlockSystem(n1=2, diffusion=[1.0, 0.5, 0.2],
                        f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
                        jac=lambda v: B.copy(), name="rotation-toy")
 
@@ -367,7 +373,7 @@ def rotation_toy():
 def fast_second_toy():
     """d1 = 0 < d2 with B12 != 0: S_22 decays much faster than S_11 at high xi."""
     B = np.array([[0.0, 1.0], [0.0, -0.5]])
-    return BlockSystem(n1=1, n2=1, d1=[0.0], d2=[1.0], A1=[[0.0]],
+    return BlockSystem(n1=1, diffusion=[0.0, 1.0],
                        f=lambda v: np.tensordot(B, np.asarray(v, dtype=float), axes=(1, 0)),
                        jac=lambda v: B.copy(), name="fast-second-toy")
 
@@ -391,6 +397,22 @@ class TestNonTriangularSweep:
             assert min(np.max(np.abs(row[list(order)] - vals))
                        for order in itertools.permutations(range(3))) <= tol
         assert sw.realized_abscissa == np.max(sw.eigvals.real)
+
+    def test_tied_real_parts_keep_their_order_under_one_ulp(self):
+        # at alpha = 0 the rotation block gives pairs whose real parts tie in
+        # exact arithmetic; moving |xi|^2 by one ulp must not swap them (a
+        # swap moves an entry by about twice its imaginary part, while the
+        # square-root sensitivity at the pair's exceptional point moves it
+        # by about 1e-8)
+        sym = SymbolMatrix.of(rotation_toy(), d=2, alpha=0.0)
+        sw = sweep_symbol(sym, R=5.0, m=101)
+        xi2, xi1 = np.sum(sw.xi**2, axis=-1), sw.xi[:, 0]
+        assert np.array_equal(sw.eigvals, _sorted_eigvals(sym, xi2, xi1))
+        scale = np.max(np.abs(sw.eigvals), axis=-1)
+        for direction in (np.inf, -np.inf):
+            moved = _sorted_eigvals(sym, np.nextafter(xi2, direction), xi1)
+            swapped = np.max(np.abs(moved - sw.eigvals), axis=-1) > 1e-6 * scale
+            assert np.sum(swapped) == 0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_auto_extent_certifies(self, alpha):
